@@ -19,7 +19,7 @@ from .core import (
     clause_to_tree,
     cnf_to_forest,
     dnf_to_forest,
-    tree_implies,
+    normalize,
 )
 from .encodings import (
     CardEncoding,
@@ -47,6 +47,7 @@ from .explain import (
     comprehensible_reason,
     delta_probable_reason_dt,
     direct_reason,
+    exact_oracle,
     greedy_reason,
     inclusion_preferred_reason,
     lime_linear_reason,
@@ -57,7 +58,6 @@ from .explain import (
     sufficient_reason_rf,
 )
 from .maxsat import (
-    BudgetExhausted,
     HardClausesUnsatisfiable,
     MaxSatResult,
     maxsat_anytime,
@@ -74,15 +74,7 @@ from .optimize import (
     minimal_sufficient_reason_dt,
     minimal_weight_majoritary_reason,
 )
-from .solver import CnfInstance, SatSolver, SolveOutcome, SolveStatus
+from .solver import CnfInstance, Deadline, SatSolver, SolveOutcome, SolveStatus
 
 __version__ = "0.1.0"
 
-
-def is_forest_implicant(forest: RandomForest, term: Term) -> bool:
-    """Exact one-shot implicant test for the forest function.
-
-    Builds the refutation encoding and asks the embedded solver; reuse a
-    ForestSatOracle instead when testing many terms against one forest.
-    """
-    return ForestSatOracle(forest).accepts(term)

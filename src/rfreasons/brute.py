@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DecisionTree, Instance, RandomForest, Term
+from .core import DecisionTree, Instance, RandomForest, Term, normalize
 
 DEFAULT_VAR_LIMIT = 16
 
@@ -129,8 +129,7 @@ def enumerate_sufficient_reasons(
     Negative examples are handled through forest negation, as everywhere
     else in the package.
     """
-    if forest.evaluate(x) == 0:
-        forest = forest.negated()
+    forest, _ = normalize(forest, x)
     table = truth_table_forest(forest, var_limit)
     n = forest.var_count
 
@@ -146,8 +145,7 @@ def enumerate_majoritary_reasons(
     """All majoritary reasons for x: subset-minimal terms of t_x implying
     strictly more than half the trees (of the negated forest for negative
     examples)."""
-    if forest.evaluate(x) == 0:
-        forest = forest.negated()
+    forest, _ = normalize(forest, x)
     tables = [truth_table_tree(t, var_limit) for t in forest.trees]
     n = forest.var_count
     need = forest.majority

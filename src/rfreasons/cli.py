@@ -11,26 +11,27 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Sequence
 
 from . import dimacs, models
 from .core import (
     Clause,
     DecisionTree,
+    Instance,
     ModelFormatError,
     RandomForest,
     Term,
     cnf_to_forest,
     dnf_to_forest,
+    normalize,
 )
 from .explain import (
     DEFAULT_SEED,
+    NOTIONS,
     DeltaProbableOracle,
     ExplanationTimeout,
-    ForestSatOracle,
     LinearModel,
-    MajorityOracle,
     Prioritization,
     Reason,
     ReasonKind,
@@ -42,12 +43,10 @@ from .explain import (
     majoritary_reason,
     majoritary_reason_multi,
     oracle_for_instance,
-    sufficient_reason_dt,
     sufficient_reason_rf,
 )
 from .models import InstanceFormatError, StatsRow
 from .optimize import (
-    OptimizationBudgetError,
     WeightMap,
     approx_minimal_reason_dt,
     majority_wcnf,
@@ -55,25 +54,12 @@ from .optimize import (
     minimal_sufficient_reason_dt,
     minimal_weight_majoritary_reason,
 )
+from .solver import Deadline
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_COMPREHENSIBLE = 2
 EXIT_PARTIAL = 3
-
-KINDS = (
-    "direct",
-    "sufficient",
-    "majoritary",
-    "minimal-majoritary",
-    "minimal-weight",
-    "minimal-sufficient",
-    "delta-probable",
-    "comprehensible",
-    "inclusion-preferred",
-    "lime",
-    "approx-minimal",
-)
 
 
 class CliError(Exception):
@@ -169,115 +155,190 @@ class ExplainSettings:
     linear_weights: str | None = None
 
 
-def _single_tree(forest: RandomForest, kind: str) -> DecisionTree:
-    if forest.tree_count != 1:
-        raise CliError(f"--kind {kind} needs a single-tree model")
-    return forest.trees[0]
+@dataclass(frozen=True)
+class Request:
+    """One explanation request, as the kind table's compute functions see it."""
+
+    forest: RandomForest
+    x: Instance
+    settings: ExplainSettings
+    order: tuple[int, ...] | None
+    deadline: Deadline | None
+
+
+def _majoritary(r: Request) -> Reason:
+    s = r.settings
+    if s.permutations and s.permutations > 1:
+        return majoritary_reason_multi(r.forest, r.x, s.permutations, s.seed)
+    return majoritary_reason(r.forest, r.x, r.order)
+
+
+def _comprehensible(r: Request) -> Reason | None:
+    keep = [_feature_index(t, r.forest) for t in r.settings.intelligible.split(",")]
+    oracle = oracle_for_instance(r.forest, r.x, r.settings.notion)
+    return comprehensible_reason(oracle, r.x, keep)
+
+
+def _lime(r: Request) -> Reason:
+    weights = [w.strip() for w in r.settings.linear_weights.split(",")]
+    if len(weights) != r.forest.var_count:
+        raise CliError("--linear-weights length must match the feature count")
+    model = LinearModel(weights)
+    if model.evaluate(r.x) != r.forest.evaluate(r.x):
+        raise CliError("the linear model disagrees with the forest on this instance")
+    return lime_linear_reason(model, r.x)
+
+
+def _notion(name: str | None) -> Callable[[RandomForest, Reason], bool]:
+    """Validation by the named implicant notion on the normalized model;
+    None takes the notion the reason records, and its intelligible
+    features when it has any."""
+
+    def accepts(model: RandomForest, reason: Reason) -> bool:
+        term = reason.term
+        allowed = reason.extras.get("intelligible", term.variables())
+        oracle = NOTIONS[name or reason.extras["notion"]](model)
+        return term.variables() <= set(allowed) and oracle.accepts(term)
+
+    return accepts
+
+
+_EXACT = _notion("sufficient")
+_MAJORITY = _notion("majority")
+_RECORDED = _notion(None)
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """One reason kind: its output label, how to compute it, the oracle
+    check that re-validates it on the normalized model, whether it needs
+    a single-tree model, the setting it cannot run without, and whether
+    it optimizes (an unproved optimum then means the deadline hit)."""
+
+    label: ReasonKind
+    compute: Callable[[Request], Reason | None]
+    oracle: Callable[[RandomForest, Reason], bool]
+    single_tree: bool = False
+    requires: str | None = None
+    optimizing: bool = False
+
+
+KIND_TABLE: dict[str, KindSpec] = {
+    "direct": KindSpec(ReasonKind.DIRECT, lambda r: direct_reason(r.forest, r.x), _EXACT),
+    "sufficient": KindSpec(
+        ReasonKind.SUFFICIENT,
+        lambda r: sufficient_reason_rf(r.forest, r.x, r.order, deadline=r.deadline),
+        _EXACT,
+    ),
+    "majoritary": KindSpec(ReasonKind.MAJORITARY, _majoritary, _MAJORITY),
+    "minimal-majoritary": KindSpec(
+        ReasonKind.MINIMAL_MAJORITARY,
+        lambda r: minimal_majoritary_reason(r.forest, r.x, r.deadline),
+        _MAJORITY,
+        optimizing=True,
+    ),
+    "minimal-weight": KindSpec(
+        ReasonKind.MINIMAL_WEIGHT,
+        lambda r: minimal_weight_majoritary_reason(
+            r.forest, r.x, _parse_weights(r.settings.weights, r.forest), r.deadline
+        ),
+        _MAJORITY,
+        requires="weights",
+        optimizing=True,
+    ),
+    "minimal-sufficient": KindSpec(
+        ReasonKind.MINIMAL_SUFFICIENT,
+        lambda r: minimal_sufficient_reason_dt(r.forest.single(), r.x, r.deadline),
+        _EXACT,
+        single_tree=True,
+        optimizing=True,
+    ),
+    "delta-probable": KindSpec(
+        ReasonKind.DELTA_PROBABLE,
+        lambda r: delta_probable_reason_dt(
+            r.forest.single(), r.x, r.settings.delta, r.order
+        ),
+        lambda model, reason: DeltaProbableOracle(
+            model.single(), reason.extras["delta"]
+        ).accepts(reason.term),
+        single_tree=True,
+        requires="delta",
+    ),
+    "comprehensible": KindSpec(
+        ReasonKind.COMPREHENSIBLE, _comprehensible, _RECORDED, requires="intelligible"
+    ),
+    "inclusion-preferred": KindSpec(
+        ReasonKind.INCLUSION_PREFERRED,
+        lambda r: inclusion_preferred_reason(
+            oracle_for_instance(r.forest, r.x, r.settings.notion),
+            r.x,
+            _parse_strata(r.settings.strata, r.forest),
+        ),
+        _RECORDED,
+        requires="strata",
+    ),
+    # lime explains its own linear model, not the forest
+    "lime": KindSpec(
+        ReasonKind.LIME,
+        _lime,
+        lambda model, reason: reason.term.covers(reason.instance),
+        requires="linear_weights",
+    ),
+    "approx-minimal": KindSpec(
+        ReasonKind.APPROX_MINIMAL,
+        lambda r: approx_minimal_reason_dt(r.forest.single(), r.x),
+        _EXACT,
+        single_tree=True,
+    ),
+}
+KINDS = tuple(KIND_TABLE)
+_SPEC_OF_LABEL = {spec.label: spec for spec in KIND_TABLE.values()}
 
 
 def compute_reason(
     forest: RandomForest, x: tuple[int, ...], s: ExplainSettings
 ) -> Reason | None:
-    """Dispatch one explanation request; None means no comprehensible
-    reason exists."""
+    """Run one explanation request under one deadline, fixed here.
+
+    None means no comprehensible reason exists.  When the deadline
+    passes first, the result is the valid partial reason the search fell
+    back to (see is_partial).
+    """
+    deadline = None if s.timeout is None else Deadline.after(s.timeout)
     order = _parse_order(s.order, forest) if s.order else None
-    kind = s.kind
-    if kind != "delta-probable" and s.delta is not None:
+    spec = KIND_TABLE.get(s.kind)
+    if spec is None:
+        raise CliError(f"unknown kind {s.kind!r}")
+    if s.delta is not None and spec.requires != "delta":
         raise CliError("--delta only applies to --kind delta-probable")
-    if kind == "direct":
-        return direct_reason(forest, x)
-    if kind == "sufficient":
-        if forest.tree_count == 1:
-            return sufficient_reason_dt(forest.trees[0], x, order)
-        return sufficient_reason_rf(forest, x, order, budget=s.timeout)
-    if kind == "majoritary":
-        if s.permutations and s.permutations > 1:
-            return majoritary_reason_multi(forest, x, s.permutations, s.seed)
-        return majoritary_reason(forest, x, order)
-    if kind == "minimal-majoritary":
-        return minimal_majoritary_reason(forest, x, budget=s.timeout)
-    if kind == "minimal-weight":
-        if not s.weights:
-            raise CliError("--kind minimal-weight needs --weights")
-        return minimal_weight_majoritary_reason(
-            forest, x, _parse_weights(s.weights, forest), budget=s.timeout
-        )
-    if kind == "minimal-sufficient":
-        return minimal_sufficient_reason_dt(_single_tree(forest, kind), x, s.timeout)
-    if kind == "approx-minimal":
-        return approx_minimal_reason_dt(_single_tree(forest, kind), x)
-    if kind == "delta-probable":
-        if s.delta is None:
-            raise CliError("--kind delta-probable needs --delta")
-        return delta_probable_reason_dt(_single_tree(forest, kind), x, s.delta, order)
-    if kind == "comprehensible":
-        if not s.intelligible:
-            raise CliError("--kind comprehensible needs --intelligible")
-        keep = [_feature_index(t, forest) for t in s.intelligible.split(",")]
-        oracle = oracle_for_instance(forest, x, s.notion)
-        reason = comprehensible_reason(oracle, x, keep)
-        if reason is not None:
-            reason.extras["notion"] = s.notion
-        return reason
-    if kind == "inclusion-preferred":
-        if not s.strata:
-            raise CliError("--kind inclusion-preferred needs --strata")
-        oracle = oracle_for_instance(forest, x, s.notion)
-        reason = inclusion_preferred_reason(oracle, x, _parse_strata(s.strata, forest))
-        reason.extras["notion"] = s.notion
-        return reason
-    if kind == "lime":
-        if not s.linear_weights:
-            raise CliError("--kind lime needs --linear-weights")
-        weights = [w.strip() for w in s.linear_weights.split(",")]
-        if len(weights) != forest.var_count:
-            raise CliError("--linear-weights length must match the feature count")
-        model = LinearModel(weights)
-        if model.evaluate(x) != forest.evaluate(x):
-            raise CliError(
-                "the linear model disagrees with the forest on this instance"
-            )
-        return lime_linear_reason(model, x)
-    raise CliError(f"unknown kind {s.kind!r}")
+    if spec.requires and not getattr(s, spec.requires):
+        raise CliError(f"--kind {s.kind} needs --{spec.requires.replace('_', '-')}")
+    if spec.single_tree and forest.tree_count != 1:
+        raise CliError(f"--kind {s.kind} needs a single-tree model")
+    try:
+        return spec.compute(Request(forest, x, s, order, deadline))
+    except ExplanationTimeout as e:
+        return e.fallback
+
+
+def is_partial(reason: Reason) -> bool:
+    """Did the deadline cut the search short?  Exact kinds then fall back
+    to their last verified term; optimizing kinds stop before proving
+    optimality."""
+    return reason.extras.get("fallback") == "timeout" or (
+        _SPEC_OF_LABEL[reason.kind].optimizing and not reason.optimal
+    )
 
 
 def validate_reason(forest: RandomForest, reason: Reason) -> None:
     """Re-check the output against its defining oracle; a failure here
-    means an encoding bug and is a hard error."""
-    x = reason.instance
-    term = reason.term
-    kind = reason.kind
-    if kind in (ReasonKind.MAJORITARY, ReasonKind.MINIMAL_MAJORITARY, ReasonKind.MINIMAL_WEIGHT):
-        normalized = forest if forest.evaluate(x) == 1 else forest.negated()
-        ok = MajorityOracle(normalized).accepts(term)
-    elif kind in (ReasonKind.DIRECT, ReasonKind.SUFFICIENT):
-        normalized = forest if forest.evaluate(x) == 1 else forest.negated()
-        if normalized.tree_count == 1:
-            ok = normalized.trees[0].implied_by(term)
-        else:
-            ok = ForestSatOracle(normalized).accepts(term)
-    elif kind is ReasonKind.DELTA_PROBABLE:
-        normalized = forest if forest.evaluate(x) == 1 else forest.negated()
-        delta = reason.extras.get("delta")
-        ok = delta is not None and DeltaProbableOracle(
-            normalized.single(), delta
-        ).accepts(term)
-    elif kind in (ReasonKind.COMPREHENSIBLE, ReasonKind.INCLUSION_PREFERRED):
-        normalized = forest if forest.evaluate(x) == 1 else forest.negated()
-        oracle = (
-            MajorityOracle(normalized)
-            if reason.extras.get("notion", "majority") == "majority"
-            else ForestSatOracle(normalized)
-        )
-        ok = oracle.accepts(term)
-        intelligible = reason.extras.get("intelligible")
-        if intelligible is not None:
-            ok = ok and term.variables() <= set(intelligible)
-    else:  # lime validates against its own linear model, not the forest
-        ok = term.covers(x)
-    if not ok:
+    means an encoding bug and is a hard error.  Validation takes no
+    deadline: it is a safety check and always runs to completion."""
+    model, _ = normalize(forest, reason.instance)
+    if not _SPEC_OF_LABEL[reason.kind].oracle(model, reason):
         raise AssertionError(
-            f"validation failed: {kind.value} reason {term} rejected by its oracle"
+            f"validation failed: {reason.kind.value} reason {reason.term} "
+            "rejected by its oracle"
         )
 
 
@@ -297,42 +358,25 @@ def reason_record(reason: Reason, forest: RandomForest) -> dict:
     }
 
 
+def _settings(args, kind: str) -> ExplainSettings:
+    """The request settings named by the parsed command-line flags."""
+    given = {
+        f.name: getattr(args, f.name)
+        for f in fields(ExplainSettings)
+        if hasattr(args, f.name)
+    }
+    return ExplainSettings(**{**given, "kind": kind})
+
+
 def cmd_explain(args) -> int:
     forest = _load_model(args.model)
     x = _parse_instance(args.instance, forest.var_count)
-    settings = ExplainSettings(
-        kind=args.kind,
-        delta=args.delta,
-        strata=args.strata,
-        intelligible=args.intelligible,
-        weights=args.weights,
-        notion=args.notion,
-        permutations=args.permutations,
-        seed=args.seed,
-        timeout=args.timeout,
-        order=args.order,
-        linear_weights=args.linear_weights,
-    )
+    settings = _settings(args, args.kind)
     if args.export_wcnf:
-        normalized = forest if forest.evaluate(x) == 1 else forest.negated()
         wm = _parse_weights(args.weights, forest) if args.weights else None
         with open(args.export_wcnf, "w") as fh:
-            fh.write(dimacs.write_wcnf(majority_wcnf(normalized, x, wm)))
-    partial = False
-    try:
-        reason = compute_reason(forest, x, settings)
-    except OptimizationBudgetError as e:
-        reason = e.fallback
-        partial = True
-    except ExplanationTimeout as e:
-        reason = Reason(
-            e.partial,
-            ReasonKind.SUFFICIENT,
-            x,
-            optimal=False,
-            extras={"prediction": forest.evaluate(x), "fallback": "timeout"},
-        )
-        partial = True
+            fh.write(dimacs.write_wcnf(majority_wcnf(normalize(forest, x)[0], x, wm)))
+    reason = compute_reason(forest, x, settings)
     if reason is None:
         print("no comprehensible reason")
         return EXIT_NO_COMPREHENSIBLE
@@ -352,14 +396,7 @@ def cmd_explain(args) -> int:
         print(f"elapsed: {record['elapsed']}s")
         if record["fallback"]:
             print(f"fallback: {record['fallback']}")
-    if partial or (
-        settings.timeout is not None
-        and reason.kind
-        in (ReasonKind.MINIMAL_MAJORITARY, ReasonKind.MINIMAL_WEIGHT)
-        and not reason.optimal
-    ):
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return EXIT_PARTIAL if is_partial(reason) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +517,10 @@ def _stats_one(
 ) -> tuple[StatsRow, list[tuple[float, int]]]:
     trajectory: list[tuple[float, int]] = []
     try:
-        s = ExplainSettings(**{**settings.__dict__, "kind": kind})
+        s = replace(settings, kind=kind)
         if kind == "majoritary" and s.permutations is None:
             s.permutations = 50
         reason = compute_reason(forest, x, s)
-    except OptimizationBudgetError as e:
-        reason = e.fallback
     except Exception as e:  # per-instance failures stay in-row
         return StatsRow(index, kind, error=f"{type(e).__name__}: {e}"), trajectory
     if reason is None:
@@ -494,16 +529,16 @@ def _stats_one(
     log = reason.extras.get("log")
     if log is not None:
         trajectory = list(log.entries)
-    prob = reason.extras.get("probability")
+    record = reason_record(reason, forest)
     row = StatsRow(
-        instance=index,
-        kind=kind,
-        size=reason.size,
-        elapsed=reason.elapsed,
-        optimal=reason.optimal,
-        cost=reason.cost,
-        probability=str(prob) if prob is not None else None,
-        reason=reason.render(forest.feature_names),
+        index,
+        kind,
+        reason.size,
+        reason.elapsed,
+        reason.optimal,
+        reason.cost,
+        record["probability"],
+        record["rendered"],
     )
     return row, trajectory
 
@@ -522,18 +557,7 @@ def cmd_stats(args) -> int:
     for k in kinds:
         if k not in KINDS:
             raise CliError(f"unknown kind {k!r} (choose from {', '.join(KINDS)})")
-    settings = ExplainSettings(
-        kind="direct",
-        delta=args.delta,
-        weights=args.weights,
-        notion=args.notion,
-        intelligible=args.intelligible,
-        strata=args.strata,
-        permutations=args.permutations,
-        seed=args.seed,
-        timeout=args.timeout,
-        linear_weights=args.linear_weights,
-    )
+    settings = _settings(args, "direct")
     payloads = [
         (forest, i, x, kinds, settings) for i, x in enumerate(instances, 1)
     ]
@@ -566,6 +590,24 @@ def cmd_stats(args) -> int:
 # argument parsing
 
 
+def _add_request_flags(p: argparse.ArgumentParser, order: bool = False) -> None:
+    """Flags that fill ExplainSettings fields; --order is explain's only."""
+    p.add_argument("--delta", help="confidence for delta-probable (e.g. 0.75 or 3/4)")
+    p.add_argument("--strata", help="salience strata, least salient first: x4;x2,x3;x1")
+    p.add_argument("--intelligible", help="comma-separated intelligible features")
+    p.add_argument("--weights", help="feature weights: x1:5,x2:1")
+    p.add_argument("--notion", choices=("majority", "sufficient"), default="majority",
+                   help="implicant notion for comprehensible/inclusion-preferred")
+    p.add_argument("--permutations", type=int, default=None,
+                   help="try this many random elimination orders (majoritary)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--timeout", type=float, default=None,
+                   help="one deadline in seconds over the whole computation")
+    if order:
+        p.add_argument("--order", help="elimination order, e.g. x2,x3,x4,x1")
+    p.add_argument("--linear-weights", help="weights of a linear model (lime)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rfreasons",
@@ -582,18 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("instance", help="bit row, e.g. 1,1,0,1 or 1101")
     p.add_argument("--kind", choices=KINDS, default="sufficient")
-    p.add_argument("--delta", help="confidence for delta-probable (e.g. 0.75 or 3/4)")
-    p.add_argument("--strata", help="salience strata, least salient first: x4;x2,x3;x1")
-    p.add_argument("--intelligible", help="comma-separated intelligible features")
-    p.add_argument("--weights", help="feature weights: x1:5,x2:1")
-    p.add_argument("--notion", choices=("majority", "sufficient"), default="majority",
-                   help="implicant notion for comprehensible/inclusion-preferred")
-    p.add_argument("--permutations", type=int, default=None,
-                   help="try this many random elimination orders (majoritary)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--timeout", type=float, default=None, help="budget in seconds")
-    p.add_argument("--order", help="elimination order, e.g. x2,x3,x4,x1")
-    p.add_argument("--linear-weights", help="weights of a linear model (lime)")
+    _add_request_flags(p, order=True)
     p.add_argument("--export-wcnf", metavar="FILE",
                    help="also dump the optimization instance in WCNF form")
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -614,19 +645,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("instances")
     p.add_argument("--kinds", required=True, help="comma-separated reason kinds")
-    p.add_argument("--timeout", type=float, default=None)
+    _add_request_flags(p)
     p.add_argument("--out", default=None, help="stats CSV file (default stdout)")
     p.add_argument("--trajectories", default=None,
                    help="side CSV of anytime improvement logs")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--delta", default=None)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--notion", choices=("majority", "sufficient"), default="majority")
-    p.add_argument("--intelligible", default=None)
-    p.add_argument("--strata", default=None)
-    p.add_argument("--permutations", type=int, default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--linear-weights", default=None)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("fixture-gen", help="adversarial parity-forest generator")
@@ -643,10 +666,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, InstanceFormatError, dimacs.DimacsError, ModelFormatError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as e:
+    except (CliError, InstanceFormatError, dimacs.DimacsError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -8,7 +8,7 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 
 class DimensionError(ValueError):
@@ -394,10 +394,6 @@ class DecisionTree:
         return total
 
 
-def tree_implies(term: Term, tree: DecisionTree) -> bool:
-    return tree.implied_by(term)
-
-
 class _TreeBuilder:
     """Accumulates nodes bottom-up into an arena."""
 
@@ -524,6 +520,22 @@ class RandomForest:
         if len(self.trees) != 1:
             raise ModelFormatError("expected a single-tree forest")
         return self.trees[0]
+
+
+Model = TypeVar("Model", DecisionTree, RandomForest)
+
+
+def normalize(model: Model, x: Instance) -> tuple[Model, int]:
+    """(model, prediction) for a positive example, (negated model,
+    prediction) for a negative one.
+
+    Every explainer works on the normalized model, which classifies x
+    positively; this is how negative classifications are explained
+    without dual-casing any algorithm.  model is a DecisionTree or a
+    RandomForest, and the result has the same type.
+    """
+    prediction = model.evaluate(x)
+    return (model if prediction == 1 else model.negated()), prediction
 
 
 def cnf_to_forest(

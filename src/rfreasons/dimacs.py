@@ -1,22 +1,15 @@
-"""DIMACS CNF / WCNF interchange and an optional external-solver adapter.
+"""DIMACS CNF / WCNF interchange.
 
 WCNF uses the classic header form "p wcnf <vars> <clauses> <top>" where
-hard clauses carry the top weight.  The adapter pipes DIMACS over
-stdin/stdout to an external binary and parses its "s"/"v" answer lines;
-it is never used unless explicitly requested.
+hard clauses carry the top weight.
 """
 
 from __future__ import annotations
 
-import os
-import shlex
-import subprocess
 from typing import IO, Iterable
 
 from .encodings import WeightedCnf
-from .solver import CnfInstance, SolveOutcome, SolveStatus
-
-EXTERNAL_SOLVER_ENV = "RFREASONS_EXTERNAL_SOLVER"
+from .solver import CnfInstance
 
 
 class DimacsError(ValueError):
@@ -156,64 +149,3 @@ def write_wcnf(problem: WeightedCnf) -> str:
     out.extend(f"{w} " + " ".join(map(str, c)) + " 0" for c, w in problem.soft)
     return "\n".join(out) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# external solver adapter
-
-
-def external_solver_command() -> list[str] | None:
-    """Command configured through the environment, or None (the default)."""
-    raw = os.environ.get(EXTERNAL_SOLVER_ENV, "").strip()
-    return shlex.split(raw) if raw else None
-
-
-def solve_with_external(
-    cnf: CnfInstance,
-    command: list[str],
-    assumptions: Iterable[int] = (),
-    timeout: float | None = None,
-) -> SolveOutcome:
-    """Run an external DIMACS solver and parse its answer.
-
-    Assumptions are passed as extra unit clauses, which matches the
-    intended one-shot use of the adapter.
-    """
-    assumptions = tuple(assumptions)
-    instance = CnfInstance(
-        cnf.var_count, list(cnf.clauses) + [(a,) for a in assumptions]
-    )
-    try:
-        proc = subprocess.run(
-            command,
-            input=write_dimacs(instance),
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-        )
-    except subprocess.TimeoutExpired:
-        return SolveOutcome(SolveStatus.TIMEOUT)
-    status = None
-    values: dict[int, bool] = {}
-    for line in proc.stdout.splitlines():
-        tokens = line.split()
-        if not tokens:
-            continue
-        if tokens[0] == "s":
-            answer = " ".join(tokens[1:]).upper()
-            if "UNSAT" in answer:
-                status = SolveStatus.UNSAT
-            elif "SAT" in answer:
-                status = SolveStatus.SAT
-        elif tokens[0] == "v":
-            for tok in tokens[1:]:
-                lit = int(tok)
-                if lit != 0:
-                    values[abs(lit)] = lit > 0
-    if status is None:
-        raise RuntimeError(
-            f"external solver produced no status line (exit {proc.returncode})"
-        )
-    if status is SolveStatus.UNSAT:
-        return SolveOutcome(SolveStatus.UNSAT)
-    model = tuple(values.get(v, False) for v in range(1, cnf.var_count + 1))
-    return SolveOutcome(SolveStatus.SAT, model)

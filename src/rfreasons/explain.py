@@ -7,27 +7,21 @@ term still passes an implicant oracle.  Oracles encapsulate what
 forest function itself (via the SAT encoding), or probabilistically.
 
 A negative classification is always explained by negating the model
-first; no algorithm here is dual-cased.
+first (core.normalize); no algorithm here is dual-cased.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import (
-    DecisionTree,
-    Instance,
-    Literal,
-    RandomForest,
-    Term,
-)
+from .core import DecisionTree, Instance, Literal, RandomForest, Term, normalize
 from .encodings import implicant_test_cnf
-from .solver import SatSolver, SolveStatus
+from .solver import Deadline, SatSolver, SolveStatus
 
 DEFAULT_SEED = 42
 
@@ -36,20 +30,14 @@ class NotAnImplicantError(ValueError):
     """The starting term already fails the oracle."""
 
 
-class ExplanationTimeout(Exception):
-    """A solver budget ran out mid-extraction; carries the partial term."""
-
-    def __init__(self, message: str, partial: Term):
-        super().__init__(message)
-        self.partial = partial
-
-
 class ReasonKind(str, Enum):
     DIRECT = "direct"
     SUFFICIENT = "sufficient"
     MAJORITARY = "majoritary"
     MINIMAL_MAJORITARY = "minimal_majoritary"
     MINIMAL_WEIGHT = "minimal_weight"
+    MINIMAL_SUFFICIENT = "minimal_sufficient"
+    APPROX_MINIMAL = "approx_minimal"
     DELTA_PROBABLE = "delta_probable"
     COMPREHENSIBLE = "comprehensible"
     INCLUSION_PREFERRED = "inclusion_preferred"
@@ -90,6 +78,19 @@ class Reason:
         return self.term.render(feature_names)
 
 
+class ExplanationTimeout(Exception):
+    """The deadline passed before the search finished.
+
+    fallback is still a valid reason: the best term the search had
+    verified (the instance term when it had verified none), with
+    optimal=False and extras["fallback"] naming the cut-off.
+    """
+
+    def __init__(self, message: str, fallback: Reason):
+        super().__init__(message)
+        self.fallback = fallback
+
+
 # ---------------------------------------------------------------------------
 # implicant oracles
 
@@ -98,41 +99,43 @@ class ImplicantOracle:
     """Decides whether a term counts as an implicant in some sense.
 
     monotone means closed under adding literals, which lets the greedy
-    loop stop after a single elimination pass.
+    loop stop after a single elimination pass.  notion names the oracle
+    in NOTIONS, and timed_out is set once a deadline made the oracle
+    reject a query it could not decide.
     """
 
     monotone = True
     kind = ReasonKind.SUFFICIENT
+    notion: str | None = None
+    timed_out = False
+    var_count: int
 
     def accepts(self, term: Term) -> bool:
-        raise NotImplementedError
-
-    @property
-    def var_count(self) -> int:
         raise NotImplementedError
 
 
 class SingleTreeOracle(ImplicantOracle):
     """Exact implicant test for one decision tree (linear-time traversal)."""
 
+    notion = "tree"
+
     def __init__(self, tree: DecisionTree):
         self.tree = tree
+        self.var_count = tree.var_count
 
     def accepts(self, term: Term) -> bool:
         return self.tree.implied_by(term)
-
-    @property
-    def var_count(self) -> int:
-        return self.tree.var_count
 
 
 class MajorityOracle(ImplicantOracle):
     """Implicant of strictly more than half the trees of a forest."""
 
     kind = ReasonKind.MAJORITARY
+    notion = "majority"
 
     def __init__(self, forest: RandomForest):
         self.forest = forest
+        self.var_count = forest.var_count
 
     def accepts(self, term: Term) -> bool:
         needed = self.forest.majority
@@ -146,33 +149,32 @@ class MajorityOracle(ImplicantOracle):
                 return False
         return False
 
-    @property
-    def var_count(self) -> int:
-        return self.forest.var_count
-
 
 class ForestSatOracle(ImplicantOracle):
     """Exact implicant test for the forest function via one SAT call per
     query; owns its solver session and reuses learnt clauses across
-    queries."""
+    queries.
 
-    def __init__(self, forest: RandomForest, budget: float | None = None):
+    Once the deadline has passed it rejects every query, since it never
+    accepts a term it has not proved, and sets timed_out.
+    """
+
+    notion = "sufficient"
+
+    def __init__(self, forest: RandomForest, deadline: Deadline | None = None):
         self.forest = forest
+        self.var_count = forest.var_count
         self.encoding = implicant_test_cnf(forest)
         self.session = SatSolver(self.encoding.cnf)
-        self.budget = budget
+        self.deadline = deadline
 
     def accepts(self, term: Term) -> bool:
         outcome = self.session.solve(
-            assumptions=term.to_ints(), budget=self.budget
+            assumptions=term.to_ints(), deadline=self.deadline
         )
         if outcome.status is SolveStatus.TIMEOUT:
-            raise ExplanationTimeout("implicant query timed out", term)
+            self.timed_out = True
         return outcome.status is SolveStatus.UNSAT
-
-    @property
-    def var_count(self) -> int:
-        return self.forest.var_count
 
 
 class DeltaProbableOracle(ImplicantOracle):
@@ -192,6 +194,7 @@ class DeltaProbableOracle(ImplicantOracle):
         if not 0 <= delta <= 1:
             raise ValueError(f"delta must be within [0, 1], got {delta}")
         self.tree = tree
+        self.var_count = tree.var_count
         self.delta = delta
 
     def accepts(self, term: Term) -> bool:
@@ -204,27 +207,33 @@ class DeltaProbableOracle(ImplicantOracle):
             self.tree.count_models(term), 1 << (self.tree.var_count - len(term))
         )
 
-    @property
-    def var_count(self) -> int:
-        return self.tree.var_count
+
+def exact_oracle(
+    forest: RandomForest, deadline: Deadline | None = None
+) -> ImplicantOracle:
+    """Exact implicant test of the forest function: a tree traversal for a
+    single tree, one SAT call per query otherwise."""
+    if forest.tree_count == 1:
+        return SingleTreeOracle(forest.trees[0])
+    return ForestSatOracle(forest, deadline)
+
+
+# Implicant notions by name: "majority", "sufficient" (exact) and "tree"
+# (single-tree forests only).
+NOTIONS = {
+    "majority": MajorityOracle,
+    "sufficient": exact_oracle,
+    "tree": lambda forest: SingleTreeOracle(forest.single()),
+}
 
 
 def oracle_for_instance(
     forest: RandomForest, x: Instance, notion: str = "majority"
 ) -> ImplicantOracle:
-    """Polarity-normalized oracle: negative examples get the negated model.
-
-    notion is "majority", "sufficient" (exact, SAT-backed), or "tree"
-    (single-tree forests only).
-    """
-    normalized = forest if forest.evaluate(x) == 1 else forest.negated()
-    if notion == "majority":
-        return MajorityOracle(normalized)
-    if notion == "sufficient":
-        return ForestSatOracle(normalized)
-    if notion == "tree":
-        return SingleTreeOracle(normalized.single())
-    raise ValueError(f"unknown implicant notion {notion!r}")
+    """The oracle of the given notion on the polarity-normalized forest."""
+    if notion not in NOTIONS:
+        raise ValueError(f"unknown implicant notion {notion!r}")
+    return NOTIONS[notion](normalize(forest, x)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +252,7 @@ def _eliminate(oracle: ImplicantOracle, term: Term, order: Sequence[int]) -> Ter
             if var not in term.variables():
                 continue
             candidate = term.without(var)
-            try:
-                keep_shrinking = oracle.accepts(candidate)
-            except ExplanationTimeout:
-                # surface the last accepted term, which is still valid
-                raise ExplanationTimeout("extraction timed out", term) from None
-            if keep_shrinking:
+            if oracle.accepts(candidate):
                 term = candidate
                 changed = True
         if oracle.monotone or not changed:
@@ -260,27 +264,47 @@ def greedy_reason(
     x: Instance,
     order: Sequence[int] | None = None,
     kind: ReasonKind | None = None,
+    *,
+    extras: dict | None = None,
+    seed_term: Term | None = None,
+    started: float | None = None,
 ) -> Reason:
-    """Shrink t_x literal by literal while the oracle keeps accepting.
+    """Shrink t_x, or seed_term (an implicant covering x), literal by
+    literal while the oracle keeps accepting.
 
     The result passes the oracle and no single-literal removal does.
-    Raises NotAnImplicantError when t_x itself is rejected.
+    Raises NotAnImplicantError when the start term itself is rejected,
+    and ExplanationTimeout when the oracle's deadline cut the search
+    short.  started is the monotonic time the request began, when that
+    was before this call.
     """
-    start = time.monotonic()
-    full = Term.of_instance(x)
-    if not oracle.accepts(full):
-        raise NotAnImplicantError(
-            "the instance term fails the oracle; is the polarity normalized?"
+    started = time.monotonic() if started is None else started
+    full = Term.of_instance(x) if seed_term is None else seed_term
+    if not full.covers(x):
+        raise ValueError("seed term must cover the instance")
+    if oracle.accepts(full):
+        term = _eliminate(
+            oracle, full, default_order(oracle.var_count) if order is None else order
         )
-    if order is None:
-        order = default_order(oracle.var_count)
-    term = _eliminate(oracle, full, order)
-    return Reason(
+    elif oracle.timed_out:
+        term = Term.of_instance(x)  # an implicant of any normalized model
+    else:
+        raise NotAnImplicantError(
+            "the start term fails the oracle; is the polarity normalized?"
+        )
+    extras = dict(extras or {})
+    if oracle.timed_out:
+        extras["fallback"] = "timeout"
+    reason = Reason(
         term,
         kind or oracle.kind,
         tuple(x),
-        elapsed=time.monotonic() - start,
+        elapsed=time.monotonic() - started,
+        extras=extras,
     )
+    if oracle.timed_out:
+        raise ExplanationTimeout("deadline passed during elimination", reason)
+    return reason
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +334,7 @@ def sufficient_reason_dt(
 ) -> Reason:
     """A prime implicant of the tree (or its negation for a negative
     example) covering x; one linear-time implicant test per literal."""
-    normalized = tree if tree.evaluate(x) == 1 else tree.negated()
-    reason = greedy_reason(
-        SingleTreeOracle(normalized), x, order, kind=ReasonKind.SUFFICIENT
-    )
-    reason.extras["prediction"] = tree.evaluate(x)
-    return reason
+    return sufficient_reason_rf(RandomForest([tree]), x, order)
 
 
 def sufficient_reason_rf(
@@ -323,33 +342,25 @@ def sufficient_reason_rf(
     x: Instance,
     order: Sequence[int] | None = None,
     seed_term: Term | None = None,
-    budget: float | None = None,
+    deadline: Deadline | None = None,
 ) -> Reason:
     """A prime implicant of the forest function covering x.
 
     Deletion-based extraction: each candidate removal is one SAT call
-    with assumptions against the implicant encoding.  seed_term, when
-    given, must itself be an implicant covering x (for instance a
-    majoritary reason); the result is then a subset of the seed.
+    with assumptions against the implicant encoding (a tree traversal
+    for a single-tree forest).  seed_term, when given, must itself be an
+    implicant covering x (for instance a majoritary reason); the result
+    is then a subset of the seed.
     """
-    start = time.monotonic()
-    prediction = forest.evaluate(x)
-    oracle = oracle_for_instance(forest, x, "sufficient")
-    oracle.budget = budget
-    full = seed_term if seed_term is not None else Term.of_instance(x)
-    if not full.covers(x):
-        raise ValueError("seed term must cover the instance")
-    if not oracle.accepts(full):
-        raise NotAnImplicantError("seed term is not an implicant of the forest")
-    if order is None:
-        order = default_order(oracle.var_count)
-    term = _eliminate(oracle, full, order)
-    return Reason(
-        term,
-        ReasonKind.SUFFICIENT,
-        tuple(x),
-        elapsed=time.monotonic() - start,
+    started = time.monotonic()
+    normalized, prediction = normalize(forest, x)
+    return greedy_reason(
+        exact_oracle(normalized, deadline),
+        x,
+        order,
         extras={"prediction": prediction},
+        seed_term=seed_term,
+        started=started,
     )
 
 
@@ -358,10 +369,10 @@ def majoritary_reason(
 ) -> Reason:
     """Greedy majoritary reason under one elimination order; worst case
     one tree traversal per (literal, tree) pair."""
-    prediction = forest.evaluate(x)
-    reason = greedy_reason(oracle_for_instance(forest, x, "majority"), x, order)
-    reason.extras["prediction"] = prediction
-    return reason
+    normalized, prediction = normalize(forest, x)
+    return greedy_reason(
+        MajorityOracle(normalized), x, order, extras={"prediction": prediction}
+    )
 
 
 def majoritary_reason_multi(
@@ -376,18 +387,17 @@ def majoritary_reason_multi(
     if permutations < 1:
         raise ValueError("need at least one permutation")
     rng = random.Random(seed)
-    oracle = oracle_for_instance(forest, x, "majority")
-    prediction = forest.evaluate(x)
+    normalized, prediction = normalize(forest, x)
+    oracle = MajorityOracle(normalized)
     base = list(range(1, forest.var_count + 1))
-    best: Reason | None = None
+    best: Term | None = None
     for _ in range(permutations):
         rng.shuffle(base)
-        candidate = greedy_reason(oracle, x, tuple(base))
-        if best is None or candidate.size < best.size:
+        candidate = greedy_reason(oracle, x, tuple(base)).term
+        if best is None or len(candidate) < len(best):
             best = candidate
-    assert best is not None
     return Reason(
-        best.term,
+        best,
         ReasonKind.MAJORITARY,
         tuple(x),
         elapsed=time.monotonic() - start,
@@ -407,13 +417,17 @@ def delta_probable_reason_dt(
     elimination repeats until no single literal can be dropped, since the
     probabilistic test is not monotone.
     """
-    normalized = tree if tree.evaluate(x) == 1 else tree.negated()
+    normalized, prediction = normalize(tree, x)
     oracle = DeltaProbableOracle(normalized, delta)
     reason = greedy_reason(oracle, x, order)
-    reason.extras["prediction"] = tree.evaluate(x)
-    reason.extras["delta"] = oracle.delta
-    reason.extras["probability"] = oracle.probability(reason.term)
-    return reason
+    return replace(
+        reason,
+        extras={
+            "prediction": prediction,
+            "delta": oracle.delta,
+            "probability": oracle.probability(reason.term),
+        },
+    )
 
 
 def comprehensible_reason(
@@ -429,23 +443,22 @@ def comprehensible_reason(
     largest candidate, so for monotone oracles the rejection test is
     exact.
     """
-    start = time.monotonic()
     keep = set(intelligible)
     if not keep <= set(range(1, oracle.var_count + 1)):
         raise ValueError("intelligible features out of range")
-    restricted = Term.of_instance(x).restrict_to(keep)
-    if not oracle.accepts(restricted):
-        return None
     if order is None:
         order = tuple(v for v in default_order(oracle.var_count) if v in keep)
-    term = _eliminate(oracle, restricted, order)
-    return Reason(
-        term,
-        ReasonKind.COMPREHENSIBLE,
-        tuple(x),
-        elapsed=time.monotonic() - start,
-        extras={"intelligible": tuple(sorted(keep))},
-    )
+    try:
+        return greedy_reason(
+            oracle,
+            x,
+            order,
+            ReasonKind.COMPREHENSIBLE,
+            extras={"intelligible": tuple(sorted(keep)), "notion": oracle.notion},
+            seed_term=Term.of_instance(x).restrict_to(keep),
+        )
+    except NotAnImplicantError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -499,10 +512,14 @@ def inclusion_preferred_reason(
     """Greedy reason that tries hardest to drop the least salient
     features: elimination follows the strata in order, ascending feature
     index inside a stratum."""
-    order = prioritization.elimination_order(oracle.var_count)
-    reason = greedy_reason(oracle, x, order, kind=ReasonKind.INCLUSION_PREFERRED)
-    reason.extras["strata"] = tuple(tuple(sorted(s)) for s in prioritization.strata)
-    return reason
+    strata = tuple(tuple(sorted(s)) for s in prioritization.strata)
+    return greedy_reason(
+        oracle,
+        x,
+        prioritization.elimination_order(oracle.var_count),
+        ReasonKind.INCLUSION_PREFERRED,
+        extras={"strata": strata, "notion": oracle.notion},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +549,9 @@ def lime_linear_reason(model: LinearModel, x: Instance) -> Reason:
 
     Positive case: take positive weights in decreasing order until their
     sum beats the total negative mass; the picked variables form the
-    reason.  Negative case dually with the negative weights.  Ties break
-    on ascending feature index.  When the cumulative procedure cannot
+    reason.  The negative case runs the same procedure on the negated
+    weights, where a tie already counts as negative.  Ties between
+    weights break on ascending feature index.  When the cumulative procedure cannot
     reach the bound, or picks a variable whose value in x disagrees, the
     full instance term is returned with a fallback flag in extras.
     """
@@ -541,21 +559,16 @@ def lime_linear_reason(model: LinearModel, x: Instance) -> Reason:
     if len(x) != model.var_count:
         raise ValueError("instance length does not match the weight vector")
     prediction = model.evaluate(x)
-    weights = model.weights
+    weights = [w if prediction == 1 else -w for w in model.weights]
+    pool = sorted(
+        ((w, i + 1) for i, w in enumerate(weights) if w > 0),
+        key=lambda p: (-p[0], p[1]),
+    )
+    bound = -sum(w for w in weights if w < 0)
     if prediction == 1:
-        pool = sorted(
-            ((w, i + 1) for i, w in enumerate(weights) if w > 0),
-            key=lambda p: (-p[0], p[1]),
-        )
-        bound = -sum(w for w in weights if w < 0)
         exceed = lambda total: total > bound
     else:
-        pool = sorted(
-            ((w, i + 1) for i, w in enumerate(weights) if w < 0),
-            key=lambda p: (p[0], p[1]),
-        )
-        bound = -sum(w for w in weights if w > 0)
-        exceed = lambda total: total <= bound
+        exceed = lambda total: total >= bound
 
     picked: list[int] = []
     total = Fraction(0)

@@ -15,15 +15,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .encodings import VarAllocator, WeightedCnf, weighted_at_most
-from .solver import SatSolver, SolveOutcome, SolveStatus
+from .solver import Deadline, SatSolver, SolveStatus
 
 
 class HardClausesUnsatisfiable(Exception):
     """The mandatory part of the problem has no model."""
-
-
-class BudgetExhausted(Exception):
-    """The time budget ran out before any model was found."""
 
 
 @dataclass(frozen=True)
@@ -50,14 +46,14 @@ def violated_weight(
 
 def maxsat_anytime(
     problem: WeightedCnf,
-    budget: float | None = None,
+    deadline: Deadline | None = None,
     on_improve: Callable[[tuple[bool, ...], int, float], None] | None = None,
-) -> MaxSatResult:
+) -> MaxSatResult | None:
     """Minimize the violated soft weight subject to the hard clauses.
 
     Raises HardClausesUnsatisfiable when no model exists at all, and
-    BudgetExhausted when the budget elapses before the first model.  A
-    budget that runs out later yields the best model so far with
+    returns None when the deadline passes before the first model.  A
+    deadline that passes later yields the best model so far with
     optimal=False.  on_improve(model, cost, elapsed) fires once per
     strictly improving model, the final one included.
 
@@ -66,13 +62,6 @@ def maxsat_anytime(
     between runs.
     """
     start = time.monotonic()
-    deadline = None if budget is None else start + budget
-
-    def remaining() -> float | None:
-        if deadline is None:
-            return None
-        return deadline - time.monotonic()
-
     solver = SatSolver(problem.hard)
     alloc = VarAllocator(problem.hard.var_count)
     relaxed: list[tuple[int, int]] = []  # (selector literal, weight)
@@ -87,28 +76,20 @@ def maxsat_anytime(
     best_cost = 0
     iterations = 0
 
+    def finish(optimal: bool) -> MaxSatResult:
+        return MaxSatResult(
+            best_model, best_cost, optimal, iterations, time.monotonic() - start
+        )
+
     while True:
-        left = remaining()
-        if left is not None and left <= 0:
-            if best_model is None:
-                raise BudgetExhausted("no model found within the time budget")
-            return MaxSatResult(
-                best_model, best_cost, False, iterations, time.monotonic() - start
-            )
-        outcome: SolveOutcome = solver.solve(budget=left)
+        outcome = solver.solve(deadline=deadline)
         iterations += 1
         if outcome.status is SolveStatus.TIMEOUT:
-            if best_model is None:
-                raise BudgetExhausted("no model found within the time budget")
-            return MaxSatResult(
-                best_model, best_cost, False, iterations, time.monotonic() - start
-            )
+            return None if best_model is None else finish(False)
         if outcome.status is SolveStatus.UNSAT:
             if best_model is None:
                 raise HardClausesUnsatisfiable("hard clauses are unsatisfiable")
-            return MaxSatResult(
-                best_model, best_cost, True, iterations, time.monotonic() - start
-            )
+            return finish(True)
         model = outcome.model[:n_report]
         cost = violated_weight(problem.soft, model)
         assert best_model is None or cost < best_cost
@@ -116,12 +97,8 @@ def maxsat_anytime(
         if on_improve is not None:
             on_improve(model, cost, time.monotonic() - start)
         if cost == 0:
-            return MaxSatResult(
-                best_model, 0, True, iterations, time.monotonic() - start
-            )
+            return finish(True)
         for clause in weighted_at_most(relaxed, cost - 1, alloc):
             solver.ensure_vars(alloc.top)
             if not solver.add_clause(clause):
-                return MaxSatResult(
-                    best_model, best_cost, True, iterations, time.monotonic() - start
-                )
+                return finish(True)

@@ -18,9 +18,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .core import DecisionTree, Instance, Literal, RandomForest, Term
+from .core import DecisionTree, Instance, Literal, RandomForest, Term, normalize
 from .encodings import VarAllocator, WeightedCnf, encode_card_majority
 from .explain import (
+    ExplanationTimeout,
     MajorityOracle,
     NotAnImplicantError,
     Reason,
@@ -29,18 +30,14 @@ from .explain import (
     default_order,
     _eliminate,
 )
-from .maxsat import BudgetExhausted, MaxSatResult, maxsat_anytime
-from .solver import CnfInstance
+from .maxsat import maxsat_anytime
+from .solver import CnfInstance, Deadline
 
 MAX_TOTAL_WEIGHT = 2**31 - 1
 
-
-class OptimizationBudgetError(Exception):
-    """Budget ran out before any model; carries the trivial fallback."""
-
-    def __init__(self, message: str, fallback: Reason):
-        super().__init__(message)
-        self.fallback = fallback
+# The optimizers' name for the one timeout exception: raised when the
+# deadline passes before any model, carrying the instance-term fallback.
+OptimizationBudgetError = ExplanationTimeout
 
 
 @dataclass(frozen=True)
@@ -121,12 +118,11 @@ def _optimize(
     x: Instance,
     weights: WeightMap | None,
     kind: ReasonKind,
-    budget: float | None,
+    deadline: Deadline | None,
     on_improve: Callable[[Term, int, float], None] | None,
 ) -> Reason:
     start = time.monotonic()
-    prediction = forest.evaluate(x)
-    normalized = forest if prediction == 1 else forest.negated()
+    normalized, prediction = normalize(forest, x)
     problem = majority_wcnf(normalized, x, weights)
     oracle = MajorityOracle(normalized)
     log: list[tuple[float, int]] = []
@@ -138,19 +134,19 @@ def _optimize(
         if on_improve is not None:
             on_improve(term, cost, elapsed)
 
-    try:
-        result: MaxSatResult = maxsat_anytime(problem, budget=budget, on_improve=improved)
-    except BudgetExhausted as e:
+    result = maxsat_anytime(problem, deadline, improved)
+    if result is None:
+        full = Term.of_instance(x)
         trivial = Reason(
-            Term.of_instance(x),
+            full,
             kind,
             tuple(x),
-            cost=(weights or WeightMap()).of_term(Term.of_instance(x)),
+            cost=(weights or WeightMap()).of_term(full),
             optimal=False,
             elapsed=time.monotonic() - start,
             extras={"prediction": prediction, "fallback": "budget"},
         )
-        raise OptimizationBudgetError(str(e), trivial) from None
+        raise ExplanationTimeout("no model found before the deadline", trivial)
 
     term = _intersect_with_model(x, result.model)
     if not oracle.accepts(term):
@@ -172,44 +168,40 @@ def _optimize(
 def minimal_majoritary_reason(
     forest: RandomForest,
     x: Instance,
-    budget: float | None = None,
+    deadline: Deadline | None = None,
     on_improve: Callable[[Term, int, float], None] | None = None,
 ) -> Reason:
-    """A minimum-size majoritary reason when solved to optimality within
-    the budget, otherwise the best intermediate explanation found.
+    """A minimum-size majoritary reason when solved to optimality before
+    the deadline, otherwise the best intermediate explanation found.
 
-    cost is the reason size.  Raises OptimizationBudgetError (carrying
-    the trivial instance-term reason) when the budget dies before any
+    cost is the reason size.  Raises ExplanationTimeout (carrying the
+    trivial instance-term reason) when the deadline passes before any
     model."""
-    return _optimize(forest, x, None, ReasonKind.MINIMAL_MAJORITARY, budget, on_improve)
+    return _optimize(forest, x, None, ReasonKind.MINIMAL_MAJORITARY, deadline, on_improve)
 
 
 def minimal_weight_majoritary_reason(
     forest: RandomForest,
     x: Instance,
     weights: WeightMap,
-    budget: float | None = None,
+    deadline: Deadline | None = None,
     on_improve: Callable[[Term, int, float], None] | None = None,
 ) -> Reason:
     """Majoritary reason minimizing the summed feature weights; uniform
     weights make this coincide with minimal_majoritary_reason."""
     return _optimize(
-        forest, x, weights, ReasonKind.MINIMAL_WEIGHT, budget, on_improve
+        forest, x, weights, ReasonKind.MINIMAL_WEIGHT, deadline, on_improve
     )
 
 
 def minimal_sufficient_reason_dt(
-    tree: DecisionTree, x: Instance, budget: float | None = None
+    tree: DecisionTree, x: Instance, deadline: Deadline | None = None
 ) -> Reason:
     """A minimum-size prime implicant of the tree covering x, solved as
     the single-tree case of the majority optimization."""
-    prediction = tree.evaluate(x)
-    normalized = tree if prediction == 1 else tree.negated()
-    reason = _optimize(
-        RandomForest([normalized]), x, None, ReasonKind.SUFFICIENT, budget, None
+    return _optimize(
+        RandomForest([tree]), x, None, ReasonKind.MINIMAL_SUFFICIENT, deadline, None
     )
-    reason.extras["prediction"] = prediction
-    return reason
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +253,7 @@ def approx_minimal_reason_dt(tree: DecisionTree, x: Instance) -> Reason:
     the cover so the output is a genuine sufficient reason.
     """
     start = time.monotonic()
-    prediction = tree.evaluate(x)
-    normalized = tree if prediction == 1 else tree.negated()
+    normalized, prediction = normalize(tree, x)
     instance = build_hitting_instance(normalized, x)
     remaining = [s for s in instance.sets]
     picked: set[Literal] = set()
@@ -279,7 +270,7 @@ def approx_minimal_reason_dt(tree: DecisionTree, x: Instance) -> Reason:
     )
     return Reason(
         term,
-        ReasonKind.SUFFICIENT,
+        ReasonKind.APPROX_MINIMAL,
         tuple(x),
         optimal=False,
         elapsed=time.monotonic() - start,

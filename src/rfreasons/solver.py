@@ -8,8 +8,7 @@ handled as forced first decisions, so repeated queries under different
 assumption sets reuse everything learnt so far.
 
 Literals are signed integers (DIMACS convention).  The solver is fully
-deterministic; the seed parameter is accepted for interface stability
-but no randomized heuristic is used.
+deterministic: no heuristic is randomized.
 """
 
 from __future__ import annotations
@@ -19,6 +18,25 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
+
+
+@dataclass(frozen=True)
+class Deadline:
+    """An absolute time on the monotonic clock.
+
+    A request fixes its deadline once; every layer below it (oracles,
+    solver calls, the MaxSAT loop) stops at that same instant instead of
+    restarting a clock of its own.
+    """
+
+    at: float
+
+    @classmethod
+    def after(cls, seconds: float) -> "Deadline":
+        return cls(time.monotonic() + seconds)
+
+    def expired(self) -> bool:
+        return time.monotonic() >= self.at
 
 
 class SolveStatus(Enum):
@@ -116,8 +134,7 @@ def _luby(i: int) -> int:
 class SatSolver:
     """One solver session; single-threaded, exclusively owned by its caller."""
 
-    def __init__(self, cnf: CnfInstance | None = None, seed: int = 0):
-        self.seed = seed
+    def __init__(self, cnf: CnfInstance | None = None):
         self.var_count = 0
         self._values: list[int] = [0]  # +1 true, -1 false, 0 unassigned
         self._level: list[int] = [0]
@@ -362,22 +379,23 @@ class SatSolver:
     def solve(
         self,
         assumptions: Sequence[int] = (),
-        budget: float | None = None,
+        deadline: Deadline | None = None,
     ) -> SolveOutcome:
         """Decide satisfiability under the given assumption literals.
 
-        Returns SAT with a full model, UNSAT, or TIMEOUT once the wall-clock
-        budget (seconds) is exhausted.  The solver is left at decision level
-        0 with all learnt clauses retained.
+        Returns SAT with a full model, UNSAT, or TIMEOUT once the deadline
+        has passed.  The solver is left at decision level 0 with all learnt
+        clauses retained.
         """
         if self._unsat:
             return SolveOutcome(SolveStatus.UNSAT)
         for lit in assumptions:
             if lit == 0 or abs(lit) > self.var_count:
                 raise ValueError(f"bad assumption literal {lit}")
-        deadline = None if budget is None else time.monotonic() + budget
-        if deadline is not None and budget <= 0:
-            return SolveOutcome(SolveStatus.TIMEOUT)
+        if deadline is not None:
+            if deadline.expired():
+                return SolveOutcome(SolveStatus.TIMEOUT)
+            deadline = deadline.at  # the search loop compares clock readings
 
         self._heap = [
             (-self._activity[v], v)

@@ -23,6 +23,7 @@ from rfreasons.core import (
 )
 from rfreasons.cli import parity_fixture
 from rfreasons.encodings import implicant_test_cnf
+from rfreasons.solver import Deadline
 from rfreasons.explain import (
     ForestSatOracle,
     MajorityOracle,
@@ -167,7 +168,7 @@ def test_criterion_4_anytime_contract():
         x = random_instance(rng, n)
         log: list[tuple[Term, int]] = []
         minimal_majoritary_reason(
-            forest, x, budget=30, on_improve=lambda t, c, e: log.append((t, c))
+            forest, x, Deadline.after(30), on_improve=lambda t, c, e: log.append((t, c))
         )
         assert log, "at least one model must be reported"
         costs = [c for _, c in log]

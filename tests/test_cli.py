@@ -170,6 +170,25 @@ class TestExplain:
         record = json.loads(out)
         assert record["size"] == 4 and record["fallback"] == "timeout"
 
+    def test_partial_result_reports_its_elapsed_time(self, capsys, model_file):
+        code, out, _ = run(
+            capsys, "explain", model_file, "1111",
+            "--kind", "sufficient", "--timeout", "0", "--json",
+        )
+        assert code == EXIT_PARTIAL
+        assert json.loads(out)["elapsed"] > 0
+
+    @pytest.mark.parametrize(
+        "kind, label",
+        [("minimal-sufficient", "minimal_sufficient"), ("approx-minimal", "approx_minimal")],
+    )
+    def test_single_tree_kinds_carry_their_own_label(self, capsys, tmp_path, kind, label):
+        path = tmp_path / "tree.json"
+        dump_forest(RandomForest(orchid_trees()[2:]), str(path))
+        code, out, _ = run(capsys, "explain", str(path), "1111", "--kind", kind, "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["kind"] == label
+
     def test_validation_tripwire_rejects_corrupt_reason(self, model_file):
         from rfreasons.cli import validate_reason
         from rfreasons.core import Term
@@ -285,6 +304,21 @@ class TestStats:
             assert cells[2] == "4"  # fallback is the full instance term
         parsed, _ = parse_instances(instances_file)
         assert len(rows) == len(parsed)
+
+    def test_timeout_row_agrees_with_explain(self, capsys, model_file, instances_file, tmp_path):
+        # explain returns a valid partial reason here; stats must record it too
+        out_csv = tmp_path / "stats.csv"
+        code, _, _ = run(
+            capsys, "stats", model_file, instances_file,
+            "--kinds", "sufficient", "--timeout", "0", "--out", str(out_csv),
+        )
+        assert code == EXIT_OK
+        rows = [l for l in out_csv.read_text().splitlines()[1:] if l and not l.startswith("#")]
+        assert len(rows) == 2
+        for row in rows:
+            cells = row.split(",")
+            assert cells[2] == "4"  # the instance term, the last verified one
+            assert cells[-1] == ""  # no error recorded
 
     def test_sat_notion_is_validated_against_sat_oracle(self, capsys, model_file, tmp_path):
         # x1 ∧ x4 is exact-implicant-only: the majority oracle would reject it

@@ -16,7 +16,6 @@ from rfreasons.core import (
     clause_to_tree,
     cnf_to_forest,
     dnf_to_forest,
-    tree_implies,
 )
 
 from conftest import X_NEG, X_POS
@@ -260,9 +259,9 @@ class TestCnfDnfToForest:
 class TestTreeImplication:
     def test_golden_cases(self, orchid):
         t1, t2, _ = orchid.trees
-        assert tree_implies(Term([Literal(2)]), t2)
-        assert not tree_implies(Term([Literal(1), Literal(4)]), t1)
-        assert tree_implies(Term.of_instance(X_POS), t1)
+        assert t2.implied_by(Term([Literal(2)]))
+        assert not t1.implied_by(Term([Literal(1), Literal(4)]))
+        assert t1.implied_by(Term.of_instance(X_POS))
 
     def test_agrees_with_bruteforce(self):
         rng = random.Random(105)

@@ -1,19 +1,14 @@
-import stat
-import sys
-import textwrap
-
 import pytest
 
 from rfreasons.dimacs import (
     DimacsError,
     read_dimacs,
     read_wcnf,
-    solve_with_external,
     write_dimacs,
     write_wcnf,
 )
 from rfreasons.encodings import WeightedCnf, implicant_test_cnf
-from rfreasons.solver import CnfInstance, SolveStatus
+from rfreasons.solver import CnfInstance
 
 
 class TestCnfRoundTrip:
@@ -84,57 +79,3 @@ class TestWcnf:
         with pytest.raises(DimacsError):
             read_wcnf("p wcnf 1 1\n1 1 0\n")
 
-
-FAKE_SOLVER = textwrap.dedent(
-    """\
-    #!{python}
-    import sys
-    sys.path[:0] = {path!r}
-    from rfreasons.dimacs import read_dimacs
-    from rfreasons.solver import SatSolver, SolveStatus
-    cnf = read_dimacs(sys.stdin.read())
-    out = SatSolver(cnf).solve()
-    if out.status is SolveStatus.SAT:
-        print("s SATISFIABLE")
-        lits = [v if out.model[v - 1] else -v for v in range(1, cnf.var_count + 1)]
-        print("v " + " ".join(map(str, lits)) + " 0")
-    else:
-        print("s UNSATISFIABLE")
-    """
-)
-
-
-class TestExternalAdapter:
-    @pytest.fixture
-    def fake_solver(self, tmp_path):
-        script = tmp_path / "fake_solver.py"
-        script.write_text(FAKE_SOLVER.format(python=sys.executable, path=list(sys.path)))
-        script.chmod(script.stat().st_mode | stat.S_IEXEC)
-        return [sys.executable, str(script)]
-
-    def test_sat_with_model(self, fake_solver):
-        out = solve_with_external(CnfInstance(2, [(1,), (-2,)]), fake_solver)
-        assert out.status is SolveStatus.SAT
-        assert out.model == (True, False)
-
-    def test_unsat(self, fake_solver):
-        out = solve_with_external(CnfInstance(1, [(1,), (-1,)]), fake_solver)
-        assert out.status is SolveStatus.UNSAT
-
-    def test_assumptions_passed_as_units(self, fake_solver):
-        out = solve_with_external(CnfInstance(2, [(1, 2)]), fake_solver, assumptions=(-1, -2))
-        assert out.status is SolveStatus.UNSAT
-
-    def test_garbage_output_raises(self, tmp_path):
-        script = tmp_path / "noise.py"
-        script.write_text("print('hello')\n")
-        with pytest.raises(RuntimeError):
-            solve_with_external(CnfInstance(1, []), [sys.executable, str(script)])
-
-    def test_disabled_unless_configured(self, monkeypatch):
-        from rfreasons.dimacs import EXTERNAL_SOLVER_ENV, external_solver_command
-
-        monkeypatch.delenv(EXTERNAL_SOLVER_ENV, raising=False)
-        assert external_solver_command() is None
-        monkeypatch.setenv(EXTERNAL_SOLVER_ENV, "minisat -verb=0")
-        assert external_solver_command() == ["minisat", "-verb=0"]

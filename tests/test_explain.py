@@ -28,6 +28,7 @@ from rfreasons.explain import (
     sufficient_reason_rf,
 )
 from rfreasons.cli import parity_fixture
+from rfreasons.solver import Deadline
 
 from conftest import X_NEG, X_POS
 from generators import random_forest, random_instance, random_tree
@@ -192,19 +193,17 @@ class TestBruteOracles:
 
 class TestForestImplicantHelper:
     def test_golden_queries(self, orchid):
-        from rfreasons import is_forest_implicant
-
-        assert is_forest_implicant(orchid, term_of(1, 4))
-        assert not is_forest_implicant(orchid, term_of(2, 4))
-        assert is_forest_implicant(orchid.negated(), Term.of_instance(X_NEG))
+        assert ForestSatOracle(orchid).accepts(term_of(1, 4))
+        assert not ForestSatOracle(orchid).accepts(term_of(2, 4))
+        assert ForestSatOracle(orchid.negated()).accepts(Term.of_instance(X_NEG))
 
     def test_timeout_surfaces_with_partial(self, orchid):
         from rfreasons.explain import ExplanationTimeout
 
         with pytest.raises(ExplanationTimeout) as e:
-            sufficient_reason_rf(orchid, X_POS, budget=0)
+            sufficient_reason_rf(orchid, X_POS, deadline=Deadline.after(0))
         # the carried term is the last accepted implicant (here the start)
-        assert e.value.partial == Term.of_instance(X_POS)
+        assert e.value.fallback.term == Term.of_instance(X_POS)
 
 
 class TestSufficientReasonRf:

@@ -5,12 +5,11 @@ import pytest
 
 from rfreasons.encodings import WeightedCnf
 from rfreasons.maxsat import (
-    BudgetExhausted,
     HardClausesUnsatisfiable,
     maxsat_anytime,
     violated_weight,
 )
-from rfreasons.solver import CnfInstance
+from rfreasons.solver import CnfInstance, Deadline
 
 
 def brute_optimum(var_count, hard, soft):
@@ -42,8 +41,9 @@ class TestWorkedExamples:
             maxsat_anytime(WeightedCnf(CnfInstance(1, [(1,), (-1,)]), ()))
 
     def test_zero_budget(self):
-        with pytest.raises(BudgetExhausted):
-            maxsat_anytime(WeightedCnf(CnfInstance(1, []), (((1,), 1),)), budget=0)
+        # a deadline that passed before the first model yields no result
+        problem = WeightedCnf(CnfInstance(1, []), (((1,), 1),))
+        assert maxsat_anytime(problem, Deadline.after(0)) is None
 
 
 class TestRandomized:

@@ -7,6 +7,7 @@ import pytest
 from rfreasons import brute
 from rfreasons.core import Clause, DecisionTree, Literal, RandomForest, Term, clause_to_tree
 from rfreasons.explain import MajorityOracle, NotAnImplicantError
+from rfreasons.solver import Deadline
 from rfreasons.optimize import (
     OptimizationBudgetError,
     WeightMap,
@@ -43,7 +44,7 @@ class TestMinimalMajoritary:
 
     def test_budget_zero_carries_trivial_fallback(self, orchid):
         with pytest.raises(OptimizationBudgetError) as e:
-            minimal_majoritary_reason(orchid, X_POS, budget=0)
+            minimal_majoritary_reason(orchid, X_POS, Deadline.after(0))
         fallback = e.value.fallback
         assert fallback.term == Term.of_instance(X_POS)
         assert not fallback.optimal

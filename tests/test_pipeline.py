@@ -1,0 +1,100 @@
+"""The request pipeline: the kind table, one deadline, one timeout path.
+
+The differential test runs every kind of the table through
+compute_reason + validate_reason on small random forests and checks the
+sufficient and majoritary kinds against the exhaustive brute oracles.
+"""
+
+import random
+import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rfreasons import brute
+from rfreasons.cli import (
+    KIND_TABLE,
+    KINDS,
+    ExplainSettings,
+    compute_reason,
+    is_partial,
+    validate_reason,
+)
+from rfreasons.core import RandomForest
+from rfreasons.explain import ReasonKind
+
+from generators import random_forest, random_instance
+
+
+def test_table_covers_every_kind_and_label():
+    assert set(KINDS) == set(KIND_TABLE)
+    assert {spec.label for spec in KIND_TABLE.values()} == set(ReasonKind)
+
+
+def test_timeout_bounds_the_whole_request():
+    # about 0.2 s of SAT calls without a deadline; the implicant encoding
+    # alone takes about 0.03 s
+    forest = random_forest(random.Random(1), 100, 31, 6, 0.1)
+    x = random_instance(random.Random(2), 100)
+    budget, slack = 0.02, 0.1
+    start = time.perf_counter()
+    reason = compute_reason(forest, x, ExplainSettings(kind="sufficient", timeout=budget))
+    wall = time.perf_counter() - start
+    assert wall <= budget + slack
+    assert is_partial(reason) and reason.extras["fallback"] == "timeout"
+    assert 0 < reason.elapsed <= wall
+    validate_reason(forest, reason)
+
+
+def _settings(kind: str, forest: RandomForest, x, notion: str) -> ExplainSettings:
+    n = forest.var_count
+    prediction = forest.evaluate(x)
+    # a linear model that agrees with the forest on x whenever one can
+    linear = [1 if bool(v) == bool(prediction) else -1 for v in x]
+    extra = {
+        "direct": {},
+        "sufficient": {},
+        "majoritary": {},
+        "minimal-majoritary": {},
+        "minimal-weight": {"weights": ",".join(f"x{v}:{v}" for v in range(1, n + 1))},
+        "minimal-sufficient": {},
+        "delta-probable": {"delta": "3/4"},
+        "comprehensible": {"intelligible": ",".join(f"x{v}" for v in range(1, n + 1, 2))},
+        "inclusion-preferred": {"strata": f"x{n}"},
+        "lime": {"linear_weights": ",".join(map(str, linear))},
+        "approx-minimal": {},
+    }[kind]
+    return ExplainSettings(kind=kind, notion=notion, **extra)
+
+
+@st.composite
+def small_forests(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    forest = random_forest(
+        rng, n, draw(st.integers(1, 5)), draw(st.integers(1, 4)), leaf_chance=0.2
+    )
+    return forest, random_instance(rng, n)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(small_forests(), st.sampled_from(["majority", "sufficient"]))
+def test_every_kind_agrees_with_its_oracle_and_brute(drawn, notion):
+    forest, x = drawn
+    for kind in KINDS:
+        spec = KIND_TABLE[kind]
+        model = RandomForest([forest.trees[0]]) if spec.single_tree else forest
+        s = _settings(kind, model, x, notion)
+        if kind == "lime" and model.evaluate(x) == 1 and not any(x):
+            continue  # no linear model classifies the zero vector positively
+        reason = compute_reason(model, x, s)
+        if reason is None:
+            assert kind == "comprehensible"
+            continue
+        assert reason.kind is spec.label
+        validate_reason(model, reason)
+        assert not is_partial(reason)
+        if kind in ("sufficient", "minimal-sufficient"):
+            assert reason.term in brute.enumerate_sufficient_reasons(model, x)
+        if kind in ("majoritary", "minimal-majoritary"):
+            assert reason.term in brute.enumerate_majoritary_reasons(model, x)

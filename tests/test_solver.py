@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from rfreasons.solver import CnfInstance, SatSolver, SolveStatus
+from rfreasons.solver import CnfInstance, Deadline, SatSolver, SolveStatus
 
 
 def random_cnf(rng, n, m, width=3):
@@ -96,7 +96,7 @@ class TestSolve:
         assert first.model == second.model
 
     def test_timeout_statuses(self):
-        out = SatSolver(CnfInstance(1, [(1,)])).solve(budget=0)
+        out = SatSolver(CnfInstance(1, [(1,)])).solve(deadline=Deadline.after(0))
         assert out.status is SolveStatus.TIMEOUT
 
     def test_learning_survives_hard_instance(self):
