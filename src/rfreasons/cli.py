@@ -168,9 +168,13 @@ class Request:
 
 def _majoritary(r: Request) -> Reason:
     s = r.settings
-    if s.permutations and s.permutations > 1:
-        return majoritary_reason_multi(r.forest, r.x, s.permutations, s.seed)
-    return majoritary_reason(r.forest, r.x, r.order)
+    if s.permutations is not None and s.permutations < 1:
+        raise CliError(f"--permutations must be at least 1, got {s.permutations}")
+    if s.permutations is None or s.permutations == 1:
+        return majoritary_reason(r.forest, r.x, r.order)
+    if r.order:
+        raise CliError("--order and --permutations above 1 exclude each other")
+    return majoritary_reason_multi(r.forest, r.x, s.permutations, s.seed)
 
 
 def _comprehensible(r: Request) -> Reason | None:

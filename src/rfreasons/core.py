@@ -107,6 +107,18 @@ class Term:
     def assignment(self) -> dict[int, bool]:
         return {l.var: l.positive for l in self.literals}
 
+    def to_array(self, var_count: int) -> list[bool | None]:
+        """A list indexed by variable, None where free (slot 0 unused)."""
+        array: list[bool | None] = [None] * (max([var_count, *self.variables()]) + 1)
+        for l in self.literals:
+            array[l.var] = l.positive
+        return array
+
+    @classmethod
+    def from_array(cls, array: Sequence[bool | None]) -> "Term":
+        """Inverse of to_array."""
+        return cls(Literal(v, b) for v, b in enumerate(array) if b is not None)
+
     def variables(self) -> frozenset[int]:
         return frozenset(l.var for l in self.literals)
 
@@ -292,12 +304,14 @@ class DecisionTree:
         return self.evaluate(x)
 
     def negated(self) -> "DecisionTree":
-        """Same structure with every leaf label flipped."""
+        """Same structure, already validated, with every leaf label flipped."""
         nodes = tuple(
             (0, 1 - lo, 1 - hi) if var == 0 else (var, lo, hi)
             for var, lo, hi in self.nodes
         )
-        return DecisionTree(self.var_count, nodes, self.root)
+        flipped = object.__new__(DecisionTree)
+        flipped.__dict__.update(var_count=self.var_count, nodes=nodes, root=self.root)
+        return flipped
 
     def paths(self) -> Iterator[tuple[tuple[Literal, ...], int]]:
         """Yield (path literals, leaf label) for every root-to-leaf path."""
@@ -345,20 +359,22 @@ class DecisionTree:
         return tuple(Term(lits) for lits, label in self.paths() if label == 1)
 
     def implied_by(self, term: Term) -> bool:
-        """Exact implicant test: does every extension of term reach a 1-leaf?
+        """Exact implicant test: does every extension of term reach a 1-leaf?"""
+        return self.implied_under(term.to_array(self.var_count))
 
-        Single traversal under the partial assignment; a reachable 0-leaf
-        refutes implication.  O(size) time.
-        """
-        assign = term.assignment()
+    def implied_under(self, assign: Sequence[bool | None]) -> bool:
+        """implied_by on a term in its Term.to_array form: one O(size)
+        traversal under the partial assignment, refuted by any reachable
+        0-leaf."""
+        nodes = self.nodes
         stack = [self.root]
         while stack:
-            var, lo, hi = self.nodes[stack.pop()]
+            var, lo, hi = nodes[stack.pop()]
             if var == 0:
                 if lo == 0:
                     return False
                 continue
-            fixed = assign.get(var)
+            fixed = assign[var]
             if fixed is None:
                 stack.append(lo)
                 stack.append(hi)

@@ -113,6 +113,11 @@ class ImplicantOracle:
     def accepts(self, term: Term) -> bool:
         raise NotImplementedError
 
+    def accepts_shrunk(self, assign: list[bool | None]) -> bool:
+        """accepts on the last accepted term less one literal, given in
+        its Term.to_array form; the greedy loop asks only this."""
+        return self.accepts(Term.from_array(assign))
+
 
 class SingleTreeOracle(ImplicantOracle):
     """Exact implicant test for one decision tree (linear-time traversal)."""
@@ -136,18 +141,22 @@ class MajorityOracle(ImplicantOracle):
     def __init__(self, forest: RandomForest):
         self.forest = forest
         self.var_count = forest.var_count
+        self.live: list[DecisionTree] = []  # trees the last accepted term implies
 
     def accepts(self, term: Term) -> bool:
-        needed = self.forest.majority
-        votes = 0
-        for i, tree in enumerate(self.forest.trees):
-            if tree.implied_by(term):
-                votes += 1
-                if votes >= needed:
-                    return True
-            if votes + len(self.forest.trees) - 1 - i < needed:
+        self.live = [t for t in self.forest.trees if t.implied_by(term)]
+        return len(self.live) >= self.forest.majority
+
+    def accepts_shrunk(self, assign: list[bool | None]) -> bool:
+        # dropping a literal never makes a tree implied: only live ones can break
+        still, spare = [], len(self.live) - self.forest.majority
+        for tree in self.live:
+            if tree.implied_under(assign):
+                still.append(tree)
+            elif (spare := spare - 1) < 0:
                 return False
-        return False
+        self.live = still
+        return True
 
 
 class ForestSatOracle(ImplicantOracle):
@@ -245,18 +254,22 @@ def default_order(var_count: int) -> tuple[int, ...]:
     return tuple(range(var_count, 0, -1))
 
 
-def _eliminate(oracle: ImplicantOracle, term: Term, order: Sequence[int]) -> Term:
+def _eliminate(oracle: ImplicantOracle, assign: list, order: Sequence[int]) -> None:
+    """Drop literals from assign, in place and in order, while the oracle
+    accepts; the oracle's last accepted term is the one in assign."""
     while True:
         changed = False
         for var in order:
-            if var not in term.variables():
+            value = assign[var] if 0 < var < len(assign) else None
+            if value is None:
                 continue
-            candidate = term.without(var)
-            if oracle.accepts(candidate):
-                term = candidate
+            assign[var] = None
+            if oracle.accepts_shrunk(assign):
                 changed = True
+            else:
+                assign[var] = value
         if oracle.monotone or not changed:
-            return term
+            return
 
 
 def greedy_reason(
@@ -283,9 +296,11 @@ def greedy_reason(
     if not full.covers(x):
         raise ValueError("seed term must cover the instance")
     if oracle.accepts(full):
-        term = _eliminate(
-            oracle, full, default_order(oracle.var_count) if order is None else order
+        assign = full.to_array(oracle.var_count)
+        _eliminate(
+            oracle, assign, default_order(oracle.var_count) if order is None else order
         )
+        term = Term.from_array(assign)
     elif oracle.timed_out:
         term = Term.of_instance(x)  # an implicant of any normalized model
     else:
@@ -382,22 +397,26 @@ def majoritary_reason_multi(
     seed: int = DEFAULT_SEED,
 ) -> Reason:
     """Smallest majoritary reason over uniformly random elimination
-    orders, deterministic for a fixed seed."""
+    orders, deterministic for a fixed seed.  The trees t_x implies are
+    found once and every order starts from them."""
     start = time.monotonic()
     if permutations < 1:
         raise ValueError("need at least one permutation")
     rng = random.Random(seed)
     normalized, prediction = normalize(forest, x)
     oracle = MajorityOracle(normalized)
+    oracle.accepts(Term.of_instance(x))  # true: the forest classifies x as 1
+    full, implied = Term.of_instance(x).to_array(forest.var_count), oracle.live
     base = list(range(1, forest.var_count + 1))
-    best: Term | None = None
+    best: list | None = None
     for _ in range(permutations):
         rng.shuffle(base)
-        candidate = greedy_reason(oracle, x, tuple(base)).term
-        if best is None or len(candidate) < len(best):
-            best = candidate
+        assign, oracle.live = list(full), implied
+        _eliminate(oracle, assign, base)
+        if best is None or assign.count(None) > best.count(None):
+            best = assign
     return Reason(
-        best,
+        Term.from_array(best),
         ReasonKind.MAJORITARY,
         tuple(x),
         elapsed=time.monotonic() - start,

@@ -91,10 +91,11 @@ def load_forest(source: str | IO[str]) -> RandomForest:
         with open(source) as fh:
             text = fh.read()
     try:
-        doc = json.loads(text)
+        return document_to_forest(json.loads(text))
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"not valid JSON: {e}") from None
-    return document_to_forest(doc)
+    except RecursionError:
+        raise ModelFormatError("trees nest too deeply to load") from None
 
 
 class InstanceFormatError(ValueError):

@@ -265,9 +265,9 @@ def approx_minimal_reason_dt(tree: DecisionTree, x: Instance) -> Reason:
         best = max(degree.items(), key=lambda kv: (kv[1], -kv[0].var))[0]
         picked.add(best)
         remaining = [s for s in remaining if best not in s]
-    term = _eliminate(
-        SingleTreeOracle(normalized), Term(picked), default_order(tree.var_count)
-    )
+    assign = Term(picked).to_array(tree.var_count)
+    _eliminate(SingleTreeOracle(normalized), assign, default_order(tree.var_count))
+    term = Term.from_array(assign)
     return Reason(
         term,
         ReasonKind.APPROX_MINIMAL,

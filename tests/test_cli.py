@@ -116,6 +116,41 @@ class TestExplain:
         )
         assert code == 1 and "delta" in err
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_permutations_below_one_rejected(self, capsys, model_file, count):
+        code, out, err = run(
+            capsys, "explain", model_file, "1111",
+            "--kind", "majoritary", "--permutations", count,
+        )
+        assert code == 1 and out == ""
+        assert "--permutations must be at least 1" in err
+
+    def test_order_with_several_permutations_rejected(self, capsys, model_file):
+        code, _, err = run(
+            capsys, "explain", model_file, "1111", "--kind", "majoritary",
+            "--permutations", "5", "--order", "x1,x2,x3,x4",
+        )
+        assert code == 1 and "--order" in err
+        # one permutation is one order, so --order still applies
+        code, out, _ = run(
+            capsys, "explain", model_file, "1111", "--kind", "majoritary",
+            "--permutations", "1", "--order", "x1,x2,x3,x4", "--json",
+        )
+        assert code == EXIT_OK and json.loads(out)["kind"] == "majoritary"
+
+    def test_too_deep_model_is_an_error(self, capsys, tmp_path):
+        depth = 1500
+        chain = "".join(
+            f'{{"var": {v}, "low": {{"leaf": 0}}, "high": ' for v in range(1, depth + 1)
+        )
+        path = tmp_path / "deep.json"
+        path.write_text(
+            f'{{"format": "rfreasons-forest", "format_version": 1, "var_count": {depth},'
+            f' "trees": [{chain}{{"leaf": 1}}{"}" * depth}]}}'
+        )
+        code, _, err = run(capsys, "explain", str(path), "1" * depth)
+        assert code == 1 and "too deeply" in err
+
     def test_minimal_weight(self, capsys, model_file):
         code, out, _ = run(
             capsys, "explain", model_file, "1111",

@@ -129,6 +129,25 @@ class TestNegation:
         nn = t1.negated().negated()
         assert all(nn.evaluate(x) == t1.evaluate(x) for x in all_assignments(4))
 
+    def test_negation_flips_only_leaves(self):
+        rng = random.Random(103)
+        for _ in range(20):
+            tree = random_tree(rng, rng.randint(1, 8), 5)
+            neg = tree.negated()
+            assert (neg.var_count, neg.root) == (tree.var_count, tree.root)
+            for (var, lo, hi), (nvar, nlo, nhi) in zip(tree.nodes, neg.nodes):
+                assert nvar == var
+                assert (nlo, nhi) == ((1 - lo, 1 - hi) if var == 0 else (lo, hi))
+            assert neg.negated().nodes == tree.nodes
+            assert neg.negated() == tree
+
+    def test_negation_is_not_revalidated(self, monkeypatch):
+        tree = random_tree(random.Random(104), 6, 4)
+        monkeypatch.setattr(DecisionTree, "_validate", lambda self: pytest.fail("validated"))
+        assert tree.negated().negated() == tree
+        with pytest.raises(pytest.fail.Exception):
+            DecisionTree(tree.var_count, tree.nodes, tree.root)
+
     def test_forest_negation_golden(self, orchid):
         neg = orchid.negated()
         assert neg.evaluate(X_POS) == 0
@@ -262,6 +281,17 @@ class TestTreeImplication:
         assert t2.implied_by(Term([Literal(2)]))
         assert not t1.implied_by(Term([Literal(1), Literal(4)]))
         assert t1.implied_by(Term.of_instance(X_POS))
+
+    def test_array_form_agrees(self):
+        rng = random.Random(106)
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            tree = random_tree(rng, n, 5)
+            variables = rng.sample(range(1, n + 1), rng.randint(0, n))
+            term = Term(Literal(v, rng.random() < 0.5) for v in variables)
+            array = term.to_array(n)
+            assert len(array) == n + 1 and Term.from_array(array) == term
+            assert tree.implied_under(array) == tree.implied_by(term)
 
     def test_agrees_with_bruteforce(self):
         rng = random.Random(105)

@@ -1,0 +1,124 @@
+"""The greedy elimination loop against a copy of the stateless one.
+
+reference_eliminate is the loop as it read before the working term
+became one assignment array: one Term and one oracle.accepts call per
+candidate removal.  The array loop, with the incremental majority
+oracle, must give the same term for every oracle, start and order.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rfreasons.core import DecisionTree, RandomForest, Term, normalize
+from rfreasons.explain import (
+    NOTIONS,
+    DeltaProbableOracle,
+    MajorityOracle,
+    NotAnImplicantError,
+    greedy_reason,
+    majoritary_reason_multi,
+)
+
+from generators import random_forest, random_instance
+
+
+def reference_eliminate(oracle, term, order):
+    while True:
+        changed = False
+        for var in order:
+            if var not in term.variables():
+                continue
+            candidate = term.without(var)
+            if oracle.accepts(candidate):
+                term = candidate
+                changed = True
+        if oracle.monotone or not changed:
+            return term
+
+
+def reference_multi(forest, x, permutations, seed):
+    rng = random.Random(seed)
+    oracle = MajorityOracle(normalize(forest, x)[0])
+    base = list(range(1, forest.var_count + 1))
+    best = None
+    for _ in range(permutations):
+        rng.shuffle(base)
+        term = reference_eliminate(oracle, Term.of_instance(x), base)
+        if best is None or len(term) < len(best):
+            best = term
+    return best
+
+
+@st.composite
+def cases(draw):
+    """(forest, x, order, seed term): up to 6 variables, odd and even tree
+    counts with constant trees mixed in, orders that may leave variables
+    out, and seed terms as comprehensible builds them (t_x restricted)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    trees = list(
+        random_forest(
+            rng, n, draw(st.integers(1, 6)), draw(st.integers(1, 4)), leaf_chance=0.2
+        ).trees
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        trees.insert(rng.randrange(len(trees) + 1), DecisionTree.leaf(rng.randint(0, 1), n))
+    x = random_instance(rng, n)
+    order = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(0, n))]
+    keep = draw(st.sets(st.integers(1, n)))
+    return RandomForest(trees), x, tuple(order), Term.of_instance(x).restrict_to(keep)
+
+
+def assert_same_elimination(make_oracle, x, order, seed_term):
+    # one oracle runs both starts, so a stateful oracle must reset itself
+    oracle = make_oracle()
+    for start in (None, seed_term):
+        full = Term.of_instance(x) if start is None else start
+        reference = make_oracle()
+        if reference.accepts(full):
+            expected = reference_eliminate(reference, full, order)
+            assert greedy_reason(oracle, x, order, seed_term=start).term == expected
+        else:
+            with pytest.raises(NotAnImplicantError):
+                greedy_reason(oracle, x, order, seed_term=start)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(cases(), st.sampled_from(sorted(NOTIONS)))
+def test_monotone_oracles_match_the_stateless_loop(case, notion):
+    forest, x, order, seed_term = case
+    if notion == "tree":
+        forest = RandomForest(forest.trees[:1])
+    model = normalize(forest, x)[0]
+    assert_same_elimination(lambda: NOTIONS[notion](model), x, order, seed_term)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(cases(), st.sampled_from(["0", "1/4", "1/2", "3/4", "1"]))
+def test_delta_probable_fixpoint_matches_the_stateless_loop(case, delta):
+    forest, x, order, seed_term = case
+    tree = normalize(forest.trees[0], x)[0]
+    assert_same_elimination(lambda: DeltaProbableOracle(tree, delta), x, order, seed_term)
+
+
+@settings(max_examples=250, deadline=None, database=None)
+@given(cases(), st.integers(0, 2**16), st.integers(1, 8))
+def test_multi_order_majoritary_matches(case, seed, permutations):
+    forest, x = case[:2]
+    got = majoritary_reason_multi(forest, x, permutations, seed)
+    assert got.term == reference_multi(forest, x, permutations, seed)
+
+
+def test_multi_order_majoritary_matches_on_larger_forests():
+    # wider than the hypothesis cases: here an order that started from
+    # the trees a previous order left would reject drops it should keep
+    rng = random.Random(7)
+    for _ in range(40):
+        forest = random_forest(rng, 8, rng.randint(3, 9), 5, leaf_chance=0.2)
+        x = random_instance(rng, 8)
+        seed = rng.randrange(2**16)
+        got = majoritary_reason_multi(forest, x, 8, seed)
+        assert got.term == reference_multi(forest, x, 8, seed)
