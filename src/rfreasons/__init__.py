@@ -22,12 +22,10 @@ from .core import (
     normalize,
 )
 from .encodings import (
-    CardEncoding,
     ImplicantCnf,
     VarAllocator,
     WeightedCnf,
-    at_least_k,
-    encode_card_majority,
+    at_least,
     implicant_test_cnf,
     weighted_at_most,
 )

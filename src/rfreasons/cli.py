@@ -21,7 +21,6 @@ from .core import (
     Instance,
     ModelFormatError,
     RandomForest,
-    Term,
     cnf_to_forest,
     dnf_to_forest,
     normalize,
@@ -216,14 +215,16 @@ _RECORDED = _notion(None)
 class KindSpec:
     """One reason kind: its output label, how to compute it, the oracle
     check that re-validates it on the normalized model, whether it needs
-    a single-tree model, the setting it cannot run without, and whether
-    it optimizes (an unproved optimum then means the deadline hit)."""
+    a single-tree model, the setting it cannot run without, the optional
+    settings it reads besides the timeout, and whether it optimizes (an
+    unproved optimum then means the deadline hit)."""
 
     label: ReasonKind
     compute: Callable[[Request], Reason | None]
     oracle: Callable[[RandomForest, Reason], bool]
     single_tree: bool = False
     requires: str | None = None
+    reads: tuple[str, ...] = ()
     optimizing: bool = False
 
 
@@ -233,8 +234,14 @@ KIND_TABLE: dict[str, KindSpec] = {
         ReasonKind.SUFFICIENT,
         lambda r: sufficient_reason_rf(r.forest, r.x, r.order, deadline=r.deadline),
         _EXACT,
+        reads=("order",),
     ),
-    "majoritary": KindSpec(ReasonKind.MAJORITARY, _majoritary, _MAJORITY),
+    "majoritary": KindSpec(
+        ReasonKind.MAJORITARY,
+        _majoritary,
+        _MAJORITY,
+        reads=("order", "permutations", "seed"),
+    ),
     "minimal-majoritary": KindSpec(
         ReasonKind.MINIMAL_MAJORITARY,
         lambda r: minimal_majoritary_reason(r.forest, r.x, r.deadline),
@@ -267,9 +274,14 @@ KIND_TABLE: dict[str, KindSpec] = {
         ).accepts(reason.term),
         single_tree=True,
         requires="delta",
+        reads=("order",),
     ),
     "comprehensible": KindSpec(
-        ReasonKind.COMPREHENSIBLE, _comprehensible, _RECORDED, requires="intelligible"
+        ReasonKind.COMPREHENSIBLE,
+        _comprehensible,
+        _RECORDED,
+        requires="intelligible",
+        reads=("notion",),
     ),
     "inclusion-preferred": KindSpec(
         ReasonKind.INCLUSION_PREFERRED,
@@ -280,6 +292,7 @@ KIND_TABLE: dict[str, KindSpec] = {
         ),
         _RECORDED,
         requires="strata",
+        reads=("notion",),
     ),
     # lime explains its own linear model, not the forest
     "lime": KindSpec(
@@ -306,23 +319,25 @@ def compute_reason(
 
     None means no comprehensible reason exists.  When the deadline
     passes first, the result is the valid partial reason the search fell
-    back to (see is_partial).
+    back to (see is_partial).  extras["prediction"] is set here, for
+    every kind.
     """
     deadline = None if s.timeout is None else Deadline.after(s.timeout)
     order = _parse_order(s.order, forest) if s.order else None
     spec = KIND_TABLE.get(s.kind)
     if spec is None:
         raise CliError(f"unknown kind {s.kind!r}")
-    if s.delta is not None and spec.requires != "delta":
-        raise CliError("--delta only applies to --kind delta-probable")
     if spec.requires and not getattr(s, spec.requires):
-        raise CliError(f"--kind {s.kind} needs --{spec.requires.replace('_', '-')}")
+        raise CliError(f"--kind {s.kind} needs {_flag(spec.requires)}")
     if spec.single_tree and forest.tree_count != 1:
         raise CliError(f"--kind {s.kind} needs a single-tree model")
     try:
-        return spec.compute(Request(forest, x, s, order, deadline))
+        reason = spec.compute(Request(forest, x, s, order, deadline))
     except ExplanationTimeout as e:
-        return e.fallback
+        reason = e.fallback
+    if reason is None:
+        return None
+    return replace(reason, extras={**reason.extras, "prediction": forest.evaluate(x)})
 
 
 def is_partial(reason: Reason) -> bool:
@@ -338,7 +353,7 @@ def validate_reason(forest: RandomForest, reason: Reason) -> None:
     """Re-check the output against its defining oracle; a failure here
     means an encoding bug and is a hard error.  Validation takes no
     deadline: it is a safety check and always runs to completion."""
-    model, _ = normalize(forest, reason.instance)
+    model = normalize(forest, reason.instance)
     if not _SPEC_OF_LABEL[reason.kind].oracle(model, reason):
         raise AssertionError(
             f"validation failed: {reason.kind.value} reason {reason.term} "
@@ -372,14 +387,32 @@ def _settings(args, kind: str) -> ExplainSettings:
     return ExplainSettings(**{**given, "kind": kind})
 
 
+def _flag(setting: str) -> str:
+    return "--" + setting.replace("_", "-")
+
+
+def _check_flags(s: ExplainSettings, export_wcnf: bool) -> None:
+    """Refuse a flag set away from its default that the kind does not
+    read; --export-wcnf reads --weights for any kind."""
+    spec = KIND_TABLE[s.kind]
+    read = {"kind", "timeout", spec.requires, *spec.reads}
+    if export_wcnf:
+        read.add("weights")
+    default = ExplainSettings(s.kind)
+    for f in fields(ExplainSettings):
+        if f.name not in read and getattr(s, f.name) != getattr(default, f.name):
+            raise CliError(f"--kind {s.kind} does not read {_flag(f.name)}")
+
+
 def cmd_explain(args) -> int:
+    settings = _settings(args, args.kind)
+    _check_flags(settings, bool(args.export_wcnf))
     forest = _load_model(args.model)
     x = _parse_instance(args.instance, forest.var_count)
-    settings = _settings(args, args.kind)
     if args.export_wcnf:
         wm = _parse_weights(args.weights, forest) if args.weights else None
         with open(args.export_wcnf, "w") as fh:
-            fh.write(dimacs.write_wcnf(majority_wcnf(normalize(forest, x)[0], x, wm)))
+            fh.write(dimacs.write_wcnf(majority_wcnf(normalize(forest, x), x, wm)))
     reason = compute_reason(forest, x, settings)
     if reason is None:
         print("no comprehensible reason")
@@ -415,37 +448,6 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _read_dnf_terms(text: str) -> tuple[list[Term], int]:
-    var_count = None
-    terms: list[Term] = []
-    pending: list[int] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        tokens = raw.split()
-        if not tokens or tokens[0] == "c":
-            continue
-        if tokens[0] == "p":
-            if len(tokens) != 4 or tokens[1] != "dnf":
-                raise dimacs.DimacsError(line_no, f"malformed header {raw.strip()!r}")
-            var_count = int(tokens[2])
-            continue
-        if var_count is None:
-            raise dimacs.DimacsError(line_no, "expected 'p dnf <vars> <terms>' header")
-        for tok in tokens:
-            value = int(tok)
-            if value == 0:
-                terms.append(Term(pending))
-                pending = []
-            else:
-                if abs(value) > var_count:
-                    raise dimacs.DimacsError(line_no, f"literal {value} out of range")
-                pending.append(value)
-    if var_count is None:
-        raise dimacs.DimacsError(1, "missing 'p dnf' header")
-    if pending:
-        raise dimacs.DimacsError(line_no, "unterminated term at end of input")
-    return terms, var_count
-
-
 def cmd_convert(args) -> int:
     with open(args.input) as fh:
         text = fh.read()
@@ -456,7 +458,7 @@ def cmd_convert(args) -> int:
             raise CliError("refusing to convert an empty clause set")
         forest = cnf_to_forest(clauses, cnf.var_count)
     else:
-        terms, var_count = _read_dnf_terms(text)
+        terms, var_count = dimacs.read_dnf(text)
         forest = dnf_to_forest(terms, var_count)
     models.dump_forest(forest, args.out)
     print(f"wrote {forest.tree_count} trees over {forest.var_count} variables to {args.out}")

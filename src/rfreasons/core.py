@@ -519,19 +519,6 @@ class RandomForest:
             flipped.append(DecisionTree.leaf(1, self.var_count))
         return RandomForest(flipped, self.feature_names)
 
-    def with_odd_tree_count(self) -> "RandomForest":
-        """An equivalent forest with an odd number of trees.
-
-        An even ensemble decides 1 only on more than half the votes, so a
-        constant-0 tree can be appended without changing the function.
-        """
-        if len(self.trees) % 2 == 1:
-            return self
-        return RandomForest(
-            self.trees + (DecisionTree.leaf(0, self.var_count),),
-            self.feature_names,
-        )
-
     def single(self) -> DecisionTree:
         if len(self.trees) != 1:
             raise ModelFormatError("expected a single-tree forest")
@@ -541,17 +528,16 @@ class RandomForest:
 Model = TypeVar("Model", DecisionTree, RandomForest)
 
 
-def normalize(model: Model, x: Instance) -> tuple[Model, int]:
-    """(model, prediction) for a positive example, (negated model,
-    prediction) for a negative one.
+def normalize(model: Model, x: Instance) -> Model:
+    """The model for a positive example, the negated model for a
+    negative one.
 
     Every explainer works on the normalized model, which classifies x
     positively; this is how negative classifications are explained
     without dual-casing any algorithm.  model is a DecisionTree or a
     RandomForest, and the result has the same type.
     """
-    prediction = model.evaluate(x)
-    return (model if prediction == 1 else model.negated()), prediction
+    return model if model.evaluate(x) == 1 else model.negated()
 
 
 def cnf_to_forest(

@@ -1,4 +1,4 @@
-"""DIMACS CNF / WCNF interchange.
+"""DIMACS CNF / WCNF / DNF interchange.
 
 WCNF uses the classic header form "p wcnf <vars> <clauses> <top>" where
 hard clauses carry the top weight.
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import IO, Iterable
 
+from .core import InconsistentTermError, Term
 from .encodings import WeightedCnf
 from .solver import CnfInstance
 
@@ -58,39 +59,61 @@ def _read_lines(source: str | IO[str]) -> list[str]:
     return str(source).splitlines()
 
 
-def read_dimacs(source: str | IO[str]) -> CnfInstance:
-    """Parse a DIMACS CNF document (text or file object)."""
+def _read_records(
+    source: str | IO[str], fmt: str, fields: tuple[str, ...], weighted: bool = False
+) -> tuple[tuple[int, ...], list[tuple[int, int | None, tuple[int, ...]]]]:
+    """Parse the 'p <fmt> <vars> <count> ...' header and the records after
+    it: (header integers, [(line number, weight or None, literals)]), with
+    the record count checked against the header."""
     lines = _read_lines(source)
+    shape = f"'p {fmt} " + " ".join(f"<{f}>" for f in fields) + "'"
     header = None
-    body_start = 0
     for i, raw in enumerate(lines, 1):
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
             continue
-        if tokens[0] == "p":
-            if len(tokens) != 4 or tokens[1] != "cnf":
-                raise DimacsError(i, f"malformed header {raw.strip()!r}")
-            try:
-                header = (int(tokens[2]), int(tokens[3]))
-            except ValueError:
-                raise DimacsError(i, f"malformed header {raw.strip()!r}") from None
-            body_start = i
-            break
-        raise DimacsError(i, "expected 'p cnf <vars> <clauses>' header")
+        if tokens[0] != "p":
+            raise DimacsError(i, f"expected {shape} header")
+        if len(tokens) != 2 + len(fields) or tokens[1] != fmt:
+            raise DimacsError(i, f"malformed header {raw.strip()!r}")
+        try:
+            header = tuple(int(t) for t in tokens[2:])
+        except ValueError:
+            raise DimacsError(i, f"malformed header {raw.strip()!r}") from None
+        break
     if header is None:
-        raise DimacsError(len(lines) or 1, "missing 'p cnf' header")
-    var_count, declared = header
-    clauses = [
-        tuple(lits)
-        for _, _, lits in _clause_lines(
-            enumerate(lines[body_start:], body_start + 1), body_start, var_count, False
+        raise DimacsError(len(lines) or 1, f"missing 'p {fmt}' header")
+    var_count, declared = header[0], header[1]
+    records = [
+        (line_no, weight, tuple(lits))
+        for line_no, weight, lits in _clause_lines(
+            enumerate(lines[i:], i + 1), i, var_count, weighted
         )
     ]
-    if len(clauses) != declared:
+    if len(records) != declared:
         raise DimacsError(
-            body_start, f"header declares {declared} clauses, found {len(clauses)}"
+            i, f"header declares {declared} {fields[1]}, found {len(records)}"
         )
-    return CnfInstance(var_count, clauses)
+    return header, records
+
+
+def read_dimacs(source: str | IO[str]) -> CnfInstance:
+    """Parse a DIMACS CNF document (text or file object)."""
+    (var_count, _), records = _read_records(source, "cnf", ("vars", "clauses"))
+    return CnfInstance(var_count, [lits for _, _, lits in records])
+
+
+def read_dnf(source: str | IO[str]) -> tuple[list[Term], int]:
+    """Parse a DIMACS-style DNF document ('p dnf <vars> <terms>', one
+    0-terminated term per record): (terms, variable count)."""
+    (var_count, _), records = _read_records(source, "dnf", ("vars", "terms"))
+    terms = []
+    for line_no, _, lits in records:
+        try:
+            terms.append(Term(lits))
+        except InconsistentTermError as e:
+            raise DimacsError(line_no, str(e)) from None
+    return terms, var_count
 
 
 def write_dimacs(cnf: CnfInstance) -> str:
@@ -101,40 +124,12 @@ def write_dimacs(cnf: CnfInstance) -> str:
 
 def read_wcnf(source: str | IO[str]) -> WeightedCnf:
     """Parse a weighted instance; clauses at the declared top weight are hard."""
-    lines = _read_lines(source)
-    header = None
-    body_start = 0
-    for i, raw in enumerate(lines, 1):
-        tokens = raw.split()
-        if not tokens or tokens[0] == "c":
-            continue
-        if tokens[0] == "p":
-            if len(tokens) != 5 or tokens[1] != "wcnf":
-                raise DimacsError(i, f"malformed header {raw.strip()!r}")
-            try:
-                header = (int(tokens[2]), int(tokens[3]), int(tokens[4]))
-            except ValueError:
-                raise DimacsError(i, f"malformed header {raw.strip()!r}") from None
-            body_start = i
-            break
-        raise DimacsError(i, "expected 'p wcnf <vars> <clauses> <top>' header")
-    if header is None:
-        raise DimacsError(len(lines) or 1, "missing 'p wcnf' header")
-    var_count, declared, top = header
-    hard: list[tuple[int, ...]] = []
-    soft: list[tuple[tuple[int, ...], int]] = []
-    count = 0
-    for line_no, weight, lits in _clause_lines(
-        enumerate(lines[body_start:], body_start + 1), body_start, var_count, True
-    ):
-        count += 1
-        if weight >= top:
-            hard.append(tuple(lits))
-        else:
-            soft.append((tuple(lits), weight))
-    if count != declared:
-        raise DimacsError(body_start, f"header declares {declared} clauses, found {count}")
-    return WeightedCnf(CnfInstance(var_count, hard), tuple(soft))
+    (var_count, _, top), records = _read_records(
+        source, "wcnf", ("vars", "clauses", "top"), weighted=True
+    )
+    hard = [lits for _, weight, lits in records if weight >= top]
+    soft = tuple((lits, weight) for _, weight, lits in records if weight < top)
+    return WeightedCnf(CnfInstance(var_count, hard), soft)
 
 
 def write_wcnf(problem: WeightedCnf) -> str:

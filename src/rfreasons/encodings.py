@@ -1,8 +1,9 @@
-"""CNF encodings: cardinality counters, weighted bounds, forest implicant test.
+"""CNF encodings: a weighted counter, cardinality bounds, forest implicant test.
 
-The sequential-counter encodings introduce auxiliary register variables
-s[i][j] meaning "at least j of the first i inputs are true" (or, for the
-weighted form, "the weighted prefix sum reaches j").
+One sequential weighted counter (Sinz, CP 2005) states every count in
+the engine.  It introduces register variables s[i][j] meaning "the
+weighted prefix sum of the first i inputs reaches j"; an at-least-k
+bound over selectors is an at-most bound over their negations.
 """
 
 from __future__ import annotations
@@ -26,77 +27,6 @@ class VarAllocator:
 
     def block(self, count: int) -> list[int]:
         return [self.fresh() for _ in range(count)]
-
-
-@dataclass(frozen=True)
-class CardEncoding:
-    """An at-least-k constraint over selector literals.
-
-    Register variables are functionally determined by the selectors, so
-    models projected onto the selectors are exactly the assignments with
-    at least `bound` of them true.
-    """
-
-    selectors: tuple[int, ...]
-    bound: int
-    clauses: tuple[tuple[int, ...], ...]
-    aux_range: tuple[int, int]  # [lo, hi) of fresh register variables
-
-
-def at_least_k(
-    selectors: Sequence[int], bound: int, alloc: VarAllocator
-) -> CardEncoding:
-    """Sequential-counter encoding of sum(selectors) >= bound.
-
-    Registers are constrained in both directions so the auxiliary
-    assignment is unique given the selectors.
-    """
-    selectors = tuple(selectors)
-    n = len(selectors)
-    aux_lo = alloc.top + 1
-    clauses: list[tuple[int, ...]] = []
-    if bound <= 0:
-        return CardEncoding(selectors, bound, (), (aux_lo, aux_lo))
-    if bound > n:
-        return CardEncoding(selectors, bound, ((),), (aux_lo, aux_lo))
-
-    # s[i][j] (1-based) is defined for 1 <= j <= min(i, bound); registers
-    # outside that range are constants: s[i][0] is true, s[i][j>i] is false.
-    s: list[list[int]] = [
-        [alloc.fresh() for _ in range(min(i, bound))] for i in range(1, n + 1)
-    ]
-
-    y1 = selectors[0]
-    clauses.append((-s[0][0], y1))
-    clauses.append((-y1, s[0][0]))
-    for i in range(2, n + 1):
-        yi = selectors[i - 1]
-        for j in range(1, min(i, bound) + 1):
-            sij = s[i - 1][j - 1]
-            prev_j = s[i - 2][j - 1] if j <= i - 1 else None  # s[i-1][j]
-            prev_below = s[i - 2][j - 2] if j >= 2 else None  # s[i-1][j-1]
-            # count reached already, or reached now through y_i
-            if prev_j is not None:
-                clauses.append((-prev_j, sij))
-            if prev_below is None:
-                clauses.append((-yi, sij))
-            else:
-                clauses.append((-prev_below, -yi, sij))
-            # and only then: s[i][j] -> s[i-1][j] or (y_i and s[i-1][j-1])
-            base = (-sij,) if prev_j is None else (-sij, prev_j)
-            clauses.append(base + (yi,))
-            if prev_below is not None:
-                clauses.append(base + (prev_below,))
-    clauses.append((s[n - 1][bound - 1],))
-    return CardEncoding(selectors, bound, tuple(clauses), (aux_lo, alloc.top + 1))
-
-
-def encode_card_majority(selectors: Sequence[int], alloc: VarAllocator) -> CardEncoding:
-    """Constraint that strictly more than half the selectors are true."""
-    m = len(selectors)
-    if m < 1:
-        raise ValueError("need at least one selector")
-    return at_least_k(selectors, m // 2 + 1, alloc)
 
 
 def weighted_at_most(
@@ -144,6 +74,11 @@ def weighted_at_most(
     return clauses
 
 
+def at_least(selectors: Sequence[int], k: int, alloc: VarAllocator) -> list[tuple[int, ...]]:
+    """Clauses enforcing sum(selectors) >= k: at most len - k are false."""
+    return weighted_at_most([(-y, 1) for y in selectors], len(selectors) - k, alloc)
+
+
 # ---------------------------------------------------------------------------
 # forest implicant encoding
 
@@ -154,8 +89,8 @@ class ImplicantCnf:
     iff H together with t's literals is unsatisfiable.
 
     Selector y_i guards the clausal form of the i-th negated tree, and a
-    cardinality constraint demands a strict majority of selectors, so H's
-    models are exactly the padded-forest counterexamples.
+    cardinality constraint demands that more trees be falsified than the
+    majority can spare, so H's models are exactly the counterexamples.
     """
 
     cnf: CnfInstance
@@ -166,11 +101,10 @@ class ImplicantCnf:
 def implicant_test_cnf(forest: RandomForest) -> ImplicantCnf:
     """Build the refutation CNF for exact forest implicant tests.
 
-    An even ensemble is first padded with a constant-0 tree (which keeps
-    the function intact) because the strict-majority count of falsified
-    trees characterizes the complement only for odd ensembles.
+    The forest decides 0 exactly when fewer than forest.majority trees
+    vote 1, that is when at least m - majority + 1 of its m trees are
+    falsified; the bound holds for odd and even m alike.
     """
-    forest = forest.with_odd_tree_count()
     n = forest.var_count
     m = forest.tree_count
     alloc = VarAllocator(n)
@@ -179,8 +113,7 @@ def implicant_test_cnf(forest: RandomForest) -> ImplicantCnf:
     for y, tree in zip(selectors, forest.trees):
         for clause in tree.negated().cnf_clauses():
             clauses.append((-y,) + clause.to_ints())
-    card = encode_card_majority(selectors, alloc)
-    clauses.extend(card.clauses)
+    clauses.extend(at_least(selectors, m - forest.majority + 1, alloc))
     return ImplicantCnf(CnfInstance(alloc.top, clauses), n, selectors)
 
 

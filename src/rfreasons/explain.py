@@ -52,7 +52,7 @@ class Reason:
     objective value for optimizing kinds (size or total feature weight),
     optimal says whether that value was proved minimal, and extras holds
     kind-specific diagnostics (conditional probability, anytime log,
-    fallback flags, prediction).
+    fallback flags).
     """
 
     term: Term
@@ -242,7 +242,7 @@ def oracle_for_instance(
     """The oracle of the given notion on the polarity-normalized forest."""
     if notion not in NOTIONS:
         raise ValueError(f"unknown implicant notion {notion!r}")
-    return NOTIONS[notion](normalize(forest, x)[0])
+    return NOTIONS[notion](normalize(forest, x))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +340,6 @@ def direct_reason(forest: RandomForest, x: Instance) -> Reason:
         ReasonKind.DIRECT,
         tuple(x),
         elapsed=time.monotonic() - start,
-        extras={"prediction": prediction},
     )
 
 
@@ -368,12 +367,10 @@ def sufficient_reason_rf(
     is then a subset of the seed.
     """
     started = time.monotonic()
-    normalized, prediction = normalize(forest, x)
     return greedy_reason(
-        exact_oracle(normalized, deadline),
+        exact_oracle(normalize(forest, x), deadline),
         x,
         order,
-        extras={"prediction": prediction},
         seed_term=seed_term,
         started=started,
     )
@@ -384,10 +381,7 @@ def majoritary_reason(
 ) -> Reason:
     """Greedy majoritary reason under one elimination order; worst case
     one tree traversal per (literal, tree) pair."""
-    normalized, prediction = normalize(forest, x)
-    return greedy_reason(
-        MajorityOracle(normalized), x, order, extras={"prediction": prediction}
-    )
+    return greedy_reason(MajorityOracle(normalize(forest, x)), x, order)
 
 
 def majoritary_reason_multi(
@@ -403,8 +397,7 @@ def majoritary_reason_multi(
     if permutations < 1:
         raise ValueError("need at least one permutation")
     rng = random.Random(seed)
-    normalized, prediction = normalize(forest, x)
-    oracle = MajorityOracle(normalized)
+    oracle = MajorityOracle(normalize(forest, x))
     oracle.accepts(Term.of_instance(x))  # true: the forest classifies x as 1
     full, implied = Term.of_instance(x).to_array(forest.var_count), oracle.live
     base = list(range(1, forest.var_count + 1))
@@ -420,7 +413,7 @@ def majoritary_reason_multi(
         ReasonKind.MAJORITARY,
         tuple(x),
         elapsed=time.monotonic() - start,
-        extras={"prediction": prediction, "permutations": permutations, "seed": seed},
+        extras={"permutations": permutations, "seed": seed},
     )
 
 
@@ -436,13 +429,11 @@ def delta_probable_reason_dt(
     elimination repeats until no single literal can be dropped, since the
     probabilistic test is not monotone.
     """
-    normalized, prediction = normalize(tree, x)
-    oracle = DeltaProbableOracle(normalized, delta)
+    oracle = DeltaProbableOracle(normalize(tree, x), delta)
     reason = greedy_reason(oracle, x, order)
     return replace(
         reason,
         extras={
-            "prediction": prediction,
             "delta": oracle.delta,
             "probability": oracle.probability(reason.term),
         },
@@ -609,14 +600,11 @@ def lime_linear_reason(model: LinearModel, x: Instance) -> Reason:
         term = Term.of_instance(x)
     else:
         term = Term(Literal(v, True) for v in picked)
-    extras = {"prediction": prediction}
-    if fallback:
-        extras["fallback"] = fallback
     return Reason(
         term,
         ReasonKind.LIME,
         tuple(x),
         optimal=fallback is None,
         elapsed=time.monotonic() - start,
-        extras=extras,
+        extras={"fallback": fallback} if fallback else {},
     )

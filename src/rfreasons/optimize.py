@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .core import DecisionTree, Instance, Literal, RandomForest, Term, normalize
-from .encodings import VarAllocator, WeightedCnf, encode_card_majority
+from .encodings import VarAllocator, WeightedCnf, at_least
 from .explain import (
     ExplanationTimeout,
     MajorityOracle,
@@ -99,8 +99,7 @@ def majority_wcnf(
         for clause in tree.cnf_clauses():
             restricted = tuple(l for l in clause.to_ints() if l in instance_lits)
             hard.append((-y,) + restricted)  # empty restriction forces -y
-    card = encode_card_majority(selectors, alloc)
-    hard.extend(card.clauses)
+    hard.extend(at_least(selectors, forest.majority, alloc))
     soft = tuple(
         ((-lit,), weights.of(abs(lit))) for lit in sorted(instance_lits, key=abs)
     )
@@ -122,7 +121,7 @@ def _optimize(
     on_improve: Callable[[Term, int, float], None] | None,
 ) -> Reason:
     start = time.monotonic()
-    normalized, prediction = normalize(forest, x)
+    normalized = normalize(forest, x)
     problem = majority_wcnf(normalized, x, weights)
     oracle = MajorityOracle(normalized)
     log: list[tuple[float, int]] = []
@@ -144,7 +143,7 @@ def _optimize(
             cost=(weights or WeightMap()).of_term(full),
             optimal=False,
             elapsed=time.monotonic() - start,
-            extras={"prediction": prediction, "fallback": "budget"},
+            extras={"fallback": "timeout"},
         )
         raise ExplanationTimeout("no model found before the deadline", trivial)
 
@@ -158,10 +157,7 @@ def _optimize(
         cost=result.cost,
         optimal=result.optimal,
         elapsed=time.monotonic() - start,
-        extras={
-            "prediction": prediction,
-            "log": AnytimeLog(tuple(log)),
-        },
+        extras={"log": AnytimeLog(tuple(log))},
     )
 
 
@@ -253,7 +249,7 @@ def approx_minimal_reason_dt(tree: DecisionTree, x: Instance) -> Reason:
     the cover so the output is a genuine sufficient reason.
     """
     start = time.monotonic()
-    normalized, prediction = normalize(tree, x)
+    normalized = normalize(tree, x)
     instance = build_hitting_instance(normalized, x)
     remaining = [s for s in instance.sets]
     picked: set[Literal] = set()
@@ -275,7 +271,6 @@ def approx_minimal_reason_dt(tree: DecisionTree, x: Instance) -> Reason:
         optimal=False,
         elapsed=time.monotonic() - start,
         extras={
-            "prediction": prediction,
             "method": "greedy_cover",
             "max_adjacency": instance.max_adjacency(),
         },

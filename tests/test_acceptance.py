@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from rfreasons import brute
 from rfreasons.core import (
     RandomForest,
     Term,
@@ -42,6 +41,7 @@ from rfreasons.optimize import (
 )
 from rfreasons.solver import SatSolver, SolveStatus
 
+import brute
 from conftest import X_NEG, X_POS
 from generators import random_forest, random_instance, random_tree
 

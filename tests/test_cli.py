@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rfreasons
 from rfreasons.cli import (
     EXIT_NO_COMPREHENSIBLE,
     EXIT_OK,
@@ -86,7 +91,8 @@ class TestExplain:
             "--notion", "sufficient", "--json",
         )
         assert code == EXIT_OK
-        assert json.loads(out)["literals"] == [1, 4]
+        record = json.loads(out)
+        assert record["literals"] == [1, 4] and record["prediction"] == 1
 
     def test_inclusion_preferred(self, capsys, model_file):
         code, out, _ = run(
@@ -95,7 +101,13 @@ class TestExplain:
             "--notion", "sufficient", "--json",
         )
         assert code == EXIT_OK
-        assert json.loads(out)["literals"] == [1, 4]
+        record = json.loads(out)
+        assert record["literals"] == [1, 4] and record["prediction"] == 1
+        code, out, _ = run(
+            capsys, "explain", model_file, "0100",
+            "--kind", "inclusion-preferred", "--strata", "x4;x2,x3;x1",
+        )
+        assert code == EXIT_OK and "prediction: 0" in out
 
     def test_delta_probable(self, capsys, tmp_path):
         single = tmp_path / "single.json"
@@ -138,6 +150,27 @@ class TestExplain:
         )
         assert code == EXIT_OK and json.loads(out)["kind"] == "majoritary"
 
+    @pytest.mark.parametrize(
+        "kind, flags",
+        [
+            ("sufficient", ["--permutations", "0"]),
+            ("sufficient", ["--seed", "7"]),
+            ("direct", ["--order", "x1,x2,x3,x4"]),
+            ("direct", ["--weights", "x1:5"]),
+            ("direct", ["--strata", "x1"]),
+            ("majoritary", ["--notion", "sufficient"]),
+            ("minimal-majoritary", ["--linear-weights", "1,1,1,1"]),
+        ],
+    )
+    def test_unread_flag_rejected(self, capsys, model_file, kind, flags):
+        code, out, err = run(capsys, "explain", model_file, "1111", "--kind", kind, *flags)
+        assert code == 1 and out == ""
+        assert f"--kind {kind} does not read {flags[0]}" in err
+
+    def test_timeout_accepted_by_every_kind(self, capsys, model_file):
+        code, _, _ = run(capsys, "explain", model_file, "1111", "--kind", "direct", "--timeout", "5")
+        assert code == EXIT_OK
+
     def test_too_deep_model_is_an_error(self, capsys, tmp_path):
         depth = 1500
         chain = "".join(
@@ -179,6 +212,7 @@ class TestExplain:
         assert code == EXIT_PARTIAL
         record = json.loads(out)
         assert record["size"] == 4 and record["optimal"] is False
+        assert record["fallback"] == "timeout" and record["prediction"] == 1
 
     def test_export_wcnf(self, capsys, model_file, tmp_path):
         target = tmp_path / "problem.wcnf"
@@ -188,6 +222,12 @@ class TestExplain:
         )
         assert code == EXIT_OK
         assert target.read_text().startswith("p wcnf ")
+        # the export reads --weights whatever the kind
+        code, _, _ = run(
+            capsys, "explain", model_file, "1111", "--kind", "direct",
+            "--weights", "x1:5", "--export-wcnf", str(target),
+        )
+        assert code == EXIT_OK
 
     def test_unknown_feature_in_flag(self, capsys, model_file):
         code, _, err = run(
@@ -321,6 +361,21 @@ class TestStats:
         assert sizes["sufficient"] <= 3
         assert sizes["majoritary"] == 3
 
+    def test_flags_are_shared_across_kinds(self, capsys, tmp_path):
+        single = tmp_path / "single.json"
+        dump_forest(RandomForest(orchid_trees()[:1]), str(single))
+        inst = tmp_path / "one.csv"
+        inst.write_text("1,1,1,1\n")
+        out_csv = tmp_path / "stats.csv"
+        code, _, _ = run(
+            capsys, "stats", str(single), str(inst),
+            "--kinds", "direct,delta-probable", "--delta", "3/4", "--out", str(out_csv),
+        )
+        assert code == EXIT_OK
+        rows = [l for l in out_csv.read_text().splitlines()[1:] if l and not l.startswith("#")]
+        assert [r.split(",")[1] for r in rows] == ["direct", "delta-probable"]
+        assert all(r.split(",")[-1] == "" for r in rows)  # no error recorded
+
     def test_empty_kinds_rejected(self, capsys, model_file, instances_file):
         code, _, err = run(capsys, "stats", model_file, instances_file, "--kinds", " ")
         assert code == 1
@@ -397,3 +452,10 @@ class TestStats:
         def stable(rows):
             return [(r[1], r[2], r[3]) for r in rows[1:]]
         assert stable(seq_rows) == stable(par_rows)
+
+
+def test_runtime_imports_no_numpy():
+    # numpy is a test-only dependency; the installed program must run without it
+    env = {**os.environ, "PYTHONPATH": str(Path(rfreasons.__file__).parents[1])}
+    code = "import sys, rfreasons.cli; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

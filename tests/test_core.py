@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from rfreasons import brute
 from rfreasons.core import (
     Clause,
     DecisionTree,
@@ -18,6 +17,7 @@ from rfreasons.core import (
     dnf_to_forest,
 )
 
+import brute
 from conftest import X_NEG, X_POS
 from generators import random_forest, random_tree
 

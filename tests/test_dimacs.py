@@ -3,10 +3,12 @@ import pytest
 from rfreasons.dimacs import (
     DimacsError,
     read_dimacs,
+    read_dnf,
     read_wcnf,
     write_dimacs,
     write_wcnf,
 )
+from rfreasons.core import Term
 from rfreasons.encodings import WeightedCnf, implicant_test_cnf
 from rfreasons.solver import CnfInstance
 
@@ -79,3 +81,30 @@ class TestWcnf:
         with pytest.raises(DimacsError):
             read_wcnf("p wcnf 1 1\n1 1 0\n")
 
+
+
+class TestDnf:
+    def test_parse_terms(self):
+        terms, var_count = read_dnf("c two terms\np dnf 3 2\n1 -2 0\n3\n0\n")
+        assert var_count == 3
+        assert terms == [Term([1, -2]), Term([3])]
+
+    def test_term_count_mismatch(self):
+        with pytest.raises(DimacsError) as e:
+            read_dnf("p dnf 3 5\n1 0\n-2 3 0\n")
+        assert "declares 5 terms, found 2" in str(e.value)
+
+    def test_error_carries_line_number(self):
+        with pytest.raises(DimacsError) as e:
+            read_dnf("p dnf 2 1\n1 x 0\n")
+        assert "line 2" in str(e.value)
+
+    def test_inconsistent_term(self):
+        with pytest.raises(DimacsError) as e:
+            read_dnf("p dnf 2 2\n1 0\n2 -2 0\n")
+        assert "line 3" in str(e.value)
+
+    def test_header_errors(self):
+        for text in ("1 2 0\n", "p cnf 2 1\n1 0\n", "p dnf 2\n1 0\n", ""):
+            with pytest.raises(DimacsError):
+                read_dnf(text)

@@ -41,7 +41,7 @@ def reference_eliminate(oracle, term, order):
 
 def reference_multi(forest, x, permutations, seed):
     rng = random.Random(seed)
-    oracle = MajorityOracle(normalize(forest, x)[0])
+    oracle = MajorityOracle(normalize(forest, x))
     base = list(range(1, forest.var_count + 1))
     best = None
     for _ in range(permutations):
@@ -92,7 +92,7 @@ def test_monotone_oracles_match_the_stateless_loop(case, notion):
     forest, x, order, seed_term = case
     if notion == "tree":
         forest = RandomForest(forest.trees[:1])
-    model = normalize(forest, x)[0]
+    model = normalize(forest, x)
     assert_same_elimination(lambda: NOTIONS[notion](model), x, order, seed_term)
 
 
@@ -100,7 +100,7 @@ def test_monotone_oracles_match_the_stateless_loop(case, notion):
 @given(cases(), st.sampled_from(["0", "1/4", "1/2", "3/4", "1"]))
 def test_delta_probable_fixpoint_matches_the_stateless_loop(case, delta):
     forest, x, order, seed_term = case
-    tree = normalize(forest.trees[0], x)[0]
+    tree = normalize(forest.trees[0], x)
     assert_same_elimination(lambda: DeltaProbableOracle(tree, delta), x, order, seed_term)
 
 

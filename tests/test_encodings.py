@@ -3,18 +3,17 @@ import random
 
 import pytest
 
-from rfreasons import brute
-from rfreasons.core import Term
+from rfreasons.core import DecisionTree, RandomForest, Term
 from rfreasons.encodings import (
     VarAllocator,
     WeightedCnf,
-    at_least_k,
-    encode_card_majority,
+    at_least,
     implicant_test_cnf,
     weighted_at_most,
 )
 from rfreasons.solver import CnfInstance, SatSolver, SolveStatus
 
+import brute
 from conftest import X_NEG, X_POS
 from generators import random_forest
 
@@ -32,10 +31,10 @@ class TestCardinality:
             selectors = tuple(range(1, m + 1))
             for k in range(0, m + 2):
                 alloc = VarAllocator(m)
-                enc = at_least_k(selectors, k, alloc)
+                clauses = at_least(selectors, k, alloc)
                 for bits in itertools.product((False, True), repeat=m):
                     fixed = dict(zip(selectors, bits))
-                    assert projected_satisfiable(enc.clauses, alloc.top, fixed) == (
+                    assert projected_satisfiable(clauses, alloc.top, fixed) == (
                         sum(bits) >= k
                     ), (m, k, bits)
 
@@ -43,23 +42,22 @@ class TestCardinality:
     def test_majority_projected_model_counts(self, m, count):
         selectors = tuple(range(1, m + 1))
         alloc = VarAllocator(m)
-        enc = encode_card_majority(selectors, alloc)
+        clauses = at_least(selectors, m // 2 + 1, alloc)
         got = sum(
-            projected_satisfiable(enc.clauses, alloc.top, dict(zip(selectors, bits)))
+            projected_satisfiable(clauses, alloc.top, dict(zip(selectors, bits)))
             for bits in itertools.product((False, True), repeat=m)
         )
         assert got == count
 
     def test_majority_of_one_forces_selector(self):
         alloc = VarAllocator(1)
-        enc = encode_card_majority((1,), alloc)
-        out = SatSolver(CnfInstance(alloc.top, enc.clauses)).solve()
+        out = SatSolver(CnfInstance(alloc.top, at_least((1,), 1, alloc))).solve()
         assert out.status is SolveStatus.SAT and out.model[0] is True
 
     def test_unsatisfiable_bound(self):
         alloc = VarAllocator(2)
-        enc = at_least_k((1, 2), 3, alloc)
-        assert SatSolver(CnfInstance(alloc.top, enc.clauses)).solve().status is SolveStatus.UNSAT
+        clauses = at_least((1, 2), 3, alloc)
+        assert SatSolver(CnfInstance(alloc.top, clauses)).solve().status is SolveStatus.UNSAT
 
 
 class TestWeightedBound:
@@ -121,12 +119,19 @@ class TestImplicantCnf:
                 got = solver.solve(assumptions=term.to_ints()).status is SolveStatus.UNSAT
                 assert got == brute.is_implicant_bruteforce(forest, term)
 
-    def test_even_forest_padding_exact(self):
+    def test_any_tree_count_with_constant_trees_exact(self):
+        # the falsified-tree bound m - majority + 1 needs no padding tree
         rng = random.Random(303)
-        for _ in range(15):
+        for _ in range(30):
             n = rng.randint(2, 8)
-            forest = random_forest(rng, n, rng.choice([2, 4]), 4)
+            forest = random_forest(rng, n, rng.randint(1, 6), 4)
+            trees = [
+                DecisionTree.leaf(rng.randint(0, 1), n) if rng.random() < 0.3 else t
+                for t in forest.trees
+            ]
+            forest = RandomForest(trees)
             enc = implicant_test_cnf(forest)
+            assert enc.selectors == tuple(range(n + 1, n + len(trees) + 1))
             solver = SatSolver(enc.cnf)
             for _ in range(6):
                 size = rng.randint(0, n)

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from rfreasons import brute
 from rfreasons.core import DecisionTree, RandomForest, Term
 from rfreasons.explain import (
     DeltaProbableOracle,
@@ -30,6 +29,7 @@ from rfreasons.explain import (
 from rfreasons.cli import parity_fixture
 from rfreasons.solver import Deadline
 
+import brute
 from conftest import X_NEG, X_POS
 from generators import random_forest, random_instance, random_tree
 

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from rfreasons import brute
 from rfreasons.core import Clause, DecisionTree, Literal, RandomForest, Term, clause_to_tree
 from rfreasons.explain import MajorityOracle, NotAnImplicantError
 from rfreasons.solver import Deadline
@@ -19,6 +18,7 @@ from rfreasons.optimize import (
     minimal_weight_majoritary_reason,
 )
 
+import brute
 from conftest import X_NEG, X_POS
 from generators import random_forest, random_instance, random_tree
 

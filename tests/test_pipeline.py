@@ -11,7 +11,6 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfreasons import brute
 from rfreasons.cli import (
     KIND_TABLE,
     KINDS,
@@ -23,6 +22,7 @@ from rfreasons.cli import (
 from rfreasons.core import RandomForest
 from rfreasons.explain import ReasonKind
 
+import brute
 from generators import random_forest, random_instance
 
 
