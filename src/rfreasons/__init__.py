@@ -8,7 +8,6 @@ loop.
 """
 
 from .core import (
-    Clause,
     DecisionTree,
     DimensionError,
     InconsistentTermError,

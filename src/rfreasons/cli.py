@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 
 from . import dimacs, models
 from .core import (
-    Clause,
     DecisionTree,
     Instance,
     ModelFormatError,
@@ -453,10 +452,9 @@ def cmd_convert(args) -> int:
         text = fh.read()
     if args.source_format == "cnf":
         cnf = dimacs.read_dimacs(text)
-        clauses = [Clause(c) for c in cnf.clauses]
-        if not clauses:
+        if not cnf.clauses:
             raise CliError("refusing to convert an empty clause set")
-        forest = cnf_to_forest(clauses, cnf.var_count)
+        forest = cnf_to_forest(cnf.clauses, cnf.var_count)
     else:
         terms, var_count = dimacs.read_dnf(text)
         forest = dnf_to_forest(terms, var_count)

@@ -27,7 +27,7 @@ Instance = Sequence[int]
 
 
 # ---------------------------------------------------------------------------
-# literals, terms, clauses
+# literals and terms
 
 
 @dataclass(frozen=True, order=True)
@@ -104,9 +104,6 @@ class Term:
         """The full term t_x fixing every variable to its value in x."""
         return cls(Literal(i + 1, bool(v)) for i, v in enumerate(x))
 
-    def assignment(self) -> dict[int, bool]:
-        return {l.var: l.positive for l in self.literals}
-
     def to_array(self, var_count: int) -> list[bool | None]:
         """A list indexed by variable, None where free (slot 0 unused)."""
         array: list[bool | None] = [None] * (max([var_count, *self.variables()]) + 1)
@@ -151,45 +148,6 @@ class Term:
 
     def __contains__(self, l: Literal) -> bool:
         return l in self.literals
-
-    def __str__(self) -> str:
-        return self.render()
-
-
-@dataclass(frozen=True)
-class Clause:
-    """A disjunction of literals; complementary pairs make it tautological."""
-
-    literals: tuple[Literal, ...] = ()
-
-    def __init__(self, literals: Iterable[Literal | int] = ()):
-        object.__setattr__(self, "literals", _canonical(literals))
-
-    def is_tautological(self) -> bool:
-        by_var: dict[int, set[bool]] = {}
-        for l in self.literals:
-            by_var.setdefault(l.var, set()).add(l.positive)
-        return any(len(p) == 2 for p in by_var.values())
-
-    def satisfied_by(self, x: Instance) -> bool:
-        return any(l.holds_on(x) for l in self.literals)
-
-    def to_ints(self) -> tuple[int, ...]:
-        return tuple(l.to_int() for l in self.literals)
-
-    def variables(self) -> frozenset[int]:
-        return frozenset(l.var for l in self.literals)
-
-    def render(self, feature_names: Sequence[str] | None = None) -> str:
-        if not self.literals:
-            return "⊥"
-        return " ∨ ".join(l.render(feature_names) for l in self.literals)
-
-    def __iter__(self) -> Iterator[Literal]:
-        return iter(self.literals)
-
-    def __len__(self) -> int:
-        return len(self.literals)
 
     def __str__(self) -> str:
         return self.render()
@@ -258,11 +216,15 @@ class DecisionTree:
             if not isinstance(rec, dict):
                 raise ModelFormatError(f"expected a node record, got {rec!r}")
             if "leaf" in rec:
-                if rec["leaf"] not in (0, 1):
+                if type(rec["leaf"]) is not int or rec["leaf"] not in (0, 1):
                     raise ModelFormatError(f"leaf label must be 0 or 1, got {rec['leaf']!r}")
                 return b.leaf(rec["leaf"])
             try:
-                var = int(rec["var"])
+                var = rec["var"]
+                if type(var) is not int or var < 1:
+                    raise ModelFormatError(
+                        f"node variable must be a positive integer, got {var!r}"
+                    )
                 lo = build(rec["low"])
                 hi = build(rec["high"])
             except KeyError as e:
@@ -287,9 +249,6 @@ class DecisionTree:
         """Number of nodes, leaves included."""
         return len(self.nodes)
 
-    def is_leaf(self) -> bool:
-        return self.nodes[self.root][0] == 0
-
     def evaluate(self, x: Instance) -> int:
         if len(x) != self.var_count:
             raise DimensionError(
@@ -313,8 +272,9 @@ class DecisionTree:
         flipped.__dict__.update(var_count=self.var_count, nodes=nodes, root=self.root)
         return flipped
 
-    def paths(self) -> Iterator[tuple[tuple[Literal, ...], int]]:
-        """Yield (path literals, leaf label) for every root-to-leaf path."""
+    def paths(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Yield (path literals as signed ints, leaf label) for every
+        root-to-leaf path."""
         stack = [(self.root, ())]
         while stack:
             i, lits = stack.pop()
@@ -322,8 +282,8 @@ class DecisionTree:
             if var == 0:
                 yield lits, lo
             else:
-                stack.append((hi, lits + (Literal(var, True),)))
-                stack.append((lo, lits + (Literal(var, False),)))
+                stack.append((hi, lits + (var,)))
+                stack.append((lo, lits + (-var,)))
 
     def path_term(self, x: Instance) -> Term:
         """The term of the unique root-to-leaf path compatible with x."""
@@ -339,20 +299,19 @@ class DecisionTree:
             var, lo, hi = self.nodes[hi if value else lo]
         return Term(lits)
 
-    def cnf_clauses(self) -> tuple[Clause, ...]:
-        """One clause per 0-path (the negation of the path term).
+    def cnf_clauses(self) -> tuple[tuple[int, ...], ...]:
+        """One signed-int clause per 0-path (the negation of the path
+        term), its literals in ascending variable order.
 
-        The conjunction of the clauses is equivalent to the tree.
-        Tautological clauses cannot arise from a read-once tree but are
-        filtered anyway.
+        The conjunction of the clauses is equivalent to the tree; a
+        read-once path mentions each variable once, so no clause is
+        tautological.
         """
-        clauses = []
-        for lits, label in self.paths():
-            if label == 0:
-                c = Clause(l.complement() for l in lits)
-                if not c.is_tautological():
-                    clauses.append(c)
-        return tuple(clauses)
+        return tuple(
+            tuple(sorted((-l for l in lits), key=abs))
+            for lits, label in self.paths()
+            if label == 0
+        )
 
     def dnf_terms(self) -> tuple[Term, ...]:
         """One term per 1-path; their disjunction is equivalent to the tree."""
@@ -388,10 +347,10 @@ class DecisionTree:
         Leaves are weighted by 2^(number of free variables left off the
         path); integer arithmetic throughout.
         """
-        assign = term.assignment()
-        if assign and max(assign) > self.var_count:
+        assign = term.to_array(self.var_count)
+        if len(assign) > self.var_count + 1:
             raise DimensionError("term mentions a variable beyond the tree's range")
-        free_total = self.var_count - len(assign)
+        free_total = self.var_count - len(term)
         total = 0
         stack = [(self.root, 0)]
         while stack:
@@ -401,7 +360,7 @@ class DecisionTree:
                 if lo == 1:
                     total += 1 << (free_total - branched_free)
                 continue
-            fixed = assign.get(var)
+            fixed = assign[var]
             if fixed is None:
                 stack.append((lo, branched_free + 1))
                 stack.append((hi, branched_free + 1))
@@ -429,23 +388,27 @@ class _TreeBuilder:
         return DecisionTree(self.var_count, tuple(self.nodes), root)
 
 
-def clause_to_tree(clause: Clause, var_count: int) -> DecisionTree:
-    """Linear-size tree equivalent to the clause.
+def clause_to_tree(clause: Iterable[int], var_count: int) -> DecisionTree:
+    """Linear-size tree equivalent to a clause of signed-int literals.
 
     The empty clause yields the constant-0 tree and a tautological clause
-    the constant-1 tree.  Literals are consumed in canonical order, each
-    adding one decision node whose satisfied branch is a 1-leaf.
+    the constant-1 tree.  Duplicate literals collapse, and the rest are
+    consumed in ascending variable order, each adding one decision node
+    whose satisfied branch is a 1-leaf.
     """
-    if clause.is_tautological():
+    lits = set(clause)
+    if 0 in lits:
+        raise ValueError("0 is not a literal")
+    if any(-l in lits for l in lits):
         return DecisionTree.leaf(1, var_count)
     b = _TreeBuilder(var_count)
     current = b.leaf(0)
-    for lit in reversed(clause.literals):
+    for lit in sorted(lits, key=abs, reverse=True):
         one = b.leaf(1)
-        if lit.positive:
-            current = b.node(lit.var, current, one)
+        if lit > 0:
+            current = b.node(lit, current, one)
         else:
-            current = b.node(lit.var, one, current)
+            current = b.node(-lit, one, current)
     return b.finish(current)
 
 
@@ -541,9 +504,11 @@ def normalize(model: Model, x: Instance) -> Model:
 
 
 def cnf_to_forest(
-    clauses: Sequence[Clause], var_count: int, feature_names: Sequence[str] | None = None
+    clauses: Sequence[Sequence[int]],
+    var_count: int,
+    feature_names: Sequence[str] | None = None,
 ) -> RandomForest:
-    """Forest equivalent to the conjunction of p >= 1 clauses.
+    """Forest equivalent to the conjunction of p >= 1 signed-int clauses.
 
     Uses 2p-1 trees: one per clause plus p-1 constant-0 trees, so the
     majority passes exactly when every clause tree accepts.
@@ -566,5 +531,5 @@ def dnf_to_forest(
     """
     if not terms:
         return RandomForest([DecisionTree.leaf(0, var_count)], feature_names)
-    negated = [Clause(l.complement() for l in t) for t in terms]
+    negated = [[-l for l in t.to_ints()] for t in terms]
     return cnf_to_forest(negated, var_count, feature_names).negated()

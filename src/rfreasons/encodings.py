@@ -112,7 +112,7 @@ def implicant_test_cnf(forest: RandomForest) -> ImplicantCnf:
     clauses: list[tuple[int, ...]] = []
     for y, tree in zip(selectors, forest.trees):
         for clause in tree.negated().cnf_clauses():
-            clauses.append((-y,) + clause.to_ints())
+            clauses.append((-y,) + clause)
     clauses.extend(at_least(selectors, m - forest.majority + 1, alloc))
     return ImplicantCnf(CnfInstance(alloc.top, clauses), n, selectors)
 
@@ -131,7 +131,3 @@ class WeightedCnf:
             for lit in clause:
                 if abs(lit) > self.hard.var_count:
                     raise ValueError("soft literal beyond declared variables")
-
-    @property
-    def total_soft_weight(self) -> int:
-        return sum(w for _, w in self.soft)

@@ -48,7 +48,9 @@ def forest_to_document(forest: RandomForest) -> dict:
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
         "var_count": forest.var_count,
-        "feature_names": list(forest.feature_names) if forest.feature_names else None,
+        "feature_names": (
+            None if forest.feature_names is None else list(forest.feature_names)
+        ),
         "trees": [t.to_nested() for t in forest.trees],
     }
 
@@ -63,19 +65,30 @@ def document_to_forest(doc: dict) -> RandomForest:
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format_version {version!r}")
     try:
-        var_count = int(doc["var_count"])
+        var_count = doc["var_count"]
         trees_doc = doc["trees"]
     except KeyError as e:
         raise ModelFormatError(f"model document missing {e.args[0]!r}") from None
+    if type(var_count) is not int:
+        raise ModelFormatError(f"'var_count' must be an integer, got {var_count!r}")
     if not isinstance(trees_doc, list) or not trees_doc:
         raise ModelFormatError("model document needs a non-empty 'trees' list")
-    trees = [DecisionTree.from_nested(t, var_count) for t in trees_doc]
     names = doc.get("feature_names")
+    if names is not None and not (
+        isinstance(names, list) and all(isinstance(n, str) for n in names)
+    ):
+        raise ModelFormatError("'feature_names' must be a list of strings or null")
+    trees = [DecisionTree.from_nested(t, var_count) for t in trees_doc]
     return RandomForest(trees, names)
 
 
 def dump_forest(forest: RandomForest, target: str | IO[str]) -> None:
-    text = json.dumps(forest_to_document(forest), indent=2) + "\n"
+    """Write a model file; trees too deep to serialize (and so to load
+    back) raise ModelFormatError before anything is written."""
+    try:
+        text = json.dumps(forest_to_document(forest), indent=2) + "\n"
+    except RecursionError:
+        raise ModelFormatError("trees nest too deeply to write") from None
     if hasattr(target, "write"):
         target.write(text)
     else:

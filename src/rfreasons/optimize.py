@@ -97,7 +97,7 @@ def majority_wcnf(
     hard: list[tuple[int, ...]] = []
     for y, tree in zip(selectors, forest.trees):
         for clause in tree.cnf_clauses():
-            restricted = tuple(l for l in clause.to_ints() if l in instance_lits)
+            restricted = tuple(l for l in clause if l in instance_lits)
             hard.append((-y,) + restricted)  # empty restriction forces -y
     hard.extend(at_least(selectors, forest.majority, alloc))
     soft = tuple(
@@ -230,15 +230,13 @@ def build_hitting_instance(tree: DecisionTree, x: Instance) -> HittingSetInstanc
     if tree.evaluate(x) != 1:
         raise NotAnImplicantError("tree must classify the instance positively")
     full = Term.of_instance(x)
-    members = set(full)
-    sets = []
-    for lits, label in tree.paths():
-        if label == 0:
-            contradicting = frozenset(
-                l.complement() for l in lits if l.complement() in members
-            )
-            sets.append(contradicting)
-    return HittingSetInstance(full.literals, tuple(sets))
+    members = set(full.to_ints())
+    sets = tuple(
+        frozenset(Literal.from_int(-l) for l in lits if -l in members)
+        for lits, label in tree.paths()
+        if label == 0
+    )
+    return HittingSetInstance(full.literals, sets)
 
 
 def approx_minimal_reason_dt(tree: DecisionTree, x: Instance) -> Reason:

@@ -52,14 +52,6 @@ class SolveOutcome:
     status: SolveStatus
     model: tuple[bool, ...] | None = None
 
-    def value(self, var: int) -> bool:
-        if self.model is None:
-            raise ValueError("no model available")
-        return self.model[var - 1]
-
-    def satisfies(self, lit: int) -> bool:
-        return self.value(abs(lit)) == (lit > 0)
-
 
 @dataclass(frozen=True)
 class CnfInstance:
@@ -155,8 +147,8 @@ class SatSolver:
         self._heap: list[tuple[float, int]] = []
         if cnf is not None:
             self.ensure_vars(cnf.var_count)
-            for c in cnf.clauses:
-                self.add_clause(c)
+            for c in cnf.clauses:  # already normalized and in range
+                self._attach(c)
 
     # -- variable and clause management ------------------------------------
 
@@ -185,6 +177,12 @@ class SatSolver:
         for lit in norm:
             if abs(lit) > self.var_count:
                 raise ValueError(f"literal {lit} beyond declared variables")
+        return self._attach(norm)
+
+    def _attach(self, norm: tuple[int, ...]) -> bool:
+        """add_clause after normalization and the range check."""
+        if self._unsat:
+            return False
         assert not self._trail_lim, "clauses must be added at decision level 0"
         lits = [l for l in norm if self._value(l) != -1 or self._level[abs(l)] > 0]
         if any(self._value(l) == 1 and self._level[abs(l)] == 0 for l in norm):

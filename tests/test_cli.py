@@ -297,6 +297,18 @@ class TestConvertAndNegate:
         for x in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             assert forest.evaluate(x) == (1 if x[0] and not x[1] else 0)
 
+    @pytest.mark.parametrize("fmt", ["cnf", "dnf"])
+    def test_too_deep_output_is_refused(self, capsys, tmp_path, fmt):
+        width = 1500
+        source = tmp_path / f"wide.{fmt}"
+        source.write_text(
+            f"p {fmt} {width} 1\n" + " ".join(map(str, range(1, width + 1))) + " 0\n"
+        )
+        out_model = tmp_path / "wide.json"
+        code, _, err = run(capsys, "convert", str(source), "--from", fmt, "-o", str(out_model))
+        assert code == 1 and "too deeply" in err
+        assert not out_model.exists()
+
     def test_double_negation_predictions(self, capsys, model_file, instances_file, tmp_path):
         once = tmp_path / "neg.json"
         twice = tmp_path / "negneg.json"

@@ -2,9 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfreasons.core import (
-    Clause,
     DecisionTree,
     DimensionError,
     InconsistentTermError,
@@ -24,6 +25,22 @@ from generators import random_forest, random_tree
 
 def all_assignments(n):
     return itertools.product((0, 1), repeat=n)
+
+
+def satisfies(x, clause):
+    return any(bool(x[abs(l) - 1]) == (l > 0) for l in clause)
+
+
+@st.composite
+def int_clauses(draw, max_clauses=1):
+    """(n, clauses): signed-int clauses over x1..xn with duplicates, any
+    literal order, tautologies and the empty clause all allowed."""
+    n = draw(st.integers(1, 6))
+    literal = st.integers(-n, n).filter(bool)
+    clauses = draw(
+        st.lists(st.lists(literal, max_size=2 * n), min_size=1, max_size=max_clauses)
+    )
+    return n, clauses
 
 
 class TestLiteralsTermsClauses:
@@ -54,10 +71,6 @@ class TestLiteralsTermsClauses:
         assert t.to_ints() == (1, -2, 3)
         assert t.covers((1, 0, 1))
         assert not t.covers((1, 1, 1))
-
-    def test_clause_tautology_flag(self):
-        assert Clause([Literal(1), Literal(1, False)]).is_tautological()
-        assert not Clause([Literal(1), Literal(2, False)]).is_tautological()
 
     def test_render(self):
         t = Term([Literal(1), Literal(4, False)])
@@ -177,13 +190,13 @@ class TestNegation:
 class TestClausalViews:
     def test_cnf_of_golden_tree(self, orchid):
         t2 = orchid.trees[1]
-        got = {c.to_ints() for c in t2.cnf_clauses()}
+        got = set(t2.cnf_clauses())
         assert got == {(1, 2), (-1, 2, 4)}
 
     def test_cnf_of_leaves(self):
         assert DecisionTree.leaf(1, 2).cnf_clauses() == ()
         clauses = DecisionTree.leaf(0, 2).cnf_clauses()
-        assert len(clauses) == 1 and len(clauses[0]) == 0
+        assert clauses == ((),)
 
     def test_dnf_of_golden_tree(self, orchid):
         t2 = orchid.trees[1]
@@ -203,43 +216,63 @@ class TestClausalViews:
             for x in all_assignments(n):
                 expect = tree.evaluate(x)
                 assert expect == (1 if any(t.covers(x) for t in dnf) else 0)
-                assert expect == (1 if all(c.satisfied_by(x) for c in cnf) else 0)
+                assert expect == (1 if all(satisfies(x, c) for c in cnf) else 0)
+                assert all(list(c) == sorted(c, key=abs) for c in cnf)
 
 
 class TestClauseToTree:
     def test_empty_clause(self):
-        assert clause_to_tree(Clause(), 2).evaluate((1, 1)) == 0
+        assert clause_to_tree((), 2).evaluate((1, 1)) == 0
 
     def test_tautology(self):
-        t = clause_to_tree(Clause([Literal(1), Literal(1, False)]), 2)
+        t = clause_to_tree((1, -1), 2)
         assert all(t.evaluate(x) == 1 for x in all_assignments(2))
 
     def test_two_literal_clause(self):
-        t = clause_to_tree(Clause([Literal(1), Literal(2)]), 2)
+        t = clause_to_tree((1, 2), 2)
         assert sum(1 for var, _, _ in t.nodes if var) == 2
         assert all(t.evaluate(x) == (1 if x[0] or x[1] else 0) for x in all_assignments(2))
 
     def test_size_linear_in_clause(self):
-        c = Clause([Literal(v, v % 2 == 0) for v in range(1, 9)])
-        t = clause_to_tree(c, 8)
+        t = clause_to_tree([v if v % 2 == 0 else -v for v in range(1, 9)], 8)
         assert sum(1 for var, _, _ in t.nodes if var) == 8
+
+    def test_zero_is_not_a_literal(self):
+        with pytest.raises(ValueError):
+            clause_to_tree((1, 0), 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_clauses())
+    def test_agrees_with_clause_on_every_assignment(self, case):
+        n, (clause,) = case
+        t = clause_to_tree(clause, n)
+        assert all(t.evaluate(x) == satisfies(x, clause) for x in all_assignments(n))
 
 
 class TestCnfDnfToForest:
     def test_single_clause(self):
-        f = cnf_to_forest([Clause([Literal(1), Literal(2)])], 2)
+        f = cnf_to_forest([(1, 2)], 2)
         assert f.tree_count == 1
         assert all(f.evaluate(x) == (1 if x[0] or x[1] else 0) for x in all_assignments(2))
 
     def test_two_clauses_equiv_x2(self):
-        f = cnf_to_forest([Clause([Literal(1), Literal(2)]),
-                           Clause([Literal(1, False), Literal(2)])], 2)
+        f = cnf_to_forest([(1, 2), (-1, 2)], 2)
         assert f.tree_count == 3
         assert all(f.evaluate(x) == x[1] for x in all_assignments(2))
 
     def test_empty_clause_constant_zero(self):
-        f = cnf_to_forest([Clause()], 2)
+        f = cnf_to_forest([()], 2)
         assert all(f.evaluate(x) == 0 for x in all_assignments(2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(int_clauses(max_clauses=5))
+    def test_cnf_matches_brute_truth_table(self, case):
+        n, clauses = case
+        f = cnf_to_forest(clauses, n)
+        table = brute.truth_table_forest(f)
+        for i in range(1 << n):
+            x = [(i >> (v - 1)) & 1 for v in range(1, n + 1)]
+            assert table[i] == all(satisfies(x, c) for c in clauses)
 
     def test_requires_a_clause(self):
         with pytest.raises(ValueError):

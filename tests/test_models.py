@@ -1,8 +1,11 @@
 import io
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rfreasons.core import DecisionTree, ModelFormatError, RandomForest
+from rfreasons.core import DecisionTree, ModelFormatError, RandomForest, Term
 from rfreasons.models import (
     InstanceFormatError,
     StatsRow,
@@ -16,6 +19,60 @@ from rfreasons.models import (
 )
 
 
+def model_document(**fields):
+    doc = {
+        "format": "rfreasons-forest",
+        "format_version": 1,
+        "var_count": 2,
+        "feature_names": None,
+        "trees": [{"var": 1, "low": {"leaf": 0}, "high": {"leaf": 1}}],
+    }
+    doc.update(fields)
+    return doc
+
+
+# Integers stay small so that a loaded forest's instances can be built.
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 5)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def valid_or_any(valid):
+    return valid | json_values
+
+
+node_records = st.recursive(
+    st.fixed_dictionaries({"leaf": valid_or_any(st.sampled_from([0, 1]))}),
+    lambda inner: st.fixed_dictionaries(
+        {
+            "var": valid_or_any(st.integers(1, 4)),
+            "low": valid_or_any(inner),
+            "high": valid_or_any(inner),
+        }
+    ),
+    max_leaves=6,
+)
+
+model_documents = st.fixed_dictionaries(
+    {
+        "format_version": valid_or_any(st.just(1)),
+        "var_count": valid_or_any(st.integers(0, 4)),
+        "trees": valid_or_any(st.lists(valid_or_any(node_records), min_size=1, max_size=3)),
+    },
+    optional={
+        "format": valid_or_any(st.just("rfreasons-forest")),
+        "feature_names": valid_or_any(st.lists(st.text(max_size=3), max_size=4)),
+    },
+)
+
+
 class TestModelFiles:
     def test_round_trip(self, orchid, tmp_path):
         path = tmp_path / "model.json"
@@ -24,6 +81,12 @@ class TestModelFiles:
         assert again == orchid
         # parse -> serialize -> parse is structurally stable
         assert forest_to_document(again) == forest_to_document(orchid)
+
+    def test_empty_feature_names_survive(self):
+        forest = RandomForest([DecisionTree.leaf(1, 0)], [])
+        out = io.StringIO()
+        dump_forest(forest, out)
+        assert load_forest(io.StringIO(out.getvalue())).feature_names == ()
 
     def test_feature_names_survive(self, tmp_path):
         forest = RandomForest(
@@ -52,6 +115,43 @@ class TestModelFiles:
             document_to_forest({"format": "something-else", "format_version": 1})
         with pytest.raises(ModelFormatError):
             document_to_forest({"format": "rfreasons-forest", "format_version": 99})
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"var_count": None},
+            {"var_count": True},
+            {"var_count": "2"},
+            {"feature_names": 5},
+            {"feature_names": [1, 2]},
+            {"feature_names": "ab"},
+            {"trees": [{"var": None, "low": {"leaf": 0}, "high": {"leaf": 1}}]},
+            {"trees": [{"var": 1.5, "low": {"leaf": 0}, "high": {"leaf": 1}}]},
+            {"trees": [{"var": True, "low": {"leaf": 0}, "high": {"leaf": 1}}]},
+            {"trees": [{"var": -1, "low": {"leaf": 0}, "high": {"leaf": 1}}]},
+            {"trees": [{"leaf": True}]},
+            {"trees": [{"leaf": 1.0}]},
+        ],
+    )
+    def test_malformed_field_types_refused(self, fields):
+        with pytest.raises(ModelFormatError):
+            document_to_forest(model_document(**fields))
+
+    @settings(max_examples=300, deadline=None)
+    @given(model_documents)
+    def test_any_field_value_loads_or_is_refused(self, doc):
+        text = json.dumps(doc)
+        try:
+            forest = load_forest(io.StringIO(text))
+        except ModelFormatError:
+            return
+        n = forest.var_count
+        for x in ((0,) * n, (1,) * n):
+            assert forest.evaluate(x) in (0, 1)
+            Term.of_instance(x).render(forest.feature_names)
+        out = io.StringIO()
+        dump_forest(forest, out)
+        assert load_forest(io.StringIO(out.getvalue())) == forest
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rfreasons.core import Clause, DecisionTree, Literal, RandomForest, Term, clause_to_tree
+from rfreasons.core import DecisionTree, Literal, RandomForest, Term, clause_to_tree
 from rfreasons.explain import MajorityOracle, NotAnImplicantError
 from rfreasons.solver import Deadline
 from rfreasons.optimize import (
@@ -122,7 +122,7 @@ class TestMinimalSufficientDt:
         assert r.term == term_of(2) and r.optimal
 
     def test_clause_tree(self):
-        tree = clause_to_tree(Clause([Literal(1), Literal(2)]), 2)
+        tree = clause_to_tree((1, 2), 2)
         r = minimal_sufficient_reason_dt(tree, (1, 1))
         assert r.size == 1 and r.term in {term_of(1), term_of(2)}
 
@@ -142,7 +142,7 @@ class TestMinimalSufficientDt:
 
 class TestHittingInstance:
     def test_clause_tree_instance(self):
-        tree = clause_to_tree(Clause([Literal(1), Literal(2)]), 2)
+        tree = clause_to_tree((1, 2), 2)
         inst = build_hitting_instance(tree, (1, 1))
         assert set(inst.universe) == {Literal(1), Literal(2)}
         assert inst.sets == (frozenset({Literal(1), Literal(2)}),)
@@ -177,7 +177,7 @@ class TestHittingInstance:
 
 class TestGreedyCoverApproximation:
     def test_clause_tree(self):
-        tree = clause_to_tree(Clause([Literal(1), Literal(2)]), 2)
+        tree = clause_to_tree((1, 2), 2)
         r = approx_minimal_reason_dt(tree, (1, 1))
         assert r.size == 1
 
@@ -190,7 +190,7 @@ class TestGreedyCoverApproximation:
         assert r.extras["max_adjacency"] == 0
 
     def test_max_adjacency_counts_shared_sets(self):
-        tree = clause_to_tree(Clause([Literal(1), Literal(2)]), 2)
+        tree = clause_to_tree((1, 2), 2)
         r = approx_minimal_reason_dt(tree, (1, 1))
         assert r.extras["max_adjacency"] == 1
 
@@ -219,7 +219,7 @@ class TestWcnfConstruction:
 
     def test_selector_forced_off_when_clause_vanishes(self):
         # a tree demanding x1=0 cannot be implied from within t_x with x1=1
-        tree = clause_to_tree(Clause([Literal(1, False)]), 2)
+        tree = clause_to_tree((-1,), 2)
         forest = RandomForest([tree, DecisionTree.leaf(1, 2), DecisionTree.leaf(1, 2)])
         x = (1, 1)
         problem = majority_wcnf(forest, x)

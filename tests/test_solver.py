@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfreasons.solver import CnfInstance, Deadline, SatSolver, SolveStatus
 
@@ -79,6 +81,33 @@ class TestSolve:
                 CnfInstance(n, list(cnf.clauses) + [(a,) for a in assumed])
             ).solve()
             assert with_assumptions.status == as_units.status
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_loaded_and_added_clauses_agree(self, data):
+        # SatSolver(cnf) attaches CnfInstance's normalized clauses directly;
+        # add_clause normalizes raw ones itself.  Both must build the same
+        # solver: same statuses and models, and those right by brute force.
+        n = data.draw(st.integers(1, 6))
+        literal = st.integers(-n, n).filter(bool)
+        raw = data.draw(st.lists(st.lists(literal, max_size=4), max_size=12))
+        loaded = SatSolver(CnfInstance(n, raw))
+        fed = SatSolver()
+        fed.ensure_vars(n)
+        for clause in raw:
+            fed.add_clause(clause)
+        for _ in range(3):
+            assumed = data.draw(st.lists(literal, max_size=3))
+            constraints = raw + [[a] for a in assumed]
+            satisfied = lambda x: all(
+                any(x[abs(l) - 1] == (l > 0) for l in c) for c in constraints
+            )
+            expect = any(map(satisfied, itertools.product((False, True), repeat=n)))
+            first = loaded.solve(assumptions=assumed)
+            second = fed.solve(assumptions=assumed)
+            assert first == second
+            assert first.status is (SolveStatus.SAT if expect else SolveStatus.UNSAT)
+            assert first.model is None or satisfied(first.model)
 
     def test_incremental_clause_addition(self):
         s = SatSolver(CnfInstance(3, [(1, 2)]))
