@@ -11,7 +11,6 @@ from .core import (
     DecisionTree,
     DimensionError,
     InconsistentTermError,
-    Literal,
     ModelFormatError,
     RandomForest,
     Term,

@@ -365,7 +365,7 @@ def reason_record(reason: Reason, forest: RandomForest) -> dict:
     return {
         "kind": reason.kind.value,
         "prediction": reason.extras.get("prediction"),
-        "literals": list(reason.term.to_ints()),
+        "literals": list(reason.term),
         "rendered": reason.render(forest.feature_names),
         "size": reason.size,
         "cost": reason.cost,

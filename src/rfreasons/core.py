@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TypeVar
 
+from .solver import check_literal
+
 
 class DimensionError(ValueError):
     """Instance length does not match the model's variable count."""
@@ -27,127 +29,76 @@ Instance = Sequence[int]
 
 
 # ---------------------------------------------------------------------------
-# literals and terms
-
-
-@dataclass(frozen=True, order=True)
-class Literal:
-    """A variable x_var or its negation, with 1-based variable index."""
-
-    var: int
-    positive: bool = True
-
-    def __post_init__(self):
-        if self.var < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.var}")
-
-    def complement(self) -> "Literal":
-        return Literal(self.var, not self.positive)
-
-    __neg__ = complement
-
-    def to_int(self) -> int:
-        """Signed integer form (DIMACS convention)."""
-        return self.var if self.positive else -self.var
-
-    @classmethod
-    def from_int(cls, lit: int) -> "Literal":
-        if lit == 0:
-            raise ValueError("0 is not a literal")
-        return cls(abs(lit), lit > 0)
-
-    def holds_on(self, x: Instance) -> bool:
-        return bool(x[self.var - 1]) == self.positive
-
-    def render(self, feature_names: Sequence[str] | None = None) -> str:
-        name = (
-            feature_names[self.var - 1]
-            if feature_names is not None
-            else f"x{self.var}"
-        )
-        return name if self.positive else f"¬{name}"
-
-    def __str__(self) -> str:
-        return self.render()
-
-
-def _canonical(literals: Iterable[Literal | int]) -> tuple[Literal, ...]:
-    out = {}
-    for l in literals:
-        if isinstance(l, int):
-            l = Literal.from_int(l)
-        out.setdefault((l.var, l.positive), l)
-    return tuple(sorted(out.values(), key=lambda l: (l.var, not l.positive)))
+# terms
 
 
 @dataclass(frozen=True)
 class Term:
-    """A consistent conjunction of literals, canonically sorted by variable.
+    """A consistent conjunction of signed-int literals (DIMACS convention),
+    sorted by variable.
 
     Terms double as partial assignments and, when they mention every
     variable, as instances.  Equality is structural.
     """
 
-    literals: tuple[Literal, ...] = ()
+    literals: tuple[int, ...] = ()
 
-    def __init__(self, literals: Iterable[Literal | int] = ()):
-        lits = _canonical(literals)
-        seen = set()
-        for l in lits:
-            if l.var in seen:
-                raise InconsistentTermError(f"x{l.var} occurs with both polarities")
-            seen.add(l.var)
-        object.__setattr__(self, "literals", lits)
+    def __init__(self, literals: Iterable[int] = ()):
+        lits = sorted({check_literal(l) for l in literals}, key=abs)
+        for a, b in zip(lits, lits[1:]):
+            if a == -b:
+                raise InconsistentTermError(f"x{abs(a)} occurs with both polarities")
+        object.__setattr__(self, "literals", tuple(lits))
 
     @classmethod
     def of_instance(cls, x: Instance) -> "Term":
         """The full term t_x fixing every variable to its value in x."""
-        return cls(Literal(i + 1, bool(v)) for i, v in enumerate(x))
+        return cls(v if b else -v for v, b in enumerate(x, 1))
 
     def to_array(self, var_count: int) -> list[bool | None]:
         """A list indexed by variable, None where free (slot 0 unused)."""
         array: list[bool | None] = [None] * (max([var_count, *self.variables()]) + 1)
         for l in self.literals:
-            array[l.var] = l.positive
+            array[abs(l)] = l > 0
         return array
 
     @classmethod
     def from_array(cls, array: Sequence[bool | None]) -> "Term":
         """Inverse of to_array."""
-        return cls(Literal(v, b) for v, b in enumerate(array) if b is not None)
+        return cls(v if b else -v for v, b in enumerate(array) if b is not None)
 
     def variables(self) -> frozenset[int]:
-        return frozenset(l.var for l in self.literals)
-
-    def without(self, var: int) -> "Term":
-        return Term(l for l in self.literals if l.var != var)
+        return frozenset(abs(l) for l in self.literals)
 
     def restrict_to(self, variables: Iterable[int]) -> "Term":
         keep = set(variables)
-        return Term(l for l in self.literals if l.var in keep)
+        return Term(l for l in self.literals if abs(l) in keep)
 
     def covers(self, x: Instance) -> bool:
-        return all(l.holds_on(x) for l in self.literals)
-
-    def issubset(self, other: "Term") -> bool:
-        return set(self.literals) <= set(other.literals)
+        """Does x satisfy every literal?  False when the term mentions a
+        variable beyond x."""
+        return all(
+            abs(l) <= len(x) and bool(x[abs(l) - 1]) == (l > 0) for l in self.literals
+        )
 
     def to_ints(self) -> tuple[int, ...]:
-        return tuple(l.to_int() for l in self.literals)
+        """The literals; the benchmark harness reads reasons through this."""
+        return self.literals
 
     def render(self, feature_names: Sequence[str] | None = None) -> str:
         if not self.literals:
             return "⊤"
-        return " ∧ ".join(l.render(feature_names) for l in self.literals)
 
-    def __iter__(self) -> Iterator[Literal]:
+        def name(var: int) -> str:
+            return feature_names[var - 1] if feature_names is not None else f"x{var}"
+
+        return " ∧ ".join(name(l) if l > 0 else f"¬{name(-l)}" for l in self.literals)
+
+    def __iter__(self) -> Iterator[int]:
         return iter(self.literals)
 
     def __len__(self) -> int:
         return len(self.literals)
-
-    def __contains__(self, l: Literal) -> bool:
-        return l in self.literals
 
     def __str__(self) -> str:
         return self.render()
@@ -189,9 +140,9 @@ class DecisionTree:
                 if lo not in (0, 1) or lo != hi:
                     raise ModelFormatError(f"bad leaf {self.nodes[i]!r}")
                 continue
-            if var > self.var_count:
+            if not 0 < var <= self.var_count:
                 raise ModelFormatError(
-                    f"node tests x{var} but the tree has {self.var_count} variables"
+                    f"node tests variable {var} but the tree has {self.var_count} variables"
                 )
             if var in on_path:
                 raise ModelFormatError(f"x{var} repeats on a root-to-leaf path")
@@ -295,7 +246,7 @@ class DecisionTree:
         var, lo, hi = self.nodes[self.root]
         while var:
             value = bool(x[var - 1])
-            lits.append(Literal(var, value))
+            lits.append(var if value else -var)
             var, lo, hi = self.nodes[hi if value else lo]
         return Term(lits)
 
@@ -396,9 +347,7 @@ def clause_to_tree(clause: Iterable[int], var_count: int) -> DecisionTree:
     consumed in ascending variable order, each adding one decision node
     whose satisfied branch is a 1-leaf.
     """
-    lits = set(clause)
-    if 0 in lits:
-        raise ValueError("0 is not a literal")
+    lits = {check_literal(l) for l in clause}
     if any(-l in lits for l in lits):
         return DecisionTree.leaf(1, var_count)
     b = _TreeBuilder(var_count)
@@ -531,5 +480,5 @@ def dnf_to_forest(
     """
     if not terms:
         return RandomForest([DecisionTree.leaf(0, var_count)], feature_names)
-    negated = [[-l for l in t.to_ints()] for t in terms]
+    negated = [[-l for l in t] for t in terms]
     return cnf_to_forest(negated, var_count, feature_names).negated()

@@ -21,10 +21,11 @@ class DimacsError(ValueError):
         self.line_no = line_no
 
 
-def _clause_lines(lines: Iterable[str], start_at: int, var_count: int, weighted: bool):
+def _clause_lines(lines: Iterable[str], var_count: int, weighted: bool):
     """Yield (line_no, weight or None, literals) for clause body lines."""
     pending: list[int] = []
     weight = None
+    opened_at = 0  # line of the open record's first token
     for line_no, raw in lines:
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
@@ -34,11 +35,13 @@ def _clause_lines(lines: Iterable[str], start_at: int, var_count: int, weighted:
                 value = int(tok)
             except ValueError:
                 raise DimacsError(line_no, f"expected an integer, got {tok!r}") from None
-            if weighted and weight is None and not pending:
-                if value < 1:
-                    raise DimacsError(line_no, f"clause weight must be positive, got {value}")
-                weight = value
-                continue
+            if not pending and weight is None:
+                opened_at = line_no
+                if weighted:
+                    if value < 1:
+                        raise DimacsError(line_no, f"clause weight must be positive, got {value}")
+                    weight = value
+                    continue
             if value == 0:
                 yield line_no, weight, pending
                 pending = []
@@ -50,7 +53,7 @@ def _clause_lines(lines: Iterable[str], start_at: int, var_count: int, weighted:
                     )
                 pending.append(value)
     if pending or weight is not None:
-        raise DimacsError(start_at, "unterminated clause at end of input")
+        raise DimacsError(opened_at, "unterminated clause at end of input")
 
 
 def _read_lines(source: str | IO[str]) -> list[str]:
@@ -83,11 +86,14 @@ def _read_records(
         break
     if header is None:
         raise DimacsError(len(lines) or 1, f"missing 'p {fmt}' header")
+    for field, value in zip(fields, header):
+        if value < 0:
+            raise DimacsError(i, f"header <{field}> must be non-negative, got {value}")
     var_count, declared = header[0], header[1]
     records = [
         (line_no, weight, tuple(lits))
         for line_no, weight, lits in _clause_lines(
-            enumerate(lines[i:], i + 1), i, var_count, weighted
+            enumerate(lines[i:], i + 1), var_count, weighted
         )
     ]
     if len(records) != declared:

@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import DecisionTree, Instance, Literal, RandomForest, Term, normalize
+from .core import DecisionTree, Instance, RandomForest, Term, normalize
 from .encodings import implicant_test_cnf
 from .solver import Deadline, SatSolver, SolveStatus
 
@@ -178,9 +178,7 @@ class ForestSatOracle(ImplicantOracle):
         self.deadline = deadline
 
     def accepts(self, term: Term) -> bool:
-        outcome = self.session.solve(
-            assumptions=term.to_ints(), deadline=self.deadline
-        )
+        outcome = self.session.solve(assumptions=term.literals, deadline=self.deadline)
         if outcome.status is SolveStatus.TIMEOUT:
             self.timed_out = True
         return outcome.status is SolveStatus.UNSAT
@@ -331,7 +329,7 @@ def direct_reason(forest: RandomForest, x: Instance) -> Reason:
     with the vote on x; linear in the size of the forest."""
     start = time.monotonic()
     prediction = forest.evaluate(x)
-    lits: set[Literal] = set()
+    lits: set[int] = set()
     for tree in forest.trees:
         if tree.evaluate(x) == prediction:
             lits.update(tree.path_term(x))
@@ -508,8 +506,8 @@ class Prioritization:
         """Strict preference: t beats other on the first stratum where
         their projections differ, by strict inclusion."""
         for stratum in self.full_strata(var_count):
-            a = frozenset(l for l in t if l.var in stratum)
-            b = frozenset(l for l in other if l.var in stratum)
+            a = frozenset(l for l in t if abs(l) in stratum)
+            b = frozenset(l for l in other if abs(l) in stratum)
             if a == b:
                 continue
             return a < b
@@ -599,7 +597,7 @@ def lime_linear_reason(model: LinearModel, x: Instance) -> Reason:
     if fallback is not None:
         term = Term.of_instance(x)
     else:
-        term = Term(Literal(v, True) for v in picked)
+        term = Term(picked)
     return Reason(
         term,
         ReasonKind.LIME,

@@ -62,7 +62,7 @@ def document_to_forest(doc: dict) -> RandomForest:
     if fmt != MODEL_FORMAT:
         raise ModelFormatError(f"unknown model format {fmt!r}")
     version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format_version {version!r}")
     try:
         var_count = doc["var_count"]

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .core import DecisionTree, Instance, Literal, RandomForest, Term, normalize
+from .core import DecisionTree, Instance, RandomForest, Term, normalize
 from .encodings import VarAllocator, WeightedCnf, at_least
 from .explain import (
     ExplanationTimeout,
@@ -67,7 +67,7 @@ class WeightMap:
         return int(self.weights.get(var, 1))
 
     def of_term(self, term: Term) -> int:
-        return sum(self.of(l.var) for l in term)
+        return sum(self.of(abs(l)) for l in term)
 
 
 def majority_wcnf(
@@ -87,7 +87,8 @@ def majority_wcnf(
         raise NotAnImplicantError("forest must classify the instance positively")
     weights = weights or WeightMap()
     n = forest.var_count
-    instance_lits = set(Term.of_instance(x).to_ints())
+    instance = Term.of_instance(x).literals
+    instance_lits = set(instance)
     total = sum(weights.of(v) for v in range(1, n + 1))
     if total > MAX_TOTAL_WEIGHT:
         raise ValueError("total feature weight overflows the optimizer bound")
@@ -100,16 +101,12 @@ def majority_wcnf(
             restricted = tuple(l for l in clause if l in instance_lits)
             hard.append((-y,) + restricted)  # empty restriction forces -y
     hard.extend(at_least(selectors, forest.majority, alloc))
-    soft = tuple(
-        ((-lit,), weights.of(abs(lit))) for lit in sorted(instance_lits, key=abs)
-    )
+    soft = tuple(((-lit,), weights.of(abs(lit))) for lit in instance)
     return WeightedCnf(CnfInstance(alloc.top, hard), soft)
 
 
 def _intersect_with_model(x: Instance, model: Sequence[bool]) -> Term:
-    return Term(
-        l for l in Term.of_instance(x) if model[l.var - 1] == l.positive
-    )
+    return Term(l for l in Term.of_instance(x) if model[abs(l) - 1] == (l > 0))
 
 
 def _optimize(
@@ -210,8 +207,8 @@ class HittingSetInstance:
     tree exactly when it hits, for every 0-path, the set of instance
     literals contradicting that path."""
 
-    universe: tuple[Literal, ...]
-    sets: tuple[frozenset[Literal], ...]
+    universe: tuple[int, ...]
+    sets: tuple[frozenset[int], ...]
 
     def max_adjacency(self) -> int:
         """Largest number of elements sharing a set with some element."""
@@ -229,14 +226,14 @@ class HittingSetInstance:
 def build_hitting_instance(tree: DecisionTree, x: Instance) -> HittingSetInstance:
     if tree.evaluate(x) != 1:
         raise NotAnImplicantError("tree must classify the instance positively")
-    full = Term.of_instance(x)
-    members = set(full.to_ints())
+    universe = Term.of_instance(x).literals
+    members = set(universe)
     sets = tuple(
-        frozenset(Literal.from_int(-l) for l in lits if -l in members)
+        frozenset(-l for l in lits if -l in members)
         for lits, label in tree.paths()
         if label == 0
     )
-    return HittingSetInstance(full.literals, sets)
+    return HittingSetInstance(universe, sets)
 
 
 def approx_minimal_reason_dt(tree: DecisionTree, x: Instance) -> Reason:
@@ -250,13 +247,13 @@ def approx_minimal_reason_dt(tree: DecisionTree, x: Instance) -> Reason:
     normalized = normalize(tree, x)
     instance = build_hitting_instance(normalized, x)
     remaining = [s for s in instance.sets]
-    picked: set[Literal] = set()
+    picked: set[int] = set()
     while remaining:
-        degree: dict[Literal, int] = {}
+        degree: dict[int, int] = {}
         for s in remaining:
             for l in s:
                 degree[l] = degree.get(l, 0) + 1
-        best = max(degree.items(), key=lambda kv: (kv[1], -kv[0].var))[0]
+        best = max(degree.items(), key=lambda kv: (kv[1], -abs(kv[0])))[0]
         picked.add(best)
         remaining = [s for s in remaining if best not in s]
     assign = Term(picked).to_array(tree.var_count)

@@ -80,14 +80,19 @@ class CnfInstance:
         return len(self.clauses)
 
 
+def check_literal(lit: int) -> int:
+    """lit itself when it is a literal: a nonzero int, not a bool."""
+    if type(lit) is not int or lit == 0:
+        raise ValueError(f"a literal is a nonzero int, got {lit!r}")
+    return lit
+
+
 def _normalize_clause(lits: Sequence[int]) -> tuple[int, ...] | None:
     """Deduplicate; return None for tautological clauses."""
     seen: dict[int, int] = {}
     out = []
     for lit in lits:
-        lit = int(lit)
-        if lit == 0:
-            raise ValueError("0 is not a literal")
+        check_literal(lit)
         if lit in seen:
             continue
         if -lit in seen:

@@ -55,8 +55,8 @@ def cover_mask(term: Term, var_count: int) -> np.ndarray:
     idx = np.arange(1 << var_count, dtype=np.int64)
     mask = np.ones(1 << var_count, dtype=bool)
     for lit in term:
-        bit = ((idx >> (lit.var - 1)) & 1).astype(bool)
-        mask &= bit if lit.positive else ~bit
+        bit = ((idx >> (abs(lit) - 1)) & 1).astype(bool)
+        mask &= bit if lit > 0 else ~bit
     return mask
 
 

@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rfreasons
 from rfreasons.cli import (
@@ -324,6 +327,47 @@ class TestConvertAndNegate:
         cnf.write_text("p cnf 2 1\n1 b 0\n")
         code, _, err = run(capsys, "convert", str(cnf), "--from", "cnf", "-o", str(tmp_path / "x.json"))
         assert code == 1 and "line 2" in err
+
+
+@st.composite
+def dimacs_documents(draw):
+    """(format, text): a well-formed CNF or DNF document (duplicate,
+    unsorted, tautological or inconsistent rows included), then possibly
+    mutated by token insertions and character deletions, and read as
+    either format."""
+    fmt = draw(st.sampled_from(["cnf", "dnf"]))
+    n = draw(st.integers(0, 5))
+    literal = st.integers(-n, n).filter(bool)
+    rows = draw(st.lists(st.lists(literal, max_size=6 if n else 0), max_size=5))
+    text = f"p {fmt} {n} {len(rows)}\n" + "".join(
+        " ".join(map(str, row)) + " 0\n" for row in rows
+    )
+    token = st.sampled_from(
+        ["0", "-0", "1", "-1", "7", "-3", "p", "cnf", "dnf", "c", "x", "1.5", "\n", " "]
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(token) + text[at:]
+        else:
+            text = text[:at] + text[at + draw(st.integers(1, 4)):]
+    if draw(st.integers(0, 4)) == 0:
+        fmt = "dnf" if fmt == "cnf" else "cnf"
+    return fmt, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(dimacs_documents())
+def test_convert_exits_0_or_1_on_any_document(document):
+    fmt, text = document
+    with tempfile.TemporaryDirectory() as work:
+        source = Path(work) / f"in.{fmt}"
+        source.write_text(text)
+        out_model = Path(work) / "out.json"
+        code = main(["convert", str(source), "--from", fmt, "-o", str(out_model)])
+        assert code in (EXIT_OK, 1)
+        if code == EXIT_OK:
+            load_forest(str(out_model))
 
 
 class TestFixtureGen:

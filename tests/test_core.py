@@ -9,7 +9,6 @@ from rfreasons.core import (
     DecisionTree,
     DimensionError,
     InconsistentTermError,
-    Literal,
     ModelFormatError,
     RandomForest,
     Term,
@@ -17,6 +16,7 @@ from rfreasons.core import (
     cnf_to_forest,
     dnf_to_forest,
 )
+from rfreasons.solver import CnfInstance
 
 import brute
 from conftest import X_NEG, X_POS
@@ -43,28 +43,66 @@ def int_clauses(draw, max_clauses=1):
     return n, clauses
 
 
+def reference_render(lits, names=None):
+    """Test-side renderer: literals sorted by variable, ¬ on negatives."""
+    if not lits:
+        return "⊤"
+    parts = []
+    for l in sorted(lits, key=abs):
+        name = names[abs(l) - 1] if names is not None else "x%d" % abs(l)
+        parts.append(name if l > 0 else "¬" + name)
+    return " ∧ ".join(parts)
+
+
 class TestLiteralsTermsClauses:
-    def test_literal_complement_involution(self):
-        l = Literal(3, False)
-        assert l.complement().complement() == l
-        assert -l == Literal(3, True)
-
-    def test_literal_int_round_trip(self):
-        assert Literal.from_int(-7).to_int() == -7
-        with pytest.raises(ValueError):
-            Literal.from_int(0)
-        with pytest.raises(ValueError):
-            Literal(0)
-
     def test_term_canonical_and_structural_equality(self):
-        t1 = Term([Literal(3), Literal(1, False)])
-        t2 = Term([Literal(1, False), Literal(3), Literal(3)])
+        t1 = Term([3, -1])
+        t2 = Term([-1, 3, 3])
         assert t1 == t2
-        assert [l.var for l in t1] == [1, 3]
+        assert list(t1) == [-1, 3]
 
     def test_term_rejects_inconsistency(self):
         with pytest.raises(InconsistentTermError):
-            Term([Literal(2), Literal(2, False)])
+            Term([2, -2])
+
+    @pytest.mark.parametrize("bad", [0, True, False, 1.5, 2.0, "2", None])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda l: Term([1, l]),
+            lambda l: CnfInstance(2, [(1, l)]),
+            lambda l: clause_to_tree([1, l], 2),
+        ],
+        ids=["Term", "CnfInstance", "clause_to_tree"],
+    )
+    def test_refuses_non_literals(self, build, bad):
+        with pytest.raises(ValueError, match="literal"):
+            build(bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(st.integers(1, 12), st.booleans(), max_size=8),
+        st.randoms(use_true_random=False),
+        st.booleans(),
+    )
+    def test_any_listing_of_a_literal_set(self, polarity, rng, named):
+        lits = [v if p else -v for v, p in polarity.items()]
+        dupes = [rng.choice(lits) for _ in range(4)] if lits else []
+        listing = lits + dupes
+        rng.shuffle(listing)
+        term = Term(listing)
+        assert term == Term(lits)
+        assert list(term) == sorted(lits, key=abs)
+        assert all(type(l) is int for l in term)
+        names = [f"f{v}" for v in range(1, 13)] if named else None
+        assert term.render(names) == reference_render(lits, names)
+        if lits:
+            with pytest.raises(InconsistentTermError):
+                Term(listing + [-rng.choice(lits)])
+
+    def test_covers_is_false_beyond_the_instance(self):
+        assert Term([1, -2]).covers((1, 0))
+        assert not Term([5]).covers((1, 1))
 
     def test_full_instance_term(self):
         t = Term.of_instance((1, 0, 1))
@@ -73,7 +111,7 @@ class TestLiteralsTermsClauses:
         assert not t.covers((1, 1, 1))
 
     def test_render(self):
-        t = Term([Literal(1), Literal(4, False)])
+        t = Term([1, -4])
         assert str(t) == "x1 ∧ ¬x4"
         assert t.render(["fragrant", "b", "c", "sympodial"]) == "fragrant ∧ ¬sympodial"
         assert str(Term()) == "⊤"
@@ -93,6 +131,10 @@ class TestTreeStructure:
             DecisionTree.from_nested(
                 {"var": 5, "low": {"leaf": 0}, "high": {"leaf": 1}}, 3
             )
+
+    def test_negative_var_refused_in_a_direct_build(self):
+        with pytest.raises(ModelFormatError, match="variable -1"):
+            DecisionTree(2, ((-1, 1, 2), (0, 0, 0), (0, 1, 1)), 0)
 
     def test_nested_round_trip(self):
         nested = {"var": 2, "low": {"leaf": 1},
@@ -279,7 +321,7 @@ class TestCnfDnfToForest:
             cnf_to_forest([], 2)
 
     def test_dnf_single_term(self):
-        f = dnf_to_forest([Term([Literal(1), Literal(4)])], 4)
+        f = dnf_to_forest([Term([1, 4])], 4)
         assert all(f.evaluate(x) == (1 if x[0] and x[3] else 0) for x in all_assignments(4))
 
     def test_dnf_empty(self):
@@ -311,8 +353,8 @@ class TestCnfDnfToForest:
 class TestTreeImplication:
     def test_golden_cases(self, orchid):
         t1, t2, _ = orchid.trees
-        assert t2.implied_by(Term([Literal(2)]))
-        assert not t1.implied_by(Term([Literal(1), Literal(4)]))
+        assert t2.implied_by(Term([2]))
+        assert not t1.implied_by(Term([1, 4]))
         assert t1.implied_by(Term.of_instance(X_POS))
 
     def test_array_form_agrees(self):
@@ -321,7 +363,7 @@ class TestTreeImplication:
             n = rng.randint(1, 8)
             tree = random_tree(rng, n, 5)
             variables = rng.sample(range(1, n + 1), rng.randint(0, n))
-            term = Term(Literal(v, rng.random() < 0.5) for v in variables)
+            term = Term(v if rng.random() < 0.5 else -v for v in variables)
             array = term.to_array(n)
             assert len(array) == n + 1 and Term.from_array(array) == term
             assert tree.implied_under(array) == tree.implied_by(term)
@@ -334,7 +376,7 @@ class TestTreeImplication:
             for _ in range(6):
                 size = rng.randint(0, n)
                 variables = rng.sample(range(1, n + 1), size)
-                term = Term(Literal(v, rng.random() < 0.5) for v in variables)
+                term = Term(v if rng.random() < 0.5 else -v for v in variables)
                 assert tree.implied_by(term) == brute.is_implicant_bruteforce(tree, term)
 
 
@@ -342,7 +384,7 @@ class TestModelCounting:
     def test_golden_counts(self, orchid):
         t1 = orchid.trees[0]
         assert t1.count_models() == 5
-        assert t1.count_models(Term([Literal(2), Literal(4)])) == 1
+        assert t1.count_models(Term([2, 4])) == 1
         assert DecisionTree.leaf(1, 3).count_models() == 8
 
     def test_agrees_with_bruteforce_and_complement(self):
@@ -354,7 +396,7 @@ class TestModelCounting:
             for _ in range(5):
                 size = rng.randint(0, n)
                 variables = rng.sample(range(1, n + 1), size)
-                term = Term(Literal(v, rng.random() < 0.5) for v in variables)
+                term = Term(v if rng.random() < 0.5 else -v for v in variables)
                 assert tree.count_models(term) == brute.count_models_bruteforce(tree, term)
 
 

@@ -48,8 +48,14 @@ class TestCnfRoundTrip:
         assert "exceeds" in str(e.value)
 
     def test_unterminated_clause(self):
-        with pytest.raises(DimacsError):
-            read_dimacs("p cnf 2 1\n1 2\n")
+        # reported at the line where the open clause starts
+        for text, line in [
+            ("p cnf 2 1\n1 2\n", 2),
+            ("p cnf 2 2\n1 0\nc note\n\n-2\n1\n", 5),
+            ("p cnf 2 2\n1 0 2\n", 2),
+        ]:
+            with pytest.raises(DimacsError, match=f"line {line}: unterminated"):
+                read_dimacs(text)
 
     def test_clause_count_mismatch(self):
         with pytest.raises(DimacsError):
@@ -108,3 +114,20 @@ class TestDnf:
         for text in ("1 2 0\n", "p cnf 2 1\n1 0\n", "p dnf 2\n1 0\n", ""):
             with pytest.raises(DimacsError):
                 read_dnf(text)
+
+    def test_unterminated_term_names_its_line(self):
+        with pytest.raises(DimacsError, match="line 2: unterminated"):
+            read_dnf("p dnf 2 1\n1 2")
+
+    @pytest.mark.parametrize(
+        "read, text",
+        [
+            (read_dnf, "p dnf -1 1\n1 0\n"),
+            (read_dimacs, "p cnf -3 0\n"),
+            (read_dnf, "p dnf 2 -1\n"),
+            (read_wcnf, "p wcnf 2 1 -4\n1 1 0\n"),
+        ],
+    )
+    def test_negative_header_count_refused(self, read, text):
+        with pytest.raises(DimacsError, match="line 1: header <.*> must be non-negative"):
+            read(text)

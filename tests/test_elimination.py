@@ -31,7 +31,7 @@ def reference_eliminate(oracle, term, order):
         for var in order:
             if var not in term.variables():
                 continue
-            candidate = term.without(var)
+            candidate = Term(l for l in term if abs(l) != var)
             if oracle.accepts(candidate):
                 term = candidate
                 changed = True

@@ -12,6 +12,7 @@ from rfreasons.explain import (
     MajorityOracle,
     NotAnImplicantError,
     Prioritization,
+    Reason,
     ReasonKind,
     SingleTreeOracle,
     comprehensible_reason,
@@ -41,9 +42,15 @@ def term_of(*lits: int) -> Term:
 def assert_one_minimal(oracle, reason):
     assert oracle.accepts(reason.term)
     for lit in reason.term:
-        assert not oracle.accepts(reason.term.without(lit.var)), (
+        assert not oracle.accepts(Term(l for l in reason.term if l != lit)), (
             f"{lit} removable from {reason.term}"
         )
+
+
+class TestReasonCoverage:
+    def test_variable_beyond_the_instance_is_refused(self):
+        with pytest.raises(ValueError, match="does not cover"):
+            Reason(Term([5]), ReasonKind.DIRECT, (1, 1))
 
 
 class TestDirectReason:
@@ -224,7 +231,7 @@ class TestSufficientReasonRf:
     def test_seeded_with_majoritary(self, orchid):
         seed = majoritary_reason(orchid, X_POS).term
         r = sufficient_reason_rf(orchid, X_POS, seed_term=seed)
-        assert r.term.issubset(seed)
+        assert set(r.term) <= set(seed)
         assert r.term in brute.enumerate_sufficient_reasons(orchid, X_POS)
 
     def test_member_of_enumerated_set_random(self):
@@ -375,7 +382,7 @@ class TestInclusionPreferred:
                     not oracle.accepts(Term(sub))
                     for k in range(len(full) + 1)
                     for sub in itertools.combinations(full.literals, k)
-                    if all(l.var != f for l in sub)
+                    if all(abs(l) != f for l in sub)
                 )
                 assert mandatory
 

@@ -131,6 +131,8 @@ class TestModelFiles:
             {"trees": [{"var": -1, "low": {"leaf": 0}, "high": {"leaf": 1}}]},
             {"trees": [{"leaf": True}]},
             {"trees": [{"leaf": 1.0}]},
+            {"format_version": True},
+            {"format_version": 1.0},
         ],
     )
     def test_malformed_field_types_refused(self, fields):

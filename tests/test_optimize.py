@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rfreasons.core import DecisionTree, Literal, RandomForest, Term, clause_to_tree
+from rfreasons.core import DecisionTree, RandomForest, Term, clause_to_tree
 from rfreasons.explain import MajorityOracle, NotAnImplicantError
 from rfreasons.solver import Deadline
 from rfreasons.optimize import (
@@ -144,12 +144,12 @@ class TestHittingInstance:
     def test_clause_tree_instance(self):
         tree = clause_to_tree((1, 2), 2)
         inst = build_hitting_instance(tree, (1, 1))
-        assert set(inst.universe) == {Literal(1), Literal(2)}
-        assert inst.sets == (frozenset({Literal(1), Literal(2)}),)
+        assert inst.universe == (1, 2)
+        assert inst.sets == (frozenset({1, 2}),)
 
     def test_golden_tree_sets(self, orchid):
         inst = build_hitting_instance(orchid.trees[1], X_POS)
-        assert {frozenset(l.to_int() for l in s) for s in inst.sets} == {
+        assert set(inst.sets) == {
             frozenset({1, 2}),
             frozenset({2, 4}),
         }
