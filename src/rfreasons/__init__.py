@@ -30,7 +30,6 @@ from .encodings import (
 from .explain import (
     DEFAULT_SEED,
     DeltaProbableOracle,
-    ExplanationTimeout,
     ForestSatOracle,
     ImplicantOracle,
     LinearModel,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
@@ -28,7 +29,6 @@ from .explain import (
     DEFAULT_SEED,
     NOTIONS,
     DeltaProbableOracle,
-    ExplanationTimeout,
     LinearModel,
     Prioritization,
     Reason,
@@ -214,9 +214,8 @@ _RECORDED = _notion(None)
 class KindSpec:
     """One reason kind: its output label, how to compute it, the oracle
     check that re-validates it on the normalized model, whether it needs
-    a single-tree model, the setting it cannot run without, the optional
-    settings it reads besides the timeout, and whether it optimizes (an
-    unproved optimum then means the deadline hit)."""
+    a single-tree model, the setting it cannot run without, and the
+    optional settings it reads besides the timeout."""
 
     label: ReasonKind
     compute: Callable[[Request], Reason | None]
@@ -224,7 +223,6 @@ class KindSpec:
     single_tree: bool = False
     requires: str | None = None
     reads: tuple[str, ...] = ()
-    optimizing: bool = False
 
 
 KIND_TABLE: dict[str, KindSpec] = {
@@ -245,7 +243,6 @@ KIND_TABLE: dict[str, KindSpec] = {
         ReasonKind.MINIMAL_MAJORITARY,
         lambda r: minimal_majoritary_reason(r.forest, r.x, r.deadline),
         _MAJORITY,
-        optimizing=True,
     ),
     "minimal-weight": KindSpec(
         ReasonKind.MINIMAL_WEIGHT,
@@ -254,14 +251,12 @@ KIND_TABLE: dict[str, KindSpec] = {
         ),
         _MAJORITY,
         requires="weights",
-        optimizing=True,
     ),
     "minimal-sufficient": KindSpec(
         ReasonKind.MINIMAL_SUFFICIENT,
         lambda r: minimal_sufficient_reason_dt(r.forest.single(), r.x, r.deadline),
         _EXACT,
         single_tree=True,
-        optimizing=True,
     ),
     "delta-probable": KindSpec(
         ReasonKind.DELTA_PROBABLE,
@@ -318,10 +313,11 @@ def compute_reason(
 
     None means no comprehensible reason exists.  When the deadline
     passes first, the result is the valid partial reason the search fell
-    back to (see is_partial).  extras["prediction"] is set here, for
-    every kind.
+    back to (see is_partial).  elapsed and extras["prediction"] are set
+    here, for every kind.
     """
-    deadline = None if s.timeout is None else Deadline.after(s.timeout)
+    start = time.monotonic()
+    deadline = None if s.timeout is None else Deadline(start + s.timeout)
     order = _parse_order(s.order, forest) if s.order else None
     spec = KIND_TABLE.get(s.kind)
     if spec is None:
@@ -330,21 +326,22 @@ def compute_reason(
         raise CliError(f"--kind {s.kind} needs {_flag(spec.requires)}")
     if spec.single_tree and forest.tree_count != 1:
         raise CliError(f"--kind {s.kind} needs a single-tree model")
-    try:
-        reason = spec.compute(Request(forest, x, s, order, deadline))
-    except ExplanationTimeout as e:
-        reason = e.fallback
+    reason = spec.compute(Request(forest, x, s, order, deadline))
     if reason is None:
         return None
-    return replace(reason, extras={**reason.extras, "prediction": forest.evaluate(x)})
+    return replace(
+        reason,
+        elapsed=time.monotonic() - start,
+        extras={**reason.extras, "prediction": forest.evaluate(x)},
+    )
 
 
 def is_partial(reason: Reason) -> bool:
-    """Did the deadline cut the search short?  Exact kinds then fall back
-    to their last verified term; optimizing kinds stop before proving
-    optimality."""
+    """Did the deadline cut the search short?  Greedy kinds then fall back
+    to their last verified term; the minimal kinds, the only ones with a
+    cost, stop before proving it minimal."""
     return reason.extras.get("fallback") == "timeout" or (
-        _SPEC_OF_LABEL[reason.kind].optimizing and not reason.optimal
+        reason.cost is not None and not reason.optimal
     )
 
 
@@ -378,6 +375,8 @@ def reason_record(reason: Reason, forest: RandomForest) -> dict:
 
 def _settings(args, kind: str) -> ExplainSettings:
     """The request settings named by the parsed command-line flags."""
+    if args.timeout is not None and not args.timeout >= 0:  # NaN fails >=
+        raise CliError(f"--timeout must be a non-negative number, got {args.timeout}")
     given = {
         f.name: getattr(args, f.name)
         for f in fields(ExplainSettings)
@@ -553,6 +552,8 @@ def _stats_instance_task(payload):
 
 
 def cmd_stats(args) -> int:
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     forest = _load_model(args.model)
     instances, _ = models.parse_instances(args.instances, forest.var_count)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]

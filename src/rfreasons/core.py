@@ -264,10 +264,6 @@ class DecisionTree:
             if label == 0
         )
 
-    def dnf_terms(self) -> tuple[Term, ...]:
-        """One term per 1-path; their disjunction is equivalent to the tree."""
-        return tuple(Term(lits) for lits, label in self.paths() if label == 1)
-
     def implied_by(self, term: Term) -> bool:
         """Exact implicant test: does every extension of term reach a 1-leaf?"""
         return self.implied_under(term.to_array(self.var_count))

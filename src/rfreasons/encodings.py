@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import RandomForest
-from .solver import CnfInstance
+from .solver import CnfInstance, check_literal
 
 
 class VarAllocator:
@@ -36,12 +36,13 @@ def weighted_at_most(
 
     One-directional sequential weighted counter: enough to refute any
     assignment exceeding the bound while every assignment within the
-    bound extends to the registers.  Weights must be positive.
+    bound extends to the registers.  Each literal is checked like a
+    clause literal, and each weight must be a positive int.
     """
-    items = [(int(l), int(w)) for l, w in items]
-    for _, w in items:
-        if w <= 0:
-            raise ValueError("weights must be positive")
+    for lit, w in items:
+        check_literal(lit)
+        if type(w) is not int or w < 1:
+            raise ValueError(f"a weight is a positive int, got {w!r}")
     clauses: list[tuple[int, ...]] = []
     if bound < 0:
         return [()]

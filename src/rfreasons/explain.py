@@ -13,7 +13,6 @@ first (core.normalize); no algorithm here is dual-cased.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -49,10 +48,11 @@ class Reason:
     """An explanation term for one classified instance.
 
     The term always covers the instance it explains.  cost carries the
-    objective value for optimizing kinds (size or total feature weight),
+    objective value of the minimal kinds (size or total feature weight),
     optimal says whether that value was proved minimal, and extras holds
     kind-specific diagnostics (conditional probability, anytime log,
-    fallback flags).
+    fallback flags).  elapsed is the request's wall time in seconds, set
+    by the pipeline (cli.compute_reason); library calls leave it at 0.0.
     """
 
     term: Term
@@ -76,19 +76,6 @@ class Reason:
 
     def render(self, feature_names: Sequence[str] | None = None) -> str:
         return self.term.render(feature_names)
-
-
-class ExplanationTimeout(Exception):
-    """The deadline passed before the search finished.
-
-    fallback is still a valid reason: the best term the search had
-    verified (the instance term when it had verified none), with
-    optimal=False and extras["fallback"] naming the cut-off.
-    """
-
-    def __init__(self, message: str, fallback: Reason):
-        super().__init__(message)
-        self.fallback = fallback
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +265,16 @@ def greedy_reason(
     *,
     extras: dict | None = None,
     seed_term: Term | None = None,
-    started: float | None = None,
 ) -> Reason:
     """Shrink t_x, or seed_term (an implicant covering x), literal by
     literal while the oracle keeps accepting.
 
-    The result passes the oracle and no single-literal removal does.
-    Raises NotAnImplicantError when the start term itself is rejected,
-    and ExplanationTimeout when the oracle's deadline cut the search
-    short.  started is the monotonic time the request began, when that
-    was before this call.
+    The result passes the oracle and no single-literal removal does,
+    unless the oracle's deadline cut the search short: the result is then
+    the last term the oracle accepted (t_x when it accepted none), with
+    extras["fallback"] = "timeout".  Raises NotAnImplicantError when the
+    start term itself is rejected.
     """
-    started = time.monotonic() if started is None else started
     full = Term.of_instance(x) if seed_term is None else seed_term
     if not full.covers(x):
         raise ValueError("seed term must cover the instance")
@@ -308,16 +293,7 @@ def greedy_reason(
     extras = dict(extras or {})
     if oracle.timed_out:
         extras["fallback"] = "timeout"
-    reason = Reason(
-        term,
-        kind or oracle.kind,
-        tuple(x),
-        elapsed=time.monotonic() - started,
-        extras=extras,
-    )
-    if oracle.timed_out:
-        raise ExplanationTimeout("deadline passed during elimination", reason)
-    return reason
+    return Reason(term, kind or oracle.kind, tuple(x), extras=extras)
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +303,12 @@ def greedy_reason(
 def direct_reason(forest: RandomForest, x: Instance) -> Reason:
     """Conjunction of the root-to-leaf path terms of the trees that agree
     with the vote on x; linear in the size of the forest."""
-    start = time.monotonic()
     prediction = forest.evaluate(x)
     lits: set[int] = set()
     for tree in forest.trees:
         if tree.evaluate(x) == prediction:
             lits.update(tree.path_term(x))
-    return Reason(
-        Term(lits),
-        ReasonKind.DIRECT,
-        tuple(x),
-        elapsed=time.monotonic() - start,
-    )
+    return Reason(Term(lits), ReasonKind.DIRECT, tuple(x))
 
 
 def sufficient_reason_dt(
@@ -362,15 +332,11 @@ def sufficient_reason_rf(
     with assumptions against the implicant encoding (a tree traversal
     for a single-tree forest).  seed_term, when given, must itself be an
     implicant covering x (for instance a majoritary reason); the result
-    is then a subset of the seed.
+    is then a subset of the seed.  A deadline that passes first ends the
+    search with its fallback reason (see greedy_reason).
     """
-    started = time.monotonic()
     return greedy_reason(
-        exact_oracle(normalize(forest, x), deadline),
-        x,
-        order,
-        seed_term=seed_term,
-        started=started,
+        exact_oracle(normalize(forest, x), deadline), x, order, seed_term=seed_term
     )
 
 
@@ -391,7 +357,6 @@ def majoritary_reason_multi(
     """Smallest majoritary reason over uniformly random elimination
     orders, deterministic for a fixed seed.  The trees t_x implies are
     found once and every order starts from them."""
-    start = time.monotonic()
     if permutations < 1:
         raise ValueError("need at least one permutation")
     rng = random.Random(seed)
@@ -410,7 +375,6 @@ def majoritary_reason_multi(
         Term.from_array(best),
         ReasonKind.MAJORITARY,
         tuple(x),
-        elapsed=time.monotonic() - start,
         extras={"permutations": permutations, "seed": seed},
     )
 
@@ -563,7 +527,6 @@ def lime_linear_reason(model: LinearModel, x: Instance) -> Reason:
     reach the bound, or picks a variable whose value in x disagrees, the
     full instance term is returned with a fallback flag in extras.
     """
-    start = time.monotonic()
     if len(x) != model.var_count:
         raise ValueError("instance length does not match the weight vector")
     prediction = model.evaluate(x)
@@ -603,6 +566,5 @@ def lime_linear_reason(model: LinearModel, x: Instance) -> Reason:
         ReasonKind.LIME,
         tuple(x),
         optimal=fallback is None,
-        elapsed=time.monotonic() - start,
         extras={"fallback": fallback} if fallback else {},
     )

@@ -30,7 +30,6 @@ class MaxSatResult:
     cost: int
     optimal: bool
     iterations: int = 0
-    elapsed: float = 0.0
 
 
 def violated_weight(
@@ -77,9 +76,7 @@ def maxsat_anytime(
     iterations = 0
 
     def finish(optimal: bool) -> MaxSatResult:
-        return MaxSatResult(
-            best_model, best_cost, optimal, iterations, time.monotonic() - start
-        )
+        return MaxSatResult(best_model, best_cost, optimal, iterations)
 
     while True:
         outcome = solver.solve(deadline=deadline)

@@ -14,14 +14,12 @@ a fast approximation of the minimum-size reason.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .core import DecisionTree, Instance, RandomForest, Term, normalize
 from .encodings import VarAllocator, WeightedCnf, at_least
 from .explain import (
-    ExplanationTimeout,
     MajorityOracle,
     NotAnImplicantError,
     Reason,
@@ -35,9 +33,9 @@ from .solver import CnfInstance, Deadline
 
 MAX_TOTAL_WEIGHT = 2**31 - 1
 
-# The optimizers' name for the one timeout exception: raised when the
-# deadline passes before any model, carrying the instance-term fallback.
-OptimizationBudgetError = ExplanationTimeout
+# Nothing raises this: a deadline ends in a fallback reason.  The name
+# stays for callers that still catch it.
+OptimizationBudgetError = TimeoutError
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,6 @@ def _optimize(
     deadline: Deadline | None,
     on_improve: Callable[[Term, int, float], None] | None,
 ) -> Reason:
-    start = time.monotonic()
     normalized = normalize(forest, x)
     problem = majority_wcnf(normalized, x, weights)
     oracle = MajorityOracle(normalized)
@@ -133,16 +130,13 @@ def _optimize(
     result = maxsat_anytime(problem, deadline, improved)
     if result is None:
         full = Term.of_instance(x)
-        trivial = Reason(
+        return Reason(
             full,
             kind,
             tuple(x),
             cost=(weights or WeightMap()).of_term(full),
-            optimal=False,
-            elapsed=time.monotonic() - start,
             extras={"fallback": "timeout"},
         )
-        raise ExplanationTimeout("no model found before the deadline", trivial)
 
     term = _intersect_with_model(x, result.model)
     if not oracle.accepts(term):
@@ -153,7 +147,6 @@ def _optimize(
         tuple(x),
         cost=result.cost,
         optimal=result.optimal,
-        elapsed=time.monotonic() - start,
         extras={"log": AnytimeLog(tuple(log))},
     )
 
@@ -167,9 +160,8 @@ def minimal_majoritary_reason(
     """A minimum-size majoritary reason when solved to optimality before
     the deadline, otherwise the best intermediate explanation found.
 
-    cost is the reason size.  Raises ExplanationTimeout (carrying the
-    trivial instance-term reason) when the deadline passes before any
-    model."""
+    cost is the reason size.  When the deadline passes before any model,
+    the result is the instance term with extras["fallback"] = "timeout"."""
     return _optimize(forest, x, None, ReasonKind.MINIMAL_MAJORITARY, deadline, on_improve)
 
 
@@ -243,7 +235,6 @@ def approx_minimal_reason_dt(tree: DecisionTree, x: Instance) -> Reason:
     0-path sets (ties to the lowest feature index), then prime-reduces
     the cover so the output is a genuine sufficient reason.
     """
-    start = time.monotonic()
     normalized = normalize(tree, x)
     instance = build_hitting_instance(normalized, x)
     remaining = [s for s in instance.sets]
@@ -263,8 +254,6 @@ def approx_minimal_reason_dt(tree: DecisionTree, x: Instance) -> Reason:
         term,
         ReasonKind.APPROX_MINIMAL,
         tuple(x),
-        optimal=False,
-        elapsed=time.monotonic() - start,
         extras={
             "method": "greedy_cover",
             "max_adjacency": instance.max_adjacency(),

@@ -60,6 +60,11 @@ def cover_mask(term: Term, var_count: int) -> np.ndarray:
     return mask
 
 
+def dnf_terms(tree: DecisionTree) -> tuple[Term, ...]:
+    """One term per 1-path; their disjunction is equivalent to the tree."""
+    return tuple(Term(lits) for lits, label in tree.paths() if label == 1)
+
+
 def is_implicant_bruteforce(
     model: DecisionTree | RandomForest, term: Term, var_limit: int = DEFAULT_VAR_LIMIT
 ) -> bool:

@@ -110,7 +110,7 @@ def test_criterion_2_oracle_equivalence_suites():
             f = cnf_to_forest(clauses, n)
             assert f.tree_count == 2 * len(clauses) - 1
             assert np.array_equal(brute.truth_table_forest(f), table)
-        terms = source.dnf_terms()
+        terms = brute.dnf_terms(source)
         f = dnf_to_forest(terms, n)
         if terms:
             assert f.tree_count == 2 * len(terms) - 1

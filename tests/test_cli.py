@@ -140,6 +140,15 @@ class TestExplain:
         assert code == 1 and out == ""
         assert "--permutations must be at least 1" in err
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "-0.5"])
+    def test_timeout_out_of_range_rejected(self, capsys, model_file, value):
+        code, out, err = run(
+            capsys, "explain", model_file, "1111",
+            "--kind", "sufficient", "--timeout", value,
+        )
+        assert code == 1 and out == ""
+        assert "--timeout must be a non-negative number" in err
+
     def test_order_with_several_permutations_rejected(self, capsys, model_file):
         code, _, err = run(
             capsys, "explain", model_file, "1111", "--kind", "majoritary",
@@ -435,6 +444,23 @@ class TestStats:
     def test_empty_kinds_rejected(self, capsys, model_file, instances_file):
         code, _, err = run(capsys, "stats", model_file, instances_file, "--kinds", " ")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--jobs", "0"], "--jobs must be at least 1"),
+            (["--jobs", "-5"], "--jobs must be at least 1"),
+            (["--timeout", "nan"], "--timeout must be a non-negative number"),
+            (["--timeout", "-1"], "--timeout must be a non-negative number"),
+        ],
+    )
+    def test_out_of_range_flag_rejected(
+        self, capsys, model_file, instances_file, flags, message
+    ):
+        code, out, err = run(
+            capsys, "stats", model_file, instances_file, "--kinds", "direct", *flags
+        )
+        assert code == 1 and out == "" and message in err
 
     def test_timeout_zero_falls_back(self, capsys, model_file, instances_file, tmp_path):
         out_csv = tmp_path / "stats.csv"

@@ -242,11 +242,11 @@ class TestClausalViews:
 
     def test_dnf_of_golden_tree(self, orchid):
         t2 = orchid.trees[1]
-        got = {t.to_ints() for t in t2.dnf_terms()}
+        got = {t.to_ints() for t in brute.dnf_terms(t2)}
         assert got == {(2,), (1, -2, 4)}
 
     def test_dnf_of_leaf0(self):
-        assert DecisionTree.leaf(0, 2).dnf_terms() == ()
+        assert brute.dnf_terms(DecisionTree.leaf(0, 2)) == ()
 
     def test_views_agree_with_eval_random(self):
         rng = random.Random(103)
@@ -254,7 +254,7 @@ class TestClausalViews:
             n = rng.randint(2, 12)
             tree = random_tree(rng, n, 5)
             cnf = tree.cnf_clauses()
-            dnf = tree.dnf_terms()
+            dnf = brute.dnf_terms(tree)
             for x in all_assignments(n):
                 expect = tree.evaluate(x)
                 assert expect == (1 if any(t.covers(x) for t in dnf) else 0)
@@ -330,7 +330,7 @@ class TestCnfDnfToForest:
 
     def test_dnf_of_tree_round_trip(self, orchid):
         t1 = orchid.trees[0]
-        f = dnf_to_forest(list(t1.dnf_terms()), 4)
+        f = dnf_to_forest(list(brute.dnf_terms(t1)), 4)
         assert all(f.evaluate(x) == t1.evaluate(x) for x in all_assignments(4))
 
     def test_random_round_trips_and_tree_counts(self):
@@ -343,7 +343,7 @@ class TestCnfDnfToForest:
                 f = cnf_to_forest(clauses, n)
                 assert f.tree_count == 2 * len(clauses) - 1
                 assert all(f.evaluate(x) == tree.evaluate(x) for x in all_assignments(n))
-            terms = tree.dnf_terms()
+            terms = brute.dnf_terms(tree)
             f = dnf_to_forest(terms, n)
             if terms:
                 assert f.tree_count == 2 * len(terms) - 1

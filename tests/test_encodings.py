@@ -83,6 +83,15 @@ class TestWeightedBound:
         with pytest.raises(ValueError):
             weighted_at_most([(1, 0), (2, -1)], 1, VarAllocator(2))
 
+    @pytest.mark.parametrize("bound", [0, 1])
+    @pytest.mark.parametrize(
+        "items",
+        [[(1.5, 1)], [("2", 2)], [(0, 1)], [(True, 1)], [(1, 2.9)], [(1, "2")], [(1, True)]],
+    )
+    def test_rejects_non_int_literal_or_weight(self, items, bound):
+        with pytest.raises(ValueError):
+            weighted_at_most(items, bound, VarAllocator(2))
+
 
 class TestImplicantCnf:
     def test_golden_structure(self, orchid):

@@ -7,7 +7,9 @@ sufficient and majoritary kinds against the exhaustive brute oracles.
 
 import random
 import time
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +25,12 @@ from rfreasons.core import RandomForest
 from rfreasons.explain import ReasonKind
 
 import brute
+from conftest import X_NEG, X_POS, orchid_trees
 from generators import random_forest, random_instance
+
+# the only kinds whose reasons carry a cost, and so can stop short of
+# proving it minimal
+MINIMAL_KINDS = {"minimal-majoritary", "minimal-weight", "minimal-sufficient"}
 
 
 def test_table_covers_every_kind_and_label():
@@ -44,6 +51,24 @@ def test_timeout_bounds_the_whole_request():
     assert is_partial(reason) and reason.extras["fallback"] == "timeout"
     assert 0 < reason.elapsed <= wall
     validate_reason(forest, reason)
+
+
+@pytest.mark.parametrize("x", [X_POS, X_NEG])
+def test_zero_timeout_gives_every_kind_a_valid_reason(x):
+    forest = RandomForest(orchid_trees())
+    for model in (forest, RandomForest([forest.trees[0]])):
+        for kind in KINDS:
+            if KIND_TABLE[kind].single_tree and model.tree_count > 1:
+                continue
+            s = replace(_settings(kind, model, x, "majority"), timeout=0)
+            reason = compute_reason(model, x, s)
+            if reason is None:
+                assert kind == "comprehensible"
+                continue
+            validate_reason(model, reason)
+            cut = kind in MINIMAL_KINDS or (kind == "sufficient" and model.tree_count > 1)
+            assert is_partial(reason) == cut, kind
+            assert (reason.cost is not None) == (kind in MINIMAL_KINDS), kind
 
 
 def _settings(kind: str, forest: RandomForest, x, notion: str) -> ExplainSettings:
@@ -94,6 +119,7 @@ def test_every_kind_agrees_with_its_oracle_and_brute(drawn, notion):
         assert reason.kind is spec.label
         validate_reason(model, reason)
         assert not is_partial(reason)
+        assert (reason.cost is not None) == (kind in MINIMAL_KINDS)
         if kind in ("sufficient", "minimal-sufficient"):
             assert reason.term in brute.enumerate_sufficient_reasons(model, x)
         if kind in ("majoritary", "minimal-majoritary"):
