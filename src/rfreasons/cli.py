@@ -166,12 +166,8 @@ class Request:
 
 def _majoritary(r: Request) -> Reason:
     s = r.settings
-    if s.permutations is not None and s.permutations < 1:
-        raise CliError(f"--permutations must be at least 1, got {s.permutations}")
     if s.permutations is None or s.permutations == 1:
         return majoritary_reason(r.forest, r.x, r.order)
-    if r.order:
-        raise CliError("--order and --permutations above 1 exclude each other")
     return majoritary_reason_multi(r.forest, r.x, s.permutations, s.seed)
 
 
@@ -319,13 +315,7 @@ def compute_reason(
     start = time.monotonic()
     deadline = None if s.timeout is None else Deadline(start + s.timeout)
     order = _parse_order(s.order, forest) if s.order else None
-    spec = KIND_TABLE.get(s.kind)
-    if spec is None:
-        raise CliError(f"unknown kind {s.kind!r}")
-    if spec.requires and not getattr(s, spec.requires):
-        raise CliError(f"--kind {s.kind} needs {_flag(spec.requires)}")
-    if spec.single_tree and forest.tree_count != 1:
-        raise CliError(f"--kind {s.kind} needs a single-tree model")
+    spec = check_request(forest, s)
     reason = spec.compute(Request(forest, x, s, order, deadline))
     if reason is None:
         return None
@@ -334,6 +324,25 @@ def compute_reason(
         elapsed=time.monotonic() - start,
         extras={**reason.extras, "prediction": forest.evaluate(x)},
     )
+
+
+def check_request(forest: RandomForest, s: ExplainSettings) -> KindSpec:
+    """The kind's table entry, once the request passes the checks that
+    hold for every instance alike: a known kind, its required setting,
+    a single-tree model where the kind needs one, and the permutation
+    count."""
+    spec = KIND_TABLE.get(s.kind)
+    if spec is None:
+        raise CliError(f"unknown kind {s.kind!r}")
+    if spec.requires and not getattr(s, spec.requires):
+        raise CliError(f"--kind {s.kind} needs {_flag(spec.requires)}")
+    if spec.single_tree and forest.tree_count != 1:
+        raise CliError(f"--kind {s.kind} needs a single-tree model")
+    if s.permutations is not None and s.permutations < 1:
+        raise CliError(f"--permutations must be at least 1, got {s.permutations}")
+    if s.order and s.permutations is not None and s.permutations > 1:
+        raise CliError("--order and --permutations above 1 exclude each other")
+    return spec
 
 
 def is_partial(reason: Reason) -> bool:
@@ -389,22 +398,26 @@ def _flag(setting: str) -> str:
     return "--" + setting.replace("_", "-")
 
 
-def _check_flags(s: ExplainSettings, export_wcnf: bool) -> None:
-    """Refuse a flag set away from its default that the kind does not
-    read; --export-wcnf reads --weights for any kind."""
-    spec = KIND_TABLE[s.kind]
-    read = {"kind", "timeout", spec.requires, *spec.reads}
+def _check_flags(s: ExplainSettings, kinds: Sequence[str], export_wcnf: bool) -> None:
+    """Refuse a flag set away from its default that none of the kinds
+    reads; --export-wcnf reads --weights for any kind."""
+    read = {"kind", "timeout"}
+    for kind in kinds:
+        spec = KIND_TABLE[kind]
+        read.update((spec.requires, *spec.reads))
     if export_wcnf:
         read.add("weights")
     default = ExplainSettings(s.kind)
     for f in fields(ExplainSettings):
         if f.name not in read and getattr(s, f.name) != getattr(default, f.name):
-            raise CliError(f"--kind {s.kind} does not read {_flag(f.name)}")
+            if len(kinds) == 1:
+                raise CliError(f"--kind {kinds[0]} does not read {_flag(f.name)}")
+            raise CliError(f"none of --kinds {','.join(kinds)} reads {_flag(f.name)}")
 
 
 def cmd_explain(args) -> int:
     settings = _settings(args, args.kind)
-    _check_flags(settings, bool(args.export_wcnf))
+    _check_flags(settings, [args.kind], bool(args.export_wcnf))
     forest = _load_model(args.model)
     x = _parse_instance(args.instance, forest.var_count)
     if args.export_wcnf:
@@ -512,22 +525,15 @@ def cmd_fixture_gen(args) -> int:
 
 
 def _stats_one(
-    forest: RandomForest,
-    index: int,
-    x: tuple[int, ...],
-    kind: str,
-    settings: ExplainSettings,
+    forest: RandomForest, index: int, x: tuple[int, ...], s: ExplainSettings
 ) -> tuple[StatsRow, list[tuple[float, int]]]:
     trajectory: list[tuple[float, int]] = []
     try:
-        s = replace(settings, kind=kind)
-        if kind == "majoritary" and s.permutations is None:
-            s.permutations = 50
         reason = compute_reason(forest, x, s)
     except Exception as e:  # per-instance failures stay in-row
-        return StatsRow(index, kind, error=f"{type(e).__name__}: {e}"), trajectory
+        return StatsRow(index, s.kind, error=f"{type(e).__name__}: {e}"), trajectory
     if reason is None:
-        return StatsRow(index, kind, error="no comprehensible reason"), trajectory
+        return StatsRow(index, s.kind, error="no comprehensible reason"), trajectory
     validate_reason(forest, reason)
     log = reason.extras.get("log")
     if log is not None:
@@ -535,7 +541,7 @@ def _stats_one(
     record = reason_record(reason, forest)
     row = StatsRow(
         index,
-        kind,
+        s.kind,
         reason.size,
         reason.elapsed,
         reason.optimal,
@@ -547,8 +553,8 @@ def _stats_one(
 
 
 def _stats_instance_task(payload):
-    forest, index, x, kinds, settings = payload
-    return [_stats_one(forest, index, x, kind, settings) for kind in kinds]
+    forest, index, x, requests = payload
+    return [_stats_one(forest, index, x, s) for s in requests]
 
 
 def cmd_stats(args) -> int:
@@ -563,9 +569,15 @@ def cmd_stats(args) -> int:
         if k not in KINDS:
             raise CliError(f"unknown kind {k!r} (choose from {', '.join(KINDS)})")
     settings = _settings(args, "direct")
-    payloads = [
-        (forest, i, x, kinds, settings) for i, x in enumerate(instances, 1)
-    ]
+    _check_flags(settings, kinds, False)
+    requests = []
+    for k in kinds:
+        s = replace(settings, kind=k)
+        if k == "majoritary" and s.permutations is None:
+            s.permutations = 50
+        check_request(forest, s)  # a mistake that holds for every instance ends the run here
+        requests.append(s)
+    payloads = [(forest, i, x, requests) for i, x in enumerate(instances, 1)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             per_instance = list(pool.map(_stats_instance_task, payloads))

@@ -100,9 +100,9 @@ class ImplicantOracle:
     def accepts(self, term: Term) -> bool:
         raise NotImplementedError
 
-    def accepts_shrunk(self, assign: list[bool | None]) -> bool:
-        """accepts on the last accepted term less one literal, given in
-        its Term.to_array form; the greedy loop asks only this."""
+    def accepts_shrunk(self, assign: list[bool | None], var: int) -> bool:
+        """accepts on the last accepted term less its literal on var, given
+        in its Term.to_array form; the greedy loop asks only this."""
         return self.accepts(Term.from_array(assign))
 
 
@@ -134,7 +134,7 @@ class MajorityOracle(ImplicantOracle):
         self.live = [t for t in self.forest.trees if t.implied_by(term)]
         return len(self.live) >= self.forest.majority
 
-    def accepts_shrunk(self, assign: list[bool | None]) -> bool:
+    def accepts_shrunk(self, assign: list[bool | None], var: int) -> bool:
         # dropping a literal never makes a tree implied: only live ones can break
         still, spare = [], len(self.live) - self.forest.majority
         for tree in self.live:
@@ -147,9 +147,16 @@ class MajorityOracle(ImplicantOracle):
 
 
 class ForestSatOracle(ImplicantOracle):
-    """Exact implicant test for the forest function via one SAT call per
-    query; owns its solver session and reuses learnt clauses across
-    queries.
+    """Exact implicant test for the forest function via SAT calls against
+    its implicant encoding; owns its solver session and reuses learnt
+    clauses across queries.
+
+    A removal costs at most one SAT call.  A refused one yields a
+    counterexample that recursive model rotation (Belov & Marques-Silva,
+    FMCAD 2011) turns into more necessary literals with forest
+    evaluations alone: their removals are then refused without the
+    solver.  A literal necessary in a term stays necessary in every
+    subterm keeping it, so the answers are those of plain deletion.
 
     Once the deadline has passed it rejects every query, since it never
     accepts a term it has not proved, and sets timed_out.
@@ -163,12 +170,50 @@ class ForestSatOracle(ImplicantOracle):
         self.encoding = implicant_test_cnf(forest)
         self.session = SatSolver(self.encoding.cnf)
         self.deadline = deadline
+        self.necessary: set[int] = set()  # variables the current term must keep
+        self.counterexample: tuple[bool, ...] | None = None  # of the last refusal
 
-    def accepts(self, term: Term) -> bool:
+    def accepts(self, term: Term, shrunk: bool = False) -> bool:
+        """One SAT call.  shrunk says term is the last accepted term less
+        one literal, so the literals proved necessary so far stay so; any
+        other term starts afresh."""
+        if not shrunk:
+            self.necessary.clear()
         outcome = self.session.solve(assumptions=term.literals, deadline=self.deadline)
         if outcome.status is SolveStatus.TIMEOUT:
             self.timed_out = True
+        self.counterexample = outcome.model if outcome.status is SolveStatus.SAT else None
         return outcome.status is SolveStatus.UNSAT
+
+    def accepts_shrunk(self, assign: list[bool | None], var: int) -> bool:
+        if var in self.necessary:
+            return False  # proved by an earlier counterexample
+        if self.accepts(Term.from_array(assign), shrunk=True):
+            return True
+        if self.counterexample is not None:
+            self._rotate(assign, var, self.counterexample)
+        return False
+
+    def _rotate(self, assign: list[bool | None], var: int, model: tuple[bool, ...]) -> None:
+        """Mark var necessary in the term assign plus var, and with it every
+        other term variable u that the counterexample proves so: restored
+        on var, the model extends the term, and flipped on u it is again
+        a counterexample when the forest votes 0 on it.  Recursing from
+        that point would restore u and reach the same point again, so one
+        pass marks all that recursive model rotation would."""
+        evaluate, necessary, deadline = self.forest.evaluate, self.necessary, self.deadline
+        necessary.add(var)
+        z = list(model[: self.var_count])
+        z[var - 1] = not z[var - 1]
+        for u in range(1, len(assign)):
+            if assign[u] is None or u in necessary:
+                continue
+            if deadline is not None and deadline.expired():
+                return  # a shortcut only: the solver decides the rest
+            z[u - 1] = not z[u - 1]
+            if evaluate(z) == 0:
+                necessary.add(u)
+            z[u - 1] = not z[u - 1]
 
 
 class DeltaProbableOracle(ImplicantOracle):
@@ -206,7 +251,7 @@ def exact_oracle(
     forest: RandomForest, deadline: Deadline | None = None
 ) -> ImplicantOracle:
     """Exact implicant test of the forest function: a tree traversal for a
-    single tree, one SAT call per query otherwise."""
+    single tree, SAT calls otherwise."""
     if forest.tree_count == 1:
         return SingleTreeOracle(forest.trees[0])
     return ForestSatOracle(forest, deadline)
@@ -249,7 +294,7 @@ def _eliminate(oracle: ImplicantOracle, assign: list, order: Sequence[int]) -> N
             if value is None:
                 continue
             assign[var] = None
-            if oracle.accepts_shrunk(assign):
+            if oracle.accepts_shrunk(assign, var):
                 changed = True
             else:
                 assign[var] = value
@@ -328,12 +373,15 @@ def sufficient_reason_rf(
 ) -> Reason:
     """A prime implicant of the forest function covering x.
 
-    Deletion-based extraction: each candidate removal is one SAT call
-    with assumptions against the implicant encoding (a tree traversal
-    for a single-tree forest).  seed_term, when given, must itself be an
-    implicant covering x (for instance a majoritary reason); the result
-    is then a subset of the seed.  A deadline that passes first ends the
-    search with its fallback reason (see greedy_reason).
+    Deletion-based extraction: each candidate removal costs at most one
+    SAT call with assumptions against the implicant encoding, and
+    recursive model rotation proves most necessary literals from the
+    counterexamples without one (see ForestSatOracle); a single-tree
+    forest takes one tree traversal per candidate instead.  seed_term,
+    when given, must itself be an implicant covering x (for instance a
+    majoritary reason); the result is then a subset of the seed.  A
+    deadline that passes first ends the search with its fallback reason
+    (see greedy_reason).
     """
     return greedy_reason(
         exact_oracle(normalize(forest, x), deadline), x, order, seed_term=seed_term

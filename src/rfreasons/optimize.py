@@ -57,12 +57,12 @@ class WeightMap:
     def __init__(self, weights: Mapping[int, int] | None = None):
         weights = dict(weights or {})
         for var, w in weights.items():
-            if int(w) < 1:
-                raise ValueError(f"weight of x{var} must be >= 1")
+            if type(w) is not int or w < 1:
+                raise ValueError(f"weight of x{var} must be a positive int, got {w!r}")
         object.__setattr__(self, "weights", weights)
 
     def of(self, var: int) -> int:
-        return int(self.weights.get(var, 1))
+        return self.weights.get(var, 1)
 
     def of_term(self, term: Term) -> int:
         return sum(self.of(abs(l)) for l in term)

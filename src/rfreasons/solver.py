@@ -189,22 +189,25 @@ class SatSolver:
         if self._unsat:
             return False
         assert not self._trail_lim, "clauses must be added at decision level 0"
-        lits = [l for l in norm if self._value(l) != -1 or self._level[abs(l)] > 0]
-        if any(self._value(l) == 1 and self._level[abs(l)] == 0 for l in norm):
-            return True  # satisfied at root
-        if not lits:
-            self._unsat = True
-            return False
-        if len(lits) == 1:
-            if self._value(lits[0]) == -1:
+        if not self._trail and len(norm) > 1:
+            lits = list(norm)  # the root assigns nothing yet: watch it as is
+        else:
+            lits = [l for l in norm if self._value(l) != -1 or self._level[abs(l)] > 0]
+            if any(self._value(l) == 1 and self._level[abs(l)] == 0 for l in norm):
+                return True  # satisfied at root
+            if not lits:
                 self._unsat = True
                 return False
-            if self._value(lits[0]) == 0:
-                self._enqueue(lits[0], None)
-                if self._propagate() is not None:
+            if len(lits) == 1:
+                if self._value(lits[0]) == -1:
                     self._unsat = True
                     return False
-            return True
+                if self._value(lits[0]) == 0:
+                    self._enqueue(lits[0], None)
+                    if self._propagate() is not None:
+                        self._unsat = True
+                        return False
+                return True
         clause = _Clause(lits)
         self._clauses.append(clause)
         self._watch(clause)

@@ -9,7 +9,7 @@ little-endian bit string: bit i-1 of the index is the value of x_i.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -166,3 +166,23 @@ def enumerate_majoritary_reasons(
         return False
 
     return _minimal_passing_subsets(majority_implicant, x)
+
+
+def deletion_reason_bruteforce(
+    forest: RandomForest,
+    x: Instance,
+    order: Sequence[int] | None = None,
+    var_limit: int = DEFAULT_VAR_LIMIT,
+) -> Term:
+    """Plain deletion from t_x: visit the variables in order (descending
+    index by default) and drop each literal whose removal leaves an
+    implicant of the normalized forest, decided on its truth table."""
+    forest = normalize(forest, x)
+    table = truth_table_forest(forest, var_limit)
+    n = forest.var_count
+    term = Term.of_instance(x)
+    for var in range(n, 0, -1) if order is None else order:
+        candidate = Term(l for l in term if abs(l) != var)
+        if len(candidate) < len(term) and table[cover_mask(candidate, n)].all():
+            term = candidate
+    return term

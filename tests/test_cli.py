@@ -462,6 +462,23 @@ class TestStats:
         )
         assert code == 1 and out == "" and message in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--kinds", "majoritary", "--permutations", "0"], "--permutations must be at least 1"),
+            (["--kinds", "direct,comprehensible"], "--kind comprehensible needs --intelligible"),
+            (["--kinds", "minimal-sufficient"], "needs a single-tree model"),
+            (["--kinds", "direct", "--delta", "3/4"], "--kind direct does not read --delta"),
+            (["--kinds", "direct,sufficient", "--seed", "7"], "reads --seed"),
+        ],
+    )
+    def test_request_mistake_fails_the_run_once(
+        self, capsys, model_file, instances_file, flags, message
+    ):
+        # explain refuses these too; stats must not turn them into rows
+        code, out, err = run(capsys, "stats", model_file, instances_file, *flags)
+        assert code == 1 and out == "" and message in err
+
     def test_timeout_zero_falls_back(self, capsys, model_file, instances_file, tmp_path):
         out_csv = tmp_path / "stats.csv"
         code, _, _ = run(

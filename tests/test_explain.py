@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rfreasons.core import DecisionTree, RandomForest, Term
+from rfreasons.core import DecisionTree, RandomForest, Term, dnf_to_forest, normalize
 from rfreasons.explain import (
     DeltaProbableOracle,
     ForestSatOracle,
@@ -28,7 +30,7 @@ from rfreasons.explain import (
     sufficient_reason_rf,
 )
 from rfreasons.cli import parity_fixture
-from rfreasons.solver import Deadline
+from rfreasons.solver import Deadline, SatSolver
 
 import brute
 from conftest import X_NEG, X_POS
@@ -240,6 +242,65 @@ class TestSufficientReasonRf:
             x = random_instance(rng, n)
             r = sufficient_reason_rf(forest, x)
             assert r.term in brute.enumerate_sufficient_reasons(forest, x)
+
+
+@st.composite
+def rotation_cases(draw):
+    """(forest, x, order): 2 to 9 trees over at most 8 variables."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    forest = random_forest(rng, n, draw(st.integers(2, 9)), draw(st.integers(1, 5)), 0.15)
+    return forest, random_instance(rng, n), tuple(draw(st.permutations(range(1, n + 1))))
+
+
+class TestModelRotation:
+    """Rotation only spares solver calls: reasons are those of plain
+    deletion, and every literal it marks is truly necessary."""
+
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(rotation_cases())
+    def test_same_reason_as_plain_deletion(self, case):
+        forest, x, order = case
+        expected = brute.deletion_reason_bruteforce(forest, x, order)
+        assert sufficient_reason_rf(forest, x, order).term == expected
+
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(rotation_cases())
+    def test_marked_literals_are_necessary(self, case):
+        forest, x, order = case
+        model = normalize(forest, x)
+        oracle = ForestSatOracle(model)
+        term = greedy_reason(oracle, x, order).term
+        for var in oracle.necessary:
+            rest = Term(l for l in term if abs(l) != var)
+            assert len(rest) < len(term)
+            assert not brute.is_implicant_bruteforce(model, rest)
+
+    def test_a_new_start_term_forgets_necessary_literals(self):
+        # x1 is necessary in x1 alone, not in x1 ∧ x2, for the forest x1 ∨ x2
+        oracle = ForestSatOracle(dnf_to_forest([term_of(1), term_of(2)], 2))
+        assert greedy_reason(oracle, (1, 1), (1, 2), seed_term=term_of(1)).term == term_of(1)
+        assert greedy_reason(oracle, (1, 1), (1, 2)).term == term_of(2)
+
+    def test_spares_most_refused_removals_a_solver_call(self, monkeypatch):
+        calls = 0
+        solve = SatSolver.solve
+
+        def counting(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(SatSolver, "solve", counting)
+        requests = 0
+        for s in range(1, 5):
+            forest = random_forest(random.Random(s), 40, 25, 8, 0.1)
+            rng = random.Random(2)
+            for _ in range(6):
+                sufficient_reason_rf(forest, random_instance(rng, 40))
+                requests += 1
+        # plain deletion makes one call per candidate: 24 * 40 = 960
+        assert calls - requests <= 640  # one call per request tests the start term
 
 
 class TestSingleTreeCollapse:

@@ -108,6 +108,12 @@ class TestMinimalWeight:
         with pytest.raises(ValueError):
             WeightMap({1: 0})
 
+    @pytest.mark.parametrize("weight", [2.9, 2.0, True, "3", None, -1])
+    def test_weight_must_be_a_positive_int(self, weight):
+        # a float or str weight used to be truncated, a bool read as 1
+        with pytest.raises(ValueError, match="positive int"):
+            WeightMap({1: 2, 2: weight})
+
     def test_total_weight_overflow_rejected(self, orchid):
         with pytest.raises(ValueError):
             minimal_weight_majoritary_reason(orchid, X_POS, WeightMap({1: 2**31}))

@@ -21,7 +21,9 @@ from rfreasons.cli import (
     is_partial,
     validate_reason,
 )
-from rfreasons.core import RandomForest
+from rfreasons import explain
+from rfreasons.core import RandomForest, Term, cnf_to_forest
+from rfreasons.encodings import implicant_test_cnf
 from rfreasons.explain import ReasonKind
 
 import brute
@@ -69,6 +71,30 @@ def test_zero_timeout_gives_every_kind_a_valid_reason(x):
             cut = kind in MINIMAL_KINDS or (kind == "sufficient" and model.tree_count > 1)
             assert is_partial(reason) == cut, kind
             assert (reason.cost is not None) == (kind in MINIMAL_KINDS), kind
+
+
+@pytest.mark.parametrize("x", [X_POS, X_NEG])
+def test_sufficient_validation_encodes_the_forest_anew(monkeypatch, x):
+    # validation shares nothing with the search, its encoding included
+    builds = []
+    monkeypatch.setattr(
+        explain, "implicant_test_cnf", lambda f: builds.append(f) or implicant_test_cnf(f)
+    )
+    forest = RandomForest(orchid_trees())
+    reason = compute_reason(forest, x, ExplainSettings(kind="sufficient"))
+    assert len(builds) == 1
+    validate_reason(forest, reason)
+    assert len(builds) == 2 and builds[0] == builds[1]
+
+
+def test_sufficient_validation_refuses_a_reason_of_another_forest():
+    # only_x accepts X_POS alone, so no term shorter than t_x implies it
+    forest = RandomForest(orchid_trees())
+    reason = compute_reason(forest, X_POS, ExplainSettings(kind="sufficient"))
+    only_x = cnf_to_forest([(l,) for l in Term.of_instance(X_POS)], len(X_POS))
+    assert reason.size < len(X_POS) and only_x.tree_count > 1
+    with pytest.raises(AssertionError, match="validation failed"):
+        validate_reason(only_x, reason)
 
 
 def _settings(kind: str, forest: RandomForest, x, notion: str) -> ExplainSettings:

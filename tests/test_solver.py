@@ -87,15 +87,23 @@ class TestSolve:
     def test_loaded_and_added_clauses_agree(self, data):
         # SatSolver(cnf) attaches CnfInstance's normalized clauses directly;
         # add_clause normalizes raw ones itself.  Both must build the same
-        # solver: same statuses and models, and those right by brute force.
+        # solver: same watch lists, same statuses and models, and those
+        # right by brute force.  Unit clauses drawn between longer ones
+        # assign variables at the root that later clauses mention, which
+        # ends _attach's shortcut for an unassigned root.
         n = data.draw(st.integers(1, 6))
         literal = st.integers(-n, n).filter(bool)
-        raw = data.draw(st.lists(st.lists(literal, max_size=4), max_size=12))
+        longer = st.lists(literal, min_size=2, max_size=4)
+        clause = st.one_of(longer, st.lists(literal, max_size=4), literal.map(lambda l: [l]))
+        raw = data.draw(st.lists(clause, max_size=12))
         loaded = SatSolver(CnfInstance(n, raw))
         fed = SatSolver()
         fed.ensure_vars(n)
-        for clause in raw:
-            fed.add_clause(clause)
+        for c in raw:
+            fed.add_clause(c)
+        watched = lambda s: {l: [c.lits for c in w] for l, w in s._watches.items()}
+        assert watched(loaded) == watched(fed)
+        assert loaded._trail == fed._trail and loaded._unsat == fed._unsat
         for _ in range(3):
             assumed = data.draw(st.lists(literal, max_size=3))
             constraints = raw + [[a] for a in assumed]
