@@ -172,6 +172,8 @@ def _majoritary(r: Request) -> Reason:
 
 
 def _comprehensible(r: Request) -> Reason | None:
+    # No deadline: a first check cut short would read as "no
+    # comprehensible reason exists".
     keep = [_feature_index(t, r.forest) for t in r.settings.intelligible.split(",")]
     oracle = oracle_for_instance(r.forest, r.x, r.settings.notion)
     return comprehensible_reason(oracle, r.x, keep)
@@ -276,7 +278,7 @@ KIND_TABLE: dict[str, KindSpec] = {
     "inclusion-preferred": KindSpec(
         ReasonKind.INCLUSION_PREFERRED,
         lambda r: inclusion_preferred_reason(
-            oracle_for_instance(r.forest, r.x, r.settings.notion),
+            oracle_for_instance(r.forest, r.x, r.settings.notion, r.deadline),
             r.x,
             _parse_strata(r.settings.strata, r.forest),
         ),

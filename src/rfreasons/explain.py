@@ -267,12 +267,18 @@ NOTIONS = {
 
 
 def oracle_for_instance(
-    forest: RandomForest, x: Instance, notion: str = "majority"
+    forest: RandomForest,
+    x: Instance,
+    notion: str = "majority",
+    deadline: Deadline | None = None,
 ) -> ImplicantOracle:
-    """The oracle of the given notion on the polarity-normalized forest."""
+    """The oracle of the given notion on the polarity-normalized forest.
+    The deadline reaches the exact notion, the only one that calls a
+    solver; the others answer by tree traversals."""
     if notion not in NOTIONS:
         raise ValueError(f"unknown implicant notion {notion!r}")
-    return NOTIONS[notion](normalize(forest, x))
+    model = normalize(forest, x)
+    return exact_oracle(model, deadline) if notion == "sufficient" else NOTIONS[notion](model)
 
 
 # ---------------------------------------------------------------------------

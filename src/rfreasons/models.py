@@ -121,7 +121,7 @@ def parse_instances(
     """Read instance rows, returning (instances, header or None).
 
     A first row whose cells are not all 0/1 is treated as a header of
-    feature names.
+    feature names, which must name var_count features when it is given.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -143,6 +143,10 @@ def parse_instances(
     if rows and not all(numeric(cell) for cell in rows[0]):
         header = [cell.strip() for cell in rows[0]]
         rows = rows[1:]
+        if var_count is not None and len(header) != var_count:
+            raise InstanceFormatError(
+                f"header: expected {var_count} feature names, got {len(header)}"
+            )
     instances = []
     for r, row in enumerate(rows, 1):
         bits = []

@@ -61,6 +61,14 @@ class TestClassify:
         assert code == 1
         assert "row 1" in err and "column 2" in err
 
+    @pytest.mark.parametrize("header, code", [("a,b", 1), ("a,b,c,d,e", 1), ("a,b,c,d", EXIT_OK)])
+    def test_header_names_every_feature(self, capsys, model_file, tmp_path, header, code):
+        path = tmp_path / "named.csv"
+        path.write_text(header + "\n1,1,1,1\n")
+        got, _, err = run(capsys, "classify", model_file, str(path))
+        assert got == code
+        assert code == EXIT_OK or "header: expected 4 feature names" in err
+
 
 class TestExplain:
     def test_direct_golden(self, capsys, model_file):
@@ -257,6 +265,24 @@ class TestExplain:
         record = json.loads(out)
         assert record["size"] == 4 and record["fallback"] == "timeout"
 
+    def test_inclusion_preferred_sufficient_notion_honours_timeout(self, capsys, model_file):
+        code, out, _ = run(
+            capsys, "explain", model_file, "1111", "--kind", "inclusion-preferred",
+            "--strata", "x4;x2,x3;x1", "--notion", "sufficient", "--timeout", "0", "--json",
+        )
+        assert code == EXIT_PARTIAL
+        record = json.loads(out)
+        assert record["size"] == 4 and record["fallback"] == "timeout"
+
+    def test_comprehensible_runs_past_the_timeout(self, capsys, model_file):
+        # A first check cut short would read as "no comprehensible reason".
+        code, out, _ = run(
+            capsys, "explain", model_file, "1111", "--kind", "comprehensible",
+            "--intelligible", "x1,x2,x4", "--notion", "sufficient", "--timeout", "0", "--json",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["literals"] == [1, 4]
+
     def test_partial_result_reports_its_elapsed_time(self, capsys, model_file):
         code, out, _ = run(
             capsys, "explain", model_file, "1111",
@@ -377,6 +403,41 @@ def test_convert_exits_0_or_1_on_any_document(document):
         assert code in (EXIT_OK, 1)
         if code == EXIT_OK:
             load_forest(str(out_model))
+
+
+@st.composite
+def instance_documents(draw):
+    """Instance rows for the four-feature orchid model, some of another
+    width, under an optional header of any width, then possibly mutated
+    by token insertions and character deletions."""
+    width = draw(st.sampled_from([4, 4, 4, 3, 5]))
+    rows = draw(st.lists(st.lists(st.sampled_from("01"), min_size=width, max_size=width), max_size=4))
+    names = draw(st.lists(st.sampled_from(["a", "b", "x1", "leaves"]), min_size=1, max_size=6))
+    text = (",".join(names) + "\n" if draw(st.booleans()) else "") + "".join(
+        ",".join(row) + "\n" for row in rows
+    )
+    token = st.sampled_from(["0", "1", "2", "-1", ",", "\n", " ", "a", '"', "1.5"])
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(token) + text[at:]
+        else:
+            text = text[:at] + text[at + draw(st.integers(1, 4)):]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance_documents())
+def test_instance_file_commands_exit_0_or_1(text):
+    with tempfile.TemporaryDirectory() as work:
+        model = Path(work) / "orchid.json"
+        dump_forest(RandomForest(orchid_trees()), str(model))
+        source = Path(work) / "instances.csv"
+        source.write_text(text)
+        assert main(["classify", str(model), str(source)]) in (EXIT_OK, 1)
+        out_csv = str(Path(work) / "stats.csv")
+        code = main(["stats", str(model), str(source), "--kinds", "direct", "--out", out_csv])
+        assert code in (EXIT_OK, 1)
 
 
 class TestFixtureGen:

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfreasons.encodings import implicant_test_cnf
 from rfreasons.solver import CnfInstance, Deadline, SatSolver, SolveStatus
+
+import reference_solver
+from generators import random_forest
 
 
 def random_cnf(rng, n, m, width=3):
@@ -101,7 +105,8 @@ class TestSolve:
         fed.ensure_vars(n)
         for c in raw:
             fed.add_clause(c)
-        watched = lambda s: {l: [c.lits for c in w] for l, w in s._watches.items()}
+        literals = [l for v in range(1, n + 1) for l in (v, -v)]
+        watched = lambda s: {l: [c.lits for c in s._wl[l]] for l in literals}
         assert watched(loaded) == watched(fed)
         assert loaded._trail == fed._trail and loaded._unsat == fed._unsat
         for _ in range(3):
@@ -165,3 +170,85 @@ class TestCnfInstance:
     def test_immutable_value_semantics(self):
         cnf = CnfInstance(2, [(1, 2)])
         assert cnf == CnfInstance(2, [(1, 2)])
+
+
+def assert_same_state(new: SatSolver, ref: reference_solver.SatSolver, first, second):
+    assert first == second
+    assert new._conflicts == ref._conflicts and new._decisions == ref._decisions
+
+
+class TestAgainstReference:
+    """The solver and tests/reference_solver.py, its loop version, make
+    the same search: same outcomes and models, same conflict and
+    decision counts, step for step."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_same_steps_same_search(self, data):
+        # Steps as maxsat_anytime takes them: clauses added between
+        # solves, and variables added in stages at level 0.
+        n = data.draw(st.integers(1, 8))
+        new, ref = SatSolver(), reference_solver.SatSolver()
+        new.ensure_vars(n)
+        ref.ensure_vars(n)
+        for _ in range(data.draw(st.integers(1, 12))):
+            step = data.draw(st.sampled_from(["clause", "grow", "solve"]))
+            literal = st.integers(-n, n).filter(bool)
+            if step == "clause":
+                clause = data.draw(st.lists(literal, max_size=5))
+                assert_same_state(new, ref, new.add_clause(clause), ref.add_clause(clause))
+            elif step == "grow":
+                n += data.draw(st.integers(1, 4))
+                new.ensure_vars(n)
+                ref.ensure_vars(n)
+                assert_same_state(new, ref, new.var_count, ref.var_count)
+            else:
+                assumed = data.draw(st.lists(literal, max_size=4))
+                assert_same_state(
+                    new, ref, new.solve(assumptions=assumed), ref.solve(assumptions=assumed)
+                )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(30, 90))
+    def test_same_search_on_random_3cnf(self, seed, n):
+        # Random 3-SAT at the threshold: tens to hundreds of conflicts, so
+        # learning, backjumps and restarts all run.
+        rng = random.Random(seed)
+        new, ref = SatSolver(), reference_solver.SatSolver()
+        new.ensure_vars(n)
+        ref.ensure_vars(n)
+        for _ in range(int(4.26 * n)):
+            clause = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+            assert new.add_clause(clause) == ref.add_clause(clause)
+        for _ in range(4):
+            k = rng.randint(0, 4)
+            assumed = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), k)]
+            assert_same_state(
+                new, ref, new.solve(assumptions=assumed), ref.solve(assumptions=assumed)
+            )
+
+    def test_same_search_through_learnt_clause_reduction(self):
+        # 1,729 conflicts on 130 variables: the learnt clauses outgrow
+        # their limit, and reduction deletes some of their watches.
+        rng = random.Random(1)
+        clauses = [
+            tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 131), 3))
+            for _ in range(553)
+        ]
+        cnf = CnfInstance(130, clauses)
+        new, ref = SatSolver(cnf), reference_solver.SatSolver(cnf)
+        assert_same_state(new, ref, new.solve(), ref.solve())
+        assert [c.lits for c in new._learnts] == [c.lits for c in ref._learnts]
+        assert len(new._learnts) < new._conflicts - 500
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_same_search_on_implicant_encoding(self, seed):
+        encoding = implicant_test_cnf(random_forest(random.Random(seed), 40, 25, 8, 0.1))
+        new, ref = SatSolver(encoding.cnf), reference_solver.SatSolver(encoding.cnf)
+        rng = random.Random(seed)
+        for _ in range(20):
+            k = rng.randint(0, 40)
+            assumed = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 41), k)]
+            assert_same_state(
+                new, ref, new.solve(assumptions=assumed), ref.solve(assumptions=assumed)
+            )
