@@ -49,7 +49,6 @@ from .explain import (
     majoritary_reason,
     majoritary_reason_multi,
     oracle_for_instance,
-    sufficient_reason_dt,
     sufficient_reason_rf,
 )
 from .maxsat import (

@@ -13,6 +13,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import dimacs, models
@@ -27,12 +28,10 @@ from .core import (
 )
 from .explain import (
     DEFAULT_SEED,
-    NOTIONS,
     DeltaProbableOracle,
     LinearModel,
     Prioritization,
     Reason,
-    ReasonKind,
     comprehensible_reason,
     delta_probable_reason_dt,
     direct_reason,
@@ -125,6 +124,33 @@ def _parse_order(text: str, forest: RandomForest) -> tuple[int, ...]:
     return order
 
 
+def _parse_intelligible(text: str, forest: RandomForest) -> list[int]:
+    return [_feature_index(t, forest) for t in text.split(",")]
+
+
+def _parse_delta(text: str, forest: RandomForest) -> Fraction:
+    # the oracle's own range check, on the single tree check_request demands
+    return DeltaProbableOracle(forest.single(), text).delta
+
+
+def _parse_linear_weights(text: str, forest: RandomForest) -> LinearModel:
+    weights = [w.strip() for w in text.split(",")]
+    if len(weights) != forest.var_count:
+        raise CliError("--linear-weights length must match the feature count")
+    return LinearModel(weights)
+
+
+# ExplainSettings fields given as text, and their parsers
+_PARSERS: dict[str, Callable[[str, RandomForest], object]] = {
+    "order": _parse_order,
+    "weights": _parse_weights,
+    "strata": _parse_strata,
+    "intelligible": _parse_intelligible,
+    "delta": _parse_delta,
+    "linear_weights": _parse_linear_weights,
+}
+
+
 def _load_model(path: str) -> RandomForest:
     try:
         return models.load_forest(path)
@@ -155,35 +181,32 @@ class ExplainSettings:
 
 @dataclass(frozen=True)
 class Request:
-    """One explanation request, as the kind table's compute functions see it."""
+    """One explanation request, as the kind table's compute functions see
+    it: values holds the text settings the kind reads, parsed."""
 
     forest: RandomForest
     x: Instance
     settings: ExplainSettings
-    order: tuple[int, ...] | None
+    values: dict
     deadline: Deadline | None
 
 
 def _majoritary(r: Request) -> Reason:
     s = r.settings
     if s.permutations is None or s.permutations == 1:
-        return majoritary_reason(r.forest, r.x, r.order)
+        return majoritary_reason(r.forest, r.x, r.values.get("order"))
     return majoritary_reason_multi(r.forest, r.x, s.permutations, s.seed)
 
 
 def _comprehensible(r: Request) -> Reason | None:
     # No deadline: a first check cut short would read as "no
     # comprehensible reason exists".
-    keep = [_feature_index(t, r.forest) for t in r.settings.intelligible.split(",")]
     oracle = oracle_for_instance(r.forest, r.x, r.settings.notion)
-    return comprehensible_reason(oracle, r.x, keep)
+    return comprehensible_reason(oracle, r.x, r.values["intelligible"])
 
 
 def _lime(r: Request) -> Reason:
-    weights = [w.strip() for w in r.settings.linear_weights.split(",")]
-    if len(weights) != r.forest.var_count:
-        raise CliError("--linear-weights length must match the feature count")
-    model = LinearModel(weights)
+    model = r.values["linear_weights"]
     if model.evaluate(r.x) != r.forest.evaluate(r.x):
         raise CliError("the linear model disagrees with the forest on this instance")
     return lime_linear_reason(model, r.x)
@@ -197,7 +220,7 @@ def _notion(name: str | None) -> Callable[[RandomForest, Reason], bool]:
     def accepts(model: RandomForest, reason: Reason) -> bool:
         term = reason.term
         allowed = reason.extras.get("intelligible", term.variables())
-        oracle = NOTIONS[name or reason.extras["notion"]](model)
+        oracle = oracle_for_instance(model, reason.instance, name or reason.extras["notion"])
         return term.variables() <= set(allowed) and oracle.accepts(term)
 
     return accepts
@@ -210,12 +233,12 @@ _RECORDED = _notion(None)
 
 @dataclass(frozen=True)
 class KindSpec:
-    """One reason kind: its output label, how to compute it, the oracle
-    check that re-validates it on the normalized model, whether it needs
-    a single-tree model, the setting it cannot run without, and the
-    optional settings it reads besides the timeout."""
+    """One reason kind: how to compute it, the oracle check that
+    re-validates it on the normalized model, whether it needs a
+    single-tree model, the setting it cannot run without, and the
+    optional settings it reads besides the timeout.  Its output label
+    is the ReasonKind of its name with "_" for "-"."""
 
-    label: ReasonKind
     compute: Callable[[Request], Reason | None]
     oracle: Callable[[RandomForest, Reason], bool]
     single_tree: bool = False
@@ -224,42 +247,38 @@ class KindSpec:
 
 
 KIND_TABLE: dict[str, KindSpec] = {
-    "direct": KindSpec(ReasonKind.DIRECT, lambda r: direct_reason(r.forest, r.x), _EXACT),
+    "direct": KindSpec(lambda r: direct_reason(r.forest, r.x), _EXACT),
     "sufficient": KindSpec(
-        ReasonKind.SUFFICIENT,
-        lambda r: sufficient_reason_rf(r.forest, r.x, r.order, deadline=r.deadline),
+        lambda r: sufficient_reason_rf(
+            r.forest, r.x, r.values.get("order"), deadline=r.deadline
+        ),
         _EXACT,
         reads=("order",),
     ),
     "majoritary": KindSpec(
-        ReasonKind.MAJORITARY,
         _majoritary,
         _MAJORITY,
         reads=("order", "permutations", "seed"),
     ),
     "minimal-majoritary": KindSpec(
-        ReasonKind.MINIMAL_MAJORITARY,
         lambda r: minimal_majoritary_reason(r.forest, r.x, r.deadline),
         _MAJORITY,
     ),
     "minimal-weight": KindSpec(
-        ReasonKind.MINIMAL_WEIGHT,
         lambda r: minimal_weight_majoritary_reason(
-            r.forest, r.x, _parse_weights(r.settings.weights, r.forest), r.deadline
+            r.forest, r.x, r.values["weights"], r.deadline
         ),
         _MAJORITY,
         requires="weights",
     ),
     "minimal-sufficient": KindSpec(
-        ReasonKind.MINIMAL_SUFFICIENT,
         lambda r: minimal_sufficient_reason_dt(r.forest.single(), r.x, r.deadline),
         _EXACT,
         single_tree=True,
     ),
     "delta-probable": KindSpec(
-        ReasonKind.DELTA_PROBABLE,
         lambda r: delta_probable_reason_dt(
-            r.forest.single(), r.x, r.settings.delta, r.order
+            r.forest.single(), r.x, r.values["delta"], r.values.get("order")
         ),
         lambda model, reason: DeltaProbableOracle(
             model.single(), reason.extras["delta"]
@@ -269,18 +288,16 @@ KIND_TABLE: dict[str, KindSpec] = {
         reads=("order",),
     ),
     "comprehensible": KindSpec(
-        ReasonKind.COMPREHENSIBLE,
         _comprehensible,
         _RECORDED,
         requires="intelligible",
         reads=("notion",),
     ),
     "inclusion-preferred": KindSpec(
-        ReasonKind.INCLUSION_PREFERRED,
         lambda r: inclusion_preferred_reason(
             oracle_for_instance(r.forest, r.x, r.settings.notion, r.deadline),
             r.x,
-            _parse_strata(r.settings.strata, r.forest),
+            r.values["strata"],
         ),
         _RECORDED,
         requires="strata",
@@ -288,20 +305,17 @@ KIND_TABLE: dict[str, KindSpec] = {
     ),
     # lime explains its own linear model, not the forest
     "lime": KindSpec(
-        ReasonKind.LIME,
         _lime,
         lambda model, reason: reason.term.covers(reason.instance),
         requires="linear_weights",
     ),
     "approx-minimal": KindSpec(
-        ReasonKind.APPROX_MINIMAL,
         lambda r: approx_minimal_reason_dt(r.forest.single(), r.x),
         _EXACT,
         single_tree=True,
     ),
 }
 KINDS = tuple(KIND_TABLE)
-_SPEC_OF_LABEL = {spec.label: spec for spec in KIND_TABLE.values()}
 
 
 def compute_reason(
@@ -316,9 +330,8 @@ def compute_reason(
     """
     start = time.monotonic()
     deadline = None if s.timeout is None else Deadline(start + s.timeout)
-    order = _parse_order(s.order, forest) if s.order else None
-    spec = check_request(forest, s)
-    reason = spec.compute(Request(forest, x, s, order, deadline))
+    spec, values = check_request(forest, s)
+    reason = spec.compute(Request(forest, x, s, values, deadline))
     if reason is None:
         return None
     return replace(
@@ -328,11 +341,11 @@ def compute_reason(
     )
 
 
-def check_request(forest: RandomForest, s: ExplainSettings) -> KindSpec:
-    """The kind's table entry, once the request passes the checks that
-    hold for every instance alike: a known kind, its required setting,
-    a single-tree model where the kind needs one, and the permutation
-    count."""
+def check_request(forest: RandomForest, s: ExplainSettings) -> tuple[KindSpec, dict]:
+    """The kind's table entry and the text settings it reads, parsed, once
+    the request passes the checks that hold for every instance alike: a
+    known kind, its required setting, a single-tree model where the kind
+    needs one, the permutation count and every value the kind reads."""
     spec = KIND_TABLE.get(s.kind)
     if spec is None:
         raise CliError(f"unknown kind {s.kind!r}")
@@ -344,7 +357,15 @@ def check_request(forest: RandomForest, s: ExplainSettings) -> KindSpec:
         raise CliError(f"--permutations must be at least 1, got {s.permutations}")
     if s.order and s.permutations is not None and s.permutations > 1:
         raise CliError("--order and --permutations above 1 exclude each other")
-    return spec
+    values = {}
+    for name in (spec.requires, *spec.reads):
+        text = getattr(s, name) if name in _PARSERS else None
+        if text:
+            try:
+                values[name] = _PARSERS[name](text, forest)
+            except ZeroDivisionError:  # a fraction such as 1/0
+                raise CliError(f"{_flag(name)} has a zero denominator in {text!r}") from None
+    return spec, values
 
 
 def is_partial(reason: Reason) -> bool:
@@ -361,7 +382,7 @@ def validate_reason(forest: RandomForest, reason: Reason) -> None:
     means an encoding bug and is a hard error.  Validation takes no
     deadline: it is a safety check and always runs to completion."""
     model = normalize(forest, reason.instance)
-    if not _SPEC_OF_LABEL[reason.kind].oracle(model, reason):
+    if not KIND_TABLE[reason.kind.value.replace("_", "-")].oracle(model, reason):
         raise AssertionError(
             f"validation failed: {reason.kind.value} reason {reason.term} "
             "rejected by its oracle"

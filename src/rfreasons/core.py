@@ -195,11 +195,6 @@ class DecisionTree:
 
         return emit(self.root)
 
-    @property
-    def size(self) -> int:
-        """Number of nodes, leaves included."""
-        return len(self.nodes)
-
     def evaluate(self, x: Instance) -> int:
         if len(x) != self.var_count:
             raise DimensionError(
@@ -209,9 +204,6 @@ class DecisionTree:
         while var:
             var, lo, hi = self.nodes[hi if x[var - 1] else lo]
         return lo
-
-    def __call__(self, x: Instance) -> int:
-        return self.evaluate(x)
 
     def negated(self) -> "DecisionTree":
         """Same structure, already validated, with every leaf label flipped."""
@@ -397,22 +389,12 @@ class RandomForest:
         return len(self.trees)
 
     @property
-    def size(self) -> int:
-        return sum(t.size for t in self.trees)
-
-    @property
     def majority(self) -> int:
         """Votes needed to win: strictly more than half the trees."""
         return len(self.trees) // 2 + 1
 
-    def votes(self, x: Instance) -> int:
-        return sum(t.evaluate(x) for t in self.trees)
-
     def evaluate(self, x: Instance) -> int:
-        return 1 if self.votes(x) >= self.majority else 0
-
-    def __call__(self, x: Instance) -> int:
-        return self.evaluate(x)
+        return 1 if sum(t.evaluate(x) for t in self.trees) >= self.majority else 0
 
     def negated(self) -> "RandomForest":
         """A forest computing the complement function.

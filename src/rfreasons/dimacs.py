@@ -1,4 +1,4 @@
-"""DIMACS CNF / WCNF / DNF interchange.
+"""DIMACS interchange: CNF and DNF readers, and a WCNF writer.
 
 WCNF uses the classic header form "p wcnf <vars> <clauses> <top>" where
 hard clauses carry the top weight.
@@ -21,10 +21,9 @@ class DimacsError(ValueError):
         self.line_no = line_no
 
 
-def _clause_lines(lines: Iterable[str], var_count: int, weighted: bool):
-    """Yield (line_no, weight or None, literals) for clause body lines."""
+def _clause_lines(lines: Iterable[str], var_count: int):
+    """Yield (line_no, literals) for clause body lines."""
     pending: list[int] = []
-    weight = None
     opened_at = 0  # line of the open record's first token
     for line_no, raw in lines:
         tokens = raw.split()
@@ -35,24 +34,18 @@ def _clause_lines(lines: Iterable[str], var_count: int, weighted: bool):
                 value = int(tok)
             except ValueError:
                 raise DimacsError(line_no, f"expected an integer, got {tok!r}") from None
-            if not pending and weight is None:
+            if not pending:
                 opened_at = line_no
-                if weighted:
-                    if value < 1:
-                        raise DimacsError(line_no, f"clause weight must be positive, got {value}")
-                    weight = value
-                    continue
             if value == 0:
-                yield line_no, weight, pending
+                yield line_no, tuple(pending)
                 pending = []
-                weight = None
             else:
                 if abs(value) > var_count:
                     raise DimacsError(
                         line_no, f"literal {value} exceeds declared variable count {var_count}"
                     )
                 pending.append(value)
-    if pending or weight is not None:
+    if pending:
         raise DimacsError(opened_at, "unterminated clause at end of input")
 
 
@@ -63,11 +56,11 @@ def _read_lines(source: str | IO[str]) -> list[str]:
 
 
 def _read_records(
-    source: str | IO[str], fmt: str, fields: tuple[str, ...], weighted: bool = False
-) -> tuple[tuple[int, ...], list[tuple[int, int | None, tuple[int, ...]]]]:
-    """Parse the 'p <fmt> <vars> <count> ...' header and the records after
-    it: (header integers, [(line number, weight or None, literals)]), with
-    the record count checked against the header."""
+    source: str | IO[str], fmt: str, fields: tuple[str, str]
+) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
+    """Parse the 'p <fmt> <vars> <count>' header and the records after it:
+    (variable count, [(line number, literals)]), with the record count
+    checked against the header."""
     lines = _read_lines(source)
     shape = f"'p {fmt} " + " ".join(f"<{f}>" for f in fields) + "'"
     header = None
@@ -89,53 +82,32 @@ def _read_records(
     for field, value in zip(fields, header):
         if value < 0:
             raise DimacsError(i, f"header <{field}> must be non-negative, got {value}")
-    var_count, declared = header[0], header[1]
-    records = [
-        (line_no, weight, tuple(lits))
-        for line_no, weight, lits in _clause_lines(
-            enumerate(lines[i:], i + 1), var_count, weighted
-        )
-    ]
+    var_count, declared = header
+    records = list(_clause_lines(enumerate(lines[i:], i + 1), var_count))
     if len(records) != declared:
         raise DimacsError(
             i, f"header declares {declared} {fields[1]}, found {len(records)}"
         )
-    return header, records
+    return var_count, records
 
 
 def read_dimacs(source: str | IO[str]) -> CnfInstance:
     """Parse a DIMACS CNF document (text or file object)."""
-    (var_count, _), records = _read_records(source, "cnf", ("vars", "clauses"))
-    return CnfInstance(var_count, [lits for _, _, lits in records])
+    var_count, records = _read_records(source, "cnf", ("vars", "clauses"))
+    return CnfInstance(var_count, [lits for _, lits in records])
 
 
 def read_dnf(source: str | IO[str]) -> tuple[list[Term], int]:
     """Parse a DIMACS-style DNF document ('p dnf <vars> <terms>', one
     0-terminated term per record): (terms, variable count)."""
-    (var_count, _), records = _read_records(source, "dnf", ("vars", "terms"))
+    var_count, records = _read_records(source, "dnf", ("vars", "terms"))
     terms = []
-    for line_no, _, lits in records:
+    for line_no, lits in records:
         try:
             terms.append(Term(lits))
         except InconsistentTermError as e:
             raise DimacsError(line_no, str(e)) from None
     return terms, var_count
-
-
-def write_dimacs(cnf: CnfInstance) -> str:
-    out = [f"p cnf {cnf.var_count} {len(cnf.clauses)}"]
-    out.extend(" ".join(map(str, c)) + " 0" for c in cnf.clauses)
-    return "\n".join(out) + "\n"
-
-
-def read_wcnf(source: str | IO[str]) -> WeightedCnf:
-    """Parse a weighted instance; clauses at the declared top weight are hard."""
-    (var_count, _, top), records = _read_records(
-        source, "wcnf", ("vars", "clauses", "top"), weighted=True
-    )
-    hard = [lits for _, weight, lits in records if weight >= top]
-    soft = tuple((lits, weight) for _, weight, lits in records if weight < top)
-    return WeightedCnf(CnfInstance(var_count, hard), soft)
 
 
 def write_wcnf(problem: WeightedCnf) -> str:

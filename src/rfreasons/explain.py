@@ -86,9 +86,10 @@ class ImplicantOracle:
     """Decides whether a term counts as an implicant in some sense.
 
     monotone means closed under adding literals, which lets the greedy
-    loop stop after a single elimination pass.  notion names the oracle
-    in NOTIONS, and timed_out is set once a deadline made the oracle
-    reject a query it could not decide.
+    loop stop after a single elimination pass.  notion is the name
+    oracle_for_instance gives the oracle's implicant notion, and
+    timed_out is set once a deadline made the oracle reject a query it
+    could not decide.
     """
 
     monotone = True
@@ -109,7 +110,7 @@ class ImplicantOracle:
 class SingleTreeOracle(ImplicantOracle):
     """Exact implicant test for one decision tree (linear-time traversal)."""
 
-    notion = "tree"
+    notion = "sufficient"
 
     def __init__(self, tree: DecisionTree):
         self.tree = tree
@@ -257,28 +258,21 @@ def exact_oracle(
     return ForestSatOracle(forest, deadline)
 
 
-# Implicant notions by name: "majority", "sufficient" (exact) and "tree"
-# (single-tree forests only).
-NOTIONS = {
-    "majority": MajorityOracle,
-    "sufficient": exact_oracle,
-    "tree": lambda forest: SingleTreeOracle(forest.single()),
-}
-
-
 def oracle_for_instance(
     forest: RandomForest,
     x: Instance,
     notion: str = "majority",
     deadline: Deadline | None = None,
 ) -> ImplicantOracle:
-    """The oracle of the given notion on the polarity-normalized forest.
-    The deadline reaches the exact notion, the only one that calls a
-    solver; the others answer by tree traversals."""
-    if notion not in NOTIONS:
-        raise ValueError(f"unknown implicant notion {notion!r}")
-    model = normalize(forest, x)
-    return exact_oracle(model, deadline) if notion == "sufficient" else NOTIONS[notion](model)
+    """The oracle of the implicant notion "majority" or "sufficient"
+    (exact) on the polarity-normalized forest.  The deadline reaches the
+    exact notion, the only one that calls a solver; the majority notion
+    answers by tree traversals."""
+    if notion == "majority":
+        return MajorityOracle(normalize(forest, x))
+    if notion == "sufficient":
+        return exact_oracle(normalize(forest, x), deadline)
+    raise ValueError(f"unknown implicant notion {notion!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +354,6 @@ def direct_reason(forest: RandomForest, x: Instance) -> Reason:
         if tree.evaluate(x) == prediction:
             lits.update(tree.path_term(x))
     return Reason(Term(lits), ReasonKind.DIRECT, tuple(x))
-
-
-def sufficient_reason_dt(
-    tree: DecisionTree, x: Instance, order: Sequence[int] | None = None
-) -> Reason:
-    """A prime implicant of the tree (or its negation for a negative
-    example) covering x; one linear-time implicant test per literal."""
-    return sufficient_reason_rf(RandomForest([tree]), x, order)
 
 
 def sufficient_reason_rf(
@@ -460,7 +446,6 @@ def comprehensible_reason(
     oracle: ImplicantOracle,
     x: Instance,
     intelligible: Iterable[int],
-    order: Sequence[int] | None = None,
 ) -> Reason | None:
     """A reason restricted to literals over the intelligible features, or
     None when no such reason exists for this oracle.
@@ -472,8 +457,7 @@ def comprehensible_reason(
     keep = set(intelligible)
     if not keep <= set(range(1, oracle.var_count + 1)):
         raise ValueError("intelligible features out of range")
-    if order is None:
-        order = tuple(v for v in default_order(oracle.var_count) if v in keep)
+    order = tuple(v for v in default_order(oracle.var_count) if v in keep)
     try:
         return greedy_reason(
             oracle,
@@ -514,22 +498,6 @@ class Prioritization:
         listed = set(order)
         order.extend(v for v in range(1, var_count + 1) if v not in listed)
         return tuple(order)
-
-    def full_strata(self, var_count: int) -> tuple[frozenset[int], ...]:
-        listed = set().union(*self.strata) if self.strata else set()
-        rest = frozenset(range(1, var_count + 1)) - listed
-        return self.strata + ((rest,) if rest else ())
-
-    def prefers(self, t: Term, other: Term, var_count: int) -> bool:
-        """Strict preference: t beats other on the first stratum where
-        their projections differ, by strict inclusion."""
-        for stratum in self.full_strata(var_count):
-            a = frozenset(l for l in t if abs(l) in stratum)
-            b = frozenset(l for l in other if abs(l) in stratum)
-            if a == b:
-                continue
-            return a < b
-        return False
 
 
 def inclusion_preferred_reason(

@@ -165,25 +165,6 @@ def parse_instances(
     return instances, header
 
 
-def write_instances(
-    instances: Sequence[Sequence[int]],
-    target: str | IO[str],
-    header: Sequence[str] | None = None,
-) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    if header:
-        writer.writerow(header)
-    for x in instances:
-        writer.writerow(list(x))
-    text = buf.getvalue()
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w") as fh:
-            fh.write(text)
-
-
 @dataclass(frozen=True)
 class StatsRow:
     """One per (instance, kind): what was computed and how long it took."""

@@ -25,8 +25,7 @@ from .explain import (
     Reason,
     ReasonKind,
     SingleTreeOracle,
-    default_order,
-    _eliminate,
+    greedy_reason,
 )
 from .maxsat import maxsat_anytime
 from .solver import CnfInstance, Deadline
@@ -43,9 +42,6 @@ class AnytimeLog:
     """Improvement trajectory: (seconds since start, cost) per model."""
 
     entries: tuple[tuple[float, int], ...]
-
-    def costs(self) -> tuple[int, ...]:
-        return tuple(c for _, c in self.entries)
 
 
 @dataclass(frozen=True)
@@ -247,15 +243,10 @@ def approx_minimal_reason_dt(tree: DecisionTree, x: Instance) -> Reason:
         best = max(degree.items(), key=lambda kv: (kv[1], -abs(kv[0])))[0]
         picked.add(best)
         remaining = [s for s in remaining if best not in s]
-    assign = Term(picked).to_array(tree.var_count)
-    _eliminate(SingleTreeOracle(normalized), assign, default_order(tree.var_count))
-    term = Term.from_array(assign)
-    return Reason(
-        term,
-        ReasonKind.APPROX_MINIMAL,
-        tuple(x),
-        extras={
-            "method": "greedy_cover",
-            "max_adjacency": instance.max_adjacency(),
-        },
+    return greedy_reason(
+        SingleTreeOracle(normalized),
+        x,
+        kind=ReasonKind.APPROX_MINIMAL,
+        extras={"method": "greedy_cover", "max_adjacency": instance.max_adjacency()},
+        seed_term=Term(picked),
     )

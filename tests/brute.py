@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from rfreasons.core import DecisionTree, Instance, RandomForest, Term, normalize
+from rfreasons.explain import Prioritization
 
 DEFAULT_VAR_LIMIT = 16
 
@@ -186,3 +187,52 @@ def deletion_reason_bruteforce(
         if len(candidate) < len(term) and table[cover_mask(candidate, n)].all():
             term = candidate
     return term
+
+
+def prefers(prio: Prioritization, t: Term, other: Term, var_count: int) -> bool:
+    """Strict preference: t beats other on the first stratum where their
+    projections differ, by strict inclusion; unlisted features form a
+    final stratum."""
+    rest = frozenset(range(1, var_count + 1)).difference(*prio.strata)
+    for stratum in prio.strata + ((rest,) if rest else ()):
+        a = frozenset(l for l in t if abs(l) in stratum)
+        b = frozenset(l for l in other if abs(l) in stratum)
+        if a == b:
+            continue
+        return a < b
+    return False
+
+
+def read_wcnf(text: str) -> tuple[int, int, list[tuple[int, tuple[int, ...]]]]:
+    """(variable count, top weight, [(weight, clause)]) of a WCNF document
+    in the 'p wcnf <vars> <clauses> <top>' form, one clause per line."""
+    rows = [line.split() for line in text.splitlines() if line.strip()]
+    p, fmt, var_count, count, top = rows[0]
+    assert (p, fmt) == ("p", "wcnf") and all(row[-1] == "0" for row in rows[1:])
+    records = [(int(row[0]), tuple(int(t) for t in row[1:-1])) for row in rows[1:]]
+    assert len(records) == int(count)
+    return int(var_count), int(top), records
+
+
+def maxsat_optimum_bruteforce(
+    var_count: int,
+    top: int,
+    records: Sequence[tuple[int, tuple[int, ...]]],
+    var_limit: int = DEFAULT_VAR_LIMIT,
+) -> int | None:
+    """Least total weight of soft clauses (weight below top) falsified by
+    an assignment satisfying every hard clause; None when none does."""
+    _check_width(var_count, var_limit)
+    idx = np.arange(1 << var_count, dtype=np.int64)
+    hard = np.ones(1 << var_count, dtype=bool)
+    cost = np.zeros(1 << var_count, dtype=np.int64)
+    for weight, clause in records:
+        sat = np.zeros(1 << var_count, dtype=bool)
+        for lit in clause:
+            bit = ((idx >> (abs(lit) - 1)) & 1).astype(bool)
+            sat |= bit if lit > 0 else ~bit
+        if weight >= top:
+            hard &= sat
+        else:
+            cost += np.where(sat, 0, weight)
+    return int(cost[hard].min()) if hard.any() else None

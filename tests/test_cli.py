@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -15,11 +16,14 @@ from rfreasons.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
     main,
+    parity_tree,
 )
 from rfreasons.core import RandomForest
 from rfreasons.models import dump_forest, load_forest, parse_instances
 
+import brute
 from conftest import orchid_trees
+from generators import random_forest, random_instance
 
 
 @pytest.fixture
@@ -248,6 +252,49 @@ class TestExplain:
             "--weights", "x1:5", "--export-wcnf", str(target),
         )
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5, 6])
+    def test_exported_wcnf_optimum_is_the_minimal_cost(self, capsys, tmp_path, seed):
+        # seed None is orchid; the others draw forests of at most 8
+        # variables and 3 trees, so the export has at most 16 variables
+        if seed is None:
+            forest, xs = RandomForest(orchid_trees()), [(1, 1, 1, 1), (0, 1, 0, 0)]
+        else:
+            rng = random.Random(seed)
+            n = rng.randint(2, 8)
+            forest = random_forest(rng, n, rng.randint(1, 3), 4)
+            xs = [random_instance(rng, n) for _ in range(2)]
+        model, target = tmp_path / "m.json", tmp_path / "p.wcnf"
+        dump_forest(forest, str(model))
+        weights = ",".join(f"x{v}:{v % 3 + 1}" for v in range(1, forest.var_count + 1))
+        for x in xs:
+            for flags in (
+                ["--kind", "minimal-majoritary"],
+                ["--kind", "minimal-weight", "--weights", weights],
+            ):
+                code, out, _ = run(
+                    capsys, "explain", str(model), "".join(map(str, x)), *flags,
+                    "--export-wcnf", str(target), "--json",
+                )
+                assert code == EXIT_OK
+                problem = brute.read_wcnf(target.read_text())
+                assert brute.maxsat_optimum_bruteforce(*problem) == json.loads(out)["cost"]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--kind", "delta-probable", "--delta", "1/0"], "--delta has a zero denominator"),
+            (
+                ["--kind", "lime", "--linear-weights", "1/0,1,1"],
+                "--linear-weights has a zero denominator",
+            ),
+        ],
+    )
+    def test_zero_denominator_refused(self, capsys, tmp_path, flags, message):
+        path = tmp_path / "t.json"
+        dump_forest(RandomForest([parity_tree(3)]), str(path))
+        code, out, err = run(capsys, "explain", str(path), "111", *flags)
+        assert code == 1 and out == "" and message in err
 
     def test_unknown_feature_in_flag(self, capsys, model_file):
         code, _, err = run(
@@ -539,6 +586,43 @@ class TestStats:
         # explain refuses these too; stats must not turn them into rows
         code, out, err = run(capsys, "stats", model_file, instances_file, *flags)
         assert code == 1 and out == "" and message in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--kinds", "minimal-weight", "--weights", "x9:1"], "feature index 9 out of range"),
+            (["--kinds", "minimal-weight", "--weights", "x1:0"], "must be a positive int"),
+            (["--kinds", "inclusion-preferred", "--strata", "x9"], "feature index 9 out of range"),
+            (["--kinds", "comprehensible", "--intelligible", "y"], "unknown feature 'y'"),
+            (["--kinds", "delta-probable", "--delta", "abc"], "Invalid literal for Fraction"),
+            (["--kinds", "delta-probable", "--delta", "1/0"], "--delta has a zero denominator"),
+            (["--kinds", "delta-probable", "--delta", "2"], "delta must be within [0, 1]"),
+            (["--kinds", "lime", "--linear-weights", "1,1"], "--linear-weights length must match"),
+            (
+                ["--kinds", "lime", "--linear-weights", "1/0,1,1,1"],
+                "--linear-weights has a zero denominator",
+            ),
+        ],
+    )
+    def test_malformed_value_fails_the_run_once(
+        self, capsys, tmp_path, instances_file, flags, message
+    ):
+        # wrong for every instance alike, so no row is written
+        single = tmp_path / "single.json"
+        dump_forest(RandomForest(orchid_trees()[:1]), str(single))
+        code, out, err = run(capsys, "stats", str(single), instances_file, *flags)
+        assert code == 1 and out == "" and message in err
+
+    def test_lime_disagreement_stays_in_its_row(self, capsys, model_file, instances_file):
+        # the linear model votes 0 on both rows; the forest votes 1 on the first
+        code, out, _ = run(
+            capsys, "stats", model_file, instances_file,
+            "--kinds", "lime", "--linear-weights=-1,-1,-1,-1",
+        )
+        assert code == EXIT_OK
+        rows = [l for l in out.splitlines()[1:] if l and not l.startswith("#")]
+        assert rows[0].endswith("the linear model disagrees with the forest on this instance")
+        assert rows[1].startswith("2,lime,") and rows[1].endswith(",")  # no error
 
     def test_timeout_zero_falls_back(self, capsys, model_file, instances_file, tmp_path):
         out_csv = tmp_path / "stats.csv"

@@ -144,8 +144,8 @@ class TestTreeStructure:
 
     def test_size_counts_all_nodes(self, orchid):
         t1, t2, t3 = orchid.trees
-        assert (t1.size, t2.size, t3.size) == (9, 7, 15)
-        assert orchid.size == 31
+        # one arena node per nested record, leaves included
+        assert (len(t1.nodes), len(t2.nodes), len(t3.nodes)) == (9, 7, 15)
 
 
 class TestEvaluation:

@@ -1,16 +1,11 @@
 import pytest
 
-from rfreasons.dimacs import (
-    DimacsError,
-    read_dimacs,
-    read_dnf,
-    read_wcnf,
-    write_dimacs,
-    write_wcnf,
-)
+from rfreasons.dimacs import DimacsError, read_dimacs, read_dnf, write_wcnf
 from rfreasons.core import Term
 from rfreasons.encodings import WeightedCnf, implicant_test_cnf
 from rfreasons.solver import CnfInstance
+
+import brute
 
 
 class TestCnfRoundTrip:
@@ -30,7 +25,8 @@ class TestCnfRoundTrip:
 
     def test_round_trip_of_implicant_encoding(self, orchid):
         cnf = implicant_test_cnf(orchid).cnf
-        again = read_dimacs(write_dimacs(cnf))
+        body = "".join(" ".join(map(str, c)) + " 0\n" for c in cnf.clauses)
+        again = read_dimacs(f"p cnf {cnf.var_count} {cnf.clause_count}\n{body}")
         assert again == cnf
 
     def test_error_carries_line_number(self):
@@ -70,23 +66,7 @@ class TestWcnf:
         top = int(header[4])
         assert top == 7  # soft total + 1
         assert text.splitlines()[1].startswith(f"{top} ")
-        again = read_wcnf(text)
-        assert again.hard == problem.hard
-        assert again.soft == problem.soft
-
-    def test_weights_above_top_are_hard(self):
-        got = read_wcnf("p wcnf 1 2 10\n10 1 0\n3 -1 0\n")
-        assert got.hard.clauses == ((1,),)
-        assert got.soft == (((-1,), 3),)
-
-    def test_rejects_non_positive_weight(self):
-        with pytest.raises(DimacsError):
-            read_wcnf("p wcnf 1 1 10\n0 1 0\n")
-
-    def test_header_errors(self):
-        with pytest.raises(DimacsError):
-            read_wcnf("p wcnf 1 1\n1 1 0\n")
-
+        assert brute.read_wcnf(text) == (2, 7, [(7, (1, 2)), (1, (-1,)), (5, (-2,))])
 
 
 class TestDnf:
@@ -125,7 +105,6 @@ class TestDnf:
             (read_dnf, "p dnf -1 1\n1 0\n"),
             (read_dimacs, "p cnf -3 0\n"),
             (read_dnf, "p dnf 2 -1\n"),
-            (read_wcnf, "p wcnf 2 1 -4\n1 1 0\n"),
         ],
     )
     def test_negative_header_count_refused(self, read, text):

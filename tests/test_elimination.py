@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 
 from rfreasons.core import DecisionTree, RandomForest, Term, normalize
 from rfreasons.explain import (
-    NOTIONS,
     DeltaProbableOracle,
     MajorityOracle,
     NotAnImplicantError,
     greedy_reason,
     majoritary_reason_multi,
+    oracle_for_instance,
 )
 
 from generators import random_forest, random_instance
@@ -87,13 +87,14 @@ def assert_same_elimination(make_oracle, x, order, seed_term):
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(cases(), st.sampled_from(sorted(NOTIONS)))
-def test_monotone_oracles_match_the_stateless_loop(case, notion):
+@given(cases(), st.sampled_from(["majority", "sufficient"]), st.booleans())
+def test_monotone_oracles_match_the_stateless_loop(case, notion, single_tree):
     forest, x, order, seed_term = case
-    if notion == "tree":
+    if single_tree:
         forest = RandomForest(forest.trees[:1])
-    model = normalize(forest, x)
-    assert_same_elimination(lambda: NOTIONS[notion](model), x, order, seed_term)
+    assert_same_elimination(
+        lambda: oracle_for_instance(forest, x, notion), x, order, seed_term
+    )
 
 
 @settings(max_examples=100, deadline=None, database=None)

@@ -26,7 +26,6 @@ from rfreasons.explain import (
     majoritary_reason,
     majoritary_reason_multi,
     oracle_for_instance,
-    sufficient_reason_dt,
     sufficient_reason_rf,
 )
 from rfreasons.cli import parity_fixture
@@ -102,22 +101,22 @@ class TestGreedyReason:
 
 class TestSufficientReasonDt:
     def test_golden_order(self, orchid):
-        r = sufficient_reason_dt(orchid.trees[1], X_POS, order=(1, 3, 4, 2))
+        r = sufficient_reason_rf(RandomForest([orchid.trees[1]]), X_POS, order=(1, 3, 4, 2))
         assert r.term == term_of(2)
 
     def test_reduction_example(self, orchid):
-        r = sufficient_reason_dt(orchid.trees[1], (1, 0, 0, 1))
+        r = sufficient_reason_rf(RandomForest([orchid.trees[1]]), (1, 0, 0, 1))
         assert r.term == term_of(1, 4)
 
     def test_constant_tree(self):
-        r = sufficient_reason_dt(DecisionTree.leaf(1, 2), (0, 0))
+        r = sufficient_reason_rf(RandomForest([DecisionTree.leaf(1, 2)]), (0, 0))
         assert r.term == Term()
 
     def test_negative_instance_normalized(self, orchid):
         t1 = orchid.trees[0]
         x = (0, 0, 0, 0)
         assert t1.evaluate(x) == 0
-        r = sufficient_reason_dt(t1, x)
+        r = sufficient_reason_rf(RandomForest([t1]), x)
         assert r.term.covers(x)
         assert brute.is_implicant_bruteforce(t1.negated(), r.term)
 
@@ -127,7 +126,7 @@ class TestSufficientReasonDt:
             n = rng.randint(2, 10)
             tree = random_tree(rng, n, 5)
             x = random_instance(rng, n)
-            r = sufficient_reason_dt(tree, x)
+            r = sufficient_reason_rf(RandomForest([tree]), x)
             assert r.term in brute.enumerate_sufficient_reasons(RandomForest([tree]), x)
 
 
@@ -314,7 +313,7 @@ class TestSingleTreeCollapse:
             forest = RandomForest([tree])
             for perm in itertools.permutations(range(1, n + 1)):
                 a = majoritary_reason(forest, x, order=perm).term
-                b = sufficient_reason_dt(tree, x, order=perm).term
+                b = greedy_reason(ForestSatOracle(normalize(forest, x)), x, perm).term
                 c = sufficient_reason_rf(forest, x, order=perm).term
                 assert a == b == c
 
@@ -329,7 +328,7 @@ class TestSingleTreeCollapse:
             for _ in range(8):
                 rng.shuffle(order)
                 a = majoritary_reason(forest, x, order=tuple(order)).term
-                b = sufficient_reason_dt(tree, x, order=tuple(order)).term
+                b = greedy_reason(ForestSatOracle(normalize(forest, x)), x, tuple(order)).term
                 c = sufficient_reason_rf(forest, x, order=tuple(order)).term
                 assert a == b == c
 
@@ -460,7 +459,7 @@ class TestInclusionPreferred:
             r = inclusion_preferred_reason(oracle, x, prio)
             others = brute.enumerate_majoritary_reasons(forest, x)
             for other in others:
-                assert not prio.prefers(other, r.term, n), (other, r.term, prio)
+                assert not brute.prefers(prio, other, r.term, n), (other, r.term, prio)
 
     def test_strata_validation(self):
         with pytest.raises(ValueError):

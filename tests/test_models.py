@@ -14,7 +14,6 @@ from rfreasons.models import (
     forest_to_document,
     load_forest,
     parse_instances,
-    write_instances,
     write_stats,
 )
 
@@ -188,7 +187,7 @@ class TestInstanceFiles:
 
     def test_write_read_round_trip(self, tmp_path):
         path = tmp_path / "inst.csv"
-        write_instances([(1, 0), (0, 1)], str(path), header=["a", "b"])
+        path.write_text("a,b\n1,0\n0,1\n")
         instances, header = parse_instances(str(path))
         assert instances == [(1, 0), (0, 1)]
         assert header == ["a", "b"]

@@ -66,7 +66,7 @@ class TestMinimalMajoritary:
         )
         costs = [c for _, c in improvements]
         assert costs == sorted(costs, reverse=True)
-        assert r.extras["log"].costs() == tuple(costs)
+        assert tuple(c for _, c in r.extras["log"].entries) == tuple(costs)
         target_oracle = MajorityOracle(orchid)
         for term, _ in improvements:
             assert target_oracle.accepts(term)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfreasons.encodings import implicant_test_cnf
-from rfreasons.solver import CnfInstance, Deadline, SatSolver, SolveStatus
+from rfreasons.solver import CnfInstance, Deadline, SatSolver, SolveStatus, _normalize_clause
 
 import reference_solver
 from generators import random_forest
@@ -170,6 +170,36 @@ class TestCnfInstance:
     def test_immutable_value_semantics(self):
         cnf = CnfInstance(2, [(1, 2)])
         assert cnf == CnfInstance(2, [(1, 2)])
+
+    @pytest.mark.parametrize("bad", [1.5, "2", True, 0])
+    def test_tautology_with_a_non_literal_is_refused(self, bad):
+        with pytest.raises(ValueError, match="literal"):
+            CnfInstance(2, [(1, -1, bad)])
+        s = SatSolver()
+        s.ensure_vars(2)
+        with pytest.raises(ValueError, match="literal"):
+            s.add_clause((1, -1, bad))
+
+    def test_out_of_range_literal_gives_one_error(self):
+        with pytest.raises(ValueError) as loaded:
+            CnfInstance(2, [(1, -3)])
+        s = SatSolver()
+        s.ensure_vars(2)
+        with pytest.raises(ValueError) as added:
+            s.add_clause((1, -3))
+        assert str(loaded.value) == str(added.value)
+        assert str(added.value) == "literal -3 exceeds declared variable count 2"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(st.integers(-n, n).filter(bool), max_size=8))
+        )
+    )
+    def test_normalization_matches_the_reference(self, case):
+        # small ranges make duplicates and tautologies common
+        n, lits = case
+        assert _normalize_clause(lits, n) == reference_solver._normalize_clause(lits)
 
 
 def assert_same_state(new: SatSolver, ref: reference_solver.SatSolver, first, second):
