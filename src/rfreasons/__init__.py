@@ -38,11 +38,9 @@ from .explain import (
     Prioritization,
     Reason,
     ReasonKind,
-    SingleTreeOracle,
     comprehensible_reason,
     delta_probable_reason_dt,
     direct_reason,
-    exact_oracle,
     greedy_reason,
     inclusion_preferred_reason,
     lime_linear_reason,
@@ -58,11 +56,9 @@ from .maxsat import (
 )
 from .optimize import (
     AnytimeLog,
-    HittingSetInstance,
     OptimizationBudgetError,
     WeightMap,
     approx_minimal_reason_dt,
-    build_hitting_instance,
     majority_wcnf,
     minimal_majoritary_reason,
     minimal_sufficient_reason_dt,

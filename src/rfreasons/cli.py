@@ -128,16 +128,23 @@ def _parse_intelligible(text: str, forest: RandomForest) -> list[int]:
     return [_feature_index(t, forest) for t in text.split(",")]
 
 
+def _number(text: str, setting: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise CliError(f"not a number in {_flag(setting)}: {text!r}") from None
+
+
 def _parse_delta(text: str, forest: RandomForest) -> Fraction:
     # the oracle's own range check, on the single tree check_request demands
-    return DeltaProbableOracle(forest.single(), text).delta
+    return DeltaProbableOracle(forest.single(), _number(text, "delta")).delta
 
 
 def _parse_linear_weights(text: str, forest: RandomForest) -> LinearModel:
-    weights = [w.strip() for w in text.split(",")]
+    weights = text.split(",")
     if len(weights) != forest.var_count:
         raise CliError("--linear-weights length must match the feature count")
-    return LinearModel(weights)
+    return LinearModel(_number(w, "linear_weights") for w in weights)
 
 
 # ExplainSettings fields given as text, and their parsers
@@ -198,13 +205,6 @@ def _majoritary(r: Request) -> Reason:
     return majoritary_reason_multi(r.forest, r.x, s.permutations, s.seed)
 
 
-def _comprehensible(r: Request) -> Reason | None:
-    # No deadline: a first check cut short would read as "no
-    # comprehensible reason exists".
-    oracle = oracle_for_instance(r.forest, r.x, r.settings.notion)
-    return comprehensible_reason(oracle, r.x, r.values["intelligible"])
-
-
 def _lime(r: Request) -> Reason:
     model = r.values["linear_weights"]
     if model.evaluate(r.x) != r.forest.evaluate(r.x):
@@ -213,14 +213,13 @@ def _lime(r: Request) -> Reason:
 
 
 def _notion(name: str | None) -> Callable[[RandomForest, Reason], bool]:
-    """Validation by the named implicant notion on the normalized model;
-    None takes the notion the reason records, and its intelligible
-    features when it has any."""
+    """Validation by the named implicant notion; None takes the notion
+    the reason records, and its intelligible features when it has any."""
 
-    def accepts(model: RandomForest, reason: Reason) -> bool:
+    def accepts(forest: RandomForest, reason: Reason) -> bool:
         term = reason.term
         allowed = reason.extras.get("intelligible", term.variables())
-        oracle = oracle_for_instance(model, reason.instance, name or reason.extras["notion"])
+        oracle = oracle_for_instance(forest, reason.instance, name or reason.extras["notion"])
         return term.variables() <= set(allowed) and oracle.accepts(term)
 
     return accepts
@@ -234,7 +233,7 @@ _RECORDED = _notion(None)
 @dataclass(frozen=True)
 class KindSpec:
     """One reason kind: how to compute it, the oracle check that
-    re-validates it on the normalized model, whether it needs a
+    re-validates it against the model, whether it needs a
     single-tree model, the setting it cannot run without, and the
     optional settings it reads besides the timeout.  Its output label
     is the ReasonKind of its name with "_" for "-"."""
@@ -280,24 +279,24 @@ KIND_TABLE: dict[str, KindSpec] = {
         lambda r: delta_probable_reason_dt(
             r.forest.single(), r.x, r.values["delta"], r.values.get("order")
         ),
-        lambda model, reason: DeltaProbableOracle(
-            model.single(), reason.extras["delta"]
+        lambda forest, reason: DeltaProbableOracle(
+            normalize(forest.single(), reason.instance), reason.extras["delta"]
         ).accepts(reason.term),
         single_tree=True,
         requires="delta",
         reads=("order",),
     ),
     "comprehensible": KindSpec(
-        _comprehensible,
+        lambda r: comprehensible_reason(
+            r.forest, r.x, r.values["intelligible"], r.settings.notion
+        ),
         _RECORDED,
         requires="intelligible",
         reads=("notion",),
     ),
     "inclusion-preferred": KindSpec(
         lambda r: inclusion_preferred_reason(
-            oracle_for_instance(r.forest, r.x, r.settings.notion, r.deadline),
-            r.x,
-            r.values["strata"],
+            r.forest, r.x, r.values["strata"], r.settings.notion, r.deadline
         ),
         _RECORDED,
         requires="strata",
@@ -306,7 +305,7 @@ KIND_TABLE: dict[str, KindSpec] = {
     # lime explains its own linear model, not the forest
     "lime": KindSpec(
         _lime,
-        lambda model, reason: reason.term.covers(reason.instance),
+        lambda forest, reason: reason.term.covers(reason.instance),
         requires="linear_weights",
     ),
     "approx-minimal": KindSpec(
@@ -381,8 +380,7 @@ def validate_reason(forest: RandomForest, reason: Reason) -> None:
     """Re-check the output against its defining oracle; a failure here
     means an encoding bug and is a hard error.  Validation takes no
     deadline: it is a safety check and always runs to completion."""
-    model = normalize(forest, reason.instance)
-    if not KIND_TABLE[reason.kind.value.replace("_", "-")].oracle(model, reason):
+    if not KIND_TABLE[reason.kind.value.replace("_", "-")].oracle(forest, reason):
         raise AssertionError(
             f"validation failed: {reason.kind.value} reason {reason.term} "
             "rejected by its oracle"

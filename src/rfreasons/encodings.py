@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import RandomForest
-from .solver import CnfInstance, check_literal
+from .solver import CnfInstance, _normalize_clause, check_literal
 
 
 class VarAllocator:
@@ -129,6 +129,4 @@ class WeightedCnf:
         for clause, weight in self.soft:
             if weight < 1:
                 raise ValueError("soft weights must be >= 1")
-            for lit in clause:
-                if abs(lit) > self.hard.var_count:
-                    raise ValueError("soft literal beyond declared variables")
+            _normalize_clause(clause, self.hard.var_count)  # raises on a bad literal

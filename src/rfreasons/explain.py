@@ -3,8 +3,9 @@
 The greedy explainers all share one shape: start from the instance term,
 try to drop literals in some order, keep a drop whenever the remaining
 term still passes an implicant oracle.  Oracles encapsulate what
-"implicant" means: of one tree, of a strict majority of trees, of the
-forest function itself (via the SAT encoding), or probabilistically.
+"implicant" means: of a strict majority of trees (of the tree itself
+in a one-tree forest), of the forest function (via the SAT encoding),
+or probabilistically.
 
 A negative classification is always explained by negating the model
 first (core.normalize); no algorithm here is dual-cased.
@@ -86,15 +87,11 @@ class ImplicantOracle:
     """Decides whether a term counts as an implicant in some sense.
 
     monotone means closed under adding literals, which lets the greedy
-    loop stop after a single elimination pass.  notion is the name
-    oracle_for_instance gives the oracle's implicant notion, and
-    timed_out is set once a deadline made the oracle reject a query it
-    could not decide.
+    loop stop after a single elimination pass.  timed_out is set once a
+    deadline made the oracle reject a query it could not decide.
     """
 
     monotone = True
-    kind = ReasonKind.SUFFICIENT
-    notion: str | None = None
     timed_out = False
     var_count: int
 
@@ -107,24 +104,9 @@ class ImplicantOracle:
         return self.accepts(Term.from_array(assign))
 
 
-class SingleTreeOracle(ImplicantOracle):
-    """Exact implicant test for one decision tree (linear-time traversal)."""
-
-    notion = "sufficient"
-
-    def __init__(self, tree: DecisionTree):
-        self.tree = tree
-        self.var_count = tree.var_count
-
-    def accepts(self, term: Term) -> bool:
-        return self.tree.implied_by(term)
-
-
 class MajorityOracle(ImplicantOracle):
-    """Implicant of strictly more than half the trees of a forest."""
-
-    kind = ReasonKind.MAJORITARY
-    notion = "majority"
+    """Implicant of strictly more than half the trees of a forest; on a
+    one-tree forest, the exact implicant test of its tree."""
 
     def __init__(self, forest: RandomForest):
         self.forest = forest
@@ -162,8 +144,6 @@ class ForestSatOracle(ImplicantOracle):
     Once the deadline has passed it rejects every query, since it never
     accepts a term it has not proved, and sets timed_out.
     """
-
-    notion = "sufficient"
 
     def __init__(self, forest: RandomForest, deadline: Deadline | None = None):
         self.forest = forest
@@ -227,7 +207,6 @@ class DeltaProbableOracle(ImplicantOracle):
     """
 
     monotone = False
-    kind = ReasonKind.DELTA_PROBABLE
 
     def __init__(self, tree: DecisionTree, delta: float | Fraction | str):
         delta = Fraction(delta)
@@ -248,16 +227,6 @@ class DeltaProbableOracle(ImplicantOracle):
         )
 
 
-def exact_oracle(
-    forest: RandomForest, deadline: Deadline | None = None
-) -> ImplicantOracle:
-    """Exact implicant test of the forest function: a tree traversal for a
-    single tree, SAT calls otherwise."""
-    if forest.tree_count == 1:
-        return SingleTreeOracle(forest.trees[0])
-    return ForestSatOracle(forest, deadline)
-
-
 def oracle_for_instance(
     forest: RandomForest,
     x: Instance,
@@ -265,14 +234,15 @@ def oracle_for_instance(
     deadline: Deadline | None = None,
 ) -> ImplicantOracle:
     """The oracle of the implicant notion "majority" or "sufficient"
-    (exact) on the polarity-normalized forest.  The deadline reaches the
-    exact notion, the only one that calls a solver; the majority notion
-    answers by tree traversals."""
-    if notion == "majority":
-        return MajorityOracle(normalize(forest, x))
-    if notion == "sufficient":
-        return exact_oracle(normalize(forest, x), deadline)
-    raise ValueError(f"unknown implicant notion {notion!r}")
+    (exact) on the polarity-normalized forest.  A one-tree forest has
+    majority 1, so its exact test is the majority oracle's traversal;
+    otherwise it takes SAT calls, the only ones the deadline reaches."""
+    if notion not in ("majority", "sufficient"):
+        raise ValueError(f"unknown implicant notion {notion!r}")
+    forest = normalize(forest, x)
+    if notion == "sufficient" and forest.tree_count > 1:
+        return ForestSatOracle(forest, deadline)
+    return MajorityOracle(forest)
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +275,15 @@ def _eliminate(oracle: ImplicantOracle, assign: list, order: Sequence[int]) -> N
 def greedy_reason(
     oracle: ImplicantOracle,
     x: Instance,
-    order: Sequence[int] | None = None,
-    kind: ReasonKind | None = None,
+    order: Sequence[int] | None,
+    kind: ReasonKind,
     *,
     extras: dict | None = None,
     seed_term: Term | None = None,
 ) -> Reason:
     """Shrink t_x, or seed_term (an implicant covering x), literal by
-    literal while the oracle keeps accepting.
+    literal in order (None: default_order) while the oracle keeps
+    accepting; the result is a reason of the given kind.
 
     The result passes the oracle and no single-literal removal does,
     unless the oracle's deadline cut the search short: the result is then
@@ -338,7 +309,7 @@ def greedy_reason(
     extras = dict(extras or {})
     if oracle.timed_out:
         extras["fallback"] = "timeout"
-    return Reason(term, kind or oracle.kind, tuple(x), extras=extras)
+    return Reason(term, kind, tuple(x), extras=extras)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +331,6 @@ def sufficient_reason_rf(
     forest: RandomForest,
     x: Instance,
     order: Sequence[int] | None = None,
-    seed_term: Term | None = None,
     deadline: Deadline | None = None,
 ) -> Reason:
     """A prime implicant of the forest function covering x.
@@ -369,15 +339,12 @@ def sufficient_reason_rf(
     SAT call with assumptions against the implicant encoding, and
     recursive model rotation proves most necessary literals from the
     counterexamples without one (see ForestSatOracle); a single-tree
-    forest takes one tree traversal per candidate instead.  seed_term,
-    when given, must itself be an implicant covering x (for instance a
-    majoritary reason); the result is then a subset of the seed.  A
-    deadline that passes first ends the search with its fallback reason
-    (see greedy_reason).
+    forest takes one tree traversal per candidate instead.  A deadline
+    that passes first ends the search with its fallback reason (see
+    greedy_reason).
     """
-    return greedy_reason(
-        exact_oracle(normalize(forest, x), deadline), x, order, seed_term=seed_term
-    )
+    oracle = oracle_for_instance(forest, x, "sufficient", deadline)
+    return greedy_reason(oracle, x, order, ReasonKind.SUFFICIENT)
 
 
 def majoritary_reason(
@@ -385,7 +352,9 @@ def majoritary_reason(
 ) -> Reason:
     """Greedy majoritary reason under one elimination order; worst case
     one tree traversal per (literal, tree) pair."""
-    return greedy_reason(MajorityOracle(normalize(forest, x)), x, order)
+    return greedy_reason(
+        oracle_for_instance(forest, x, "majority"), x, order, ReasonKind.MAJORITARY
+    )
 
 
 def majoritary_reason_multi(
@@ -400,7 +369,7 @@ def majoritary_reason_multi(
     if permutations < 1:
         raise ValueError("need at least one permutation")
     rng = random.Random(seed)
-    oracle = MajorityOracle(normalize(forest, x))
+    oracle = oracle_for_instance(forest, x, "majority")
     oracle.accepts(Term.of_instance(x))  # true: the forest classifies x as 1
     full, implied = Term.of_instance(x).to_array(forest.var_count), oracle.live
     base = list(range(1, forest.var_count + 1))
@@ -432,7 +401,7 @@ def delta_probable_reason_dt(
     probabilistic test is not monotone.
     """
     oracle = DeltaProbableOracle(normalize(tree, x), delta)
-    reason = greedy_reason(oracle, x, order)
+    reason = greedy_reason(oracle, x, order, ReasonKind.DELTA_PROBABLE)
     return replace(
         reason,
         extras={
@@ -443,28 +412,28 @@ def delta_probable_reason_dt(
 
 
 def comprehensible_reason(
-    oracle: ImplicantOracle,
-    x: Instance,
-    intelligible: Iterable[int],
+    forest: RandomForest, x: Instance, intelligible: Iterable[int], notion: str
 ) -> Reason | None:
-    """A reason restricted to literals over the intelligible features, or
-    None when no such reason exists for this oracle.
+    """A reason under the implicant notion (see oracle_for_instance)
+    restricted to literals over the intelligible features, or None when
+    no such reason exists.
 
     Restricting t_x to the intelligible features gives the inclusion-
-    largest candidate, so for monotone oracles the rejection test is
-    exact.
+    largest candidate, so the rejection test is exact.  It takes no
+    deadline: a first check cut short would read as "no comprehensible
+    reason exists".
     """
     keep = set(intelligible)
-    if not keep <= set(range(1, oracle.var_count + 1)):
+    if not keep <= set(range(1, forest.var_count + 1)):
         raise ValueError("intelligible features out of range")
-    order = tuple(v for v in default_order(oracle.var_count) if v in keep)
+    order = tuple(v for v in default_order(forest.var_count) if v in keep)
     try:
         return greedy_reason(
-            oracle,
+            oracle_for_instance(forest, x, notion),
             x,
             order,
             ReasonKind.COMPREHENSIBLE,
-            extras={"intelligible": tuple(sorted(keep)), "notion": oracle.notion},
+            extras={"intelligible": tuple(sorted(keep)), "notion": notion},
             seed_term=Term.of_instance(x).restrict_to(keep),
         )
     except NotAnImplicantError:
@@ -501,18 +470,23 @@ class Prioritization:
 
 
 def inclusion_preferred_reason(
-    oracle: ImplicantOracle, x: Instance, prioritization: Prioritization
+    forest: RandomForest,
+    x: Instance,
+    prioritization: Prioritization,
+    notion: str,
+    deadline: Deadline | None = None,
 ) -> Reason:
-    """Greedy reason that tries hardest to drop the least salient
-    features: elimination follows the strata in order, ascending feature
-    index inside a stratum."""
+    """Greedy reason under the implicant notion (see oracle_for_instance)
+    that tries hardest to drop the least salient features: elimination
+    follows the strata in order, ascending feature index inside a
+    stratum."""
     strata = tuple(tuple(sorted(s)) for s in prioritization.strata)
     return greedy_reason(
-        oracle,
+        oracle_for_instance(forest, x, notion, deadline),
         x,
-        prioritization.elimination_order(oracle.var_count),
+        prioritization.elimination_order(forest.var_count),
         ReasonKind.INCLUSION_PREFERRED,
-        extras={"strata": strata, "notion": oracle.notion},
+        extras={"strata": strata, "notion": notion},
     )
 
 

@@ -19,14 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 from .core import DecisionTree, Instance, RandomForest, Term, normalize
 from .encodings import VarAllocator, WeightedCnf, at_least
-from .explain import (
-    MajorityOracle,
-    NotAnImplicantError,
-    Reason,
-    ReasonKind,
-    SingleTreeOracle,
-    greedy_reason,
-)
+from .explain import MajorityOracle, NotAnImplicantError, Reason, ReasonKind, greedy_reason
 from .maxsat import maxsat_anytime
 from .solver import CnfInstance, Deadline
 
@@ -82,7 +75,6 @@ def majority_wcnf(
     weights = weights or WeightMap()
     n = forest.var_count
     instance = Term.of_instance(x).literals
-    instance_lits = set(instance)
     total = sum(weights.of(v) for v in range(1, n + 1))
     if total > MAX_TOTAL_WEIGHT:
         raise ValueError("total feature weight overflows the optimizer bound")
@@ -91,12 +83,19 @@ def majority_wcnf(
     selectors = tuple(alloc.fresh() for _ in forest.trees)
     hard: list[tuple[int, ...]] = []
     for y, tree in zip(selectors, forest.trees):
-        for clause in tree.cnf_clauses():
-            restricted = tuple(l for l in clause if l in instance_lits)
-            hard.append((-y,) + restricted)  # empty restriction forces -y
+        for clause in _restricted_clauses(tree, instance):
+            hard.append((-y,) + clause)  # an empty one forces -y
     hard.extend(at_least(selectors, forest.majority, alloc))
     soft = tuple(((-lit,), weights.of(abs(lit))) for lit in instance)
     return WeightedCnf(CnfInstance(alloc.top, hard), soft)
+
+
+def _restricted_clauses(tree: DecisionTree, instance: Sequence[int]) -> list[tuple[int, ...]]:
+    """The tree's 0-path clauses cut down to the instance literals: a term
+    within the instance term implies the tree exactly when it hits every
+    one of them."""
+    keep = set(instance)
+    return [tuple(l for l in clause if l in keep) for clause in tree.cnf_clauses()]
 
 
 def _intersect_with_model(x: Instance, model: Sequence[bool]) -> Term:
@@ -189,51 +188,15 @@ def minimal_sufficient_reason_dt(
 # greedy covering for single trees
 
 
-@dataclass(frozen=True)
-class HittingSetInstance:
-    """Covering view of the implicant test inside t_x: a term implies the
-    tree exactly when it hits, for every 0-path, the set of instance
-    literals contradicting that path."""
-
-    universe: tuple[int, ...]
-    sets: tuple[frozenset[int], ...]
-
-    def max_adjacency(self) -> int:
-        """Largest number of elements sharing a set with some element."""
-        best = 0
-        for l in self.universe:
-            adj = set()
-            for s in self.sets:
-                if l in s:
-                    adj |= s
-            adj.discard(l)
-            best = max(best, len(adj))
-        return best
-
-
-def build_hitting_instance(tree: DecisionTree, x: Instance) -> HittingSetInstance:
-    if tree.evaluate(x) != 1:
-        raise NotAnImplicantError("tree must classify the instance positively")
-    universe = Term.of_instance(x).literals
-    members = set(universe)
-    sets = tuple(
-        frozenset(-l for l in lits if -l in members)
-        for lits, label in tree.paths()
-        if label == 0
-    )
-    return HittingSetInstance(universe, sets)
-
-
 def approx_minimal_reason_dt(tree: DecisionTree, x: Instance) -> Reason:
     """Greedy approximation of the minimum-size reason for a tree.
 
     Repeatedly picks an instance literal hitting the most still-uncovered
-    0-path sets (ties to the lowest feature index), then prime-reduces
-    the cover so the output is a genuine sufficient reason.
+    restricted 0-path clauses (ties to the lowest feature index), then
+    prime-reduces the cover so the output is a genuine sufficient reason.
     """
     normalized = normalize(tree, x)
-    instance = build_hitting_instance(normalized, x)
-    remaining = [s for s in instance.sets]
+    remaining = _restricted_clauses(normalized, Term.of_instance(x).literals)
     picked: set[int] = set()
     while remaining:
         degree: dict[int, int] = {}
@@ -243,10 +206,5 @@ def approx_minimal_reason_dt(tree: DecisionTree, x: Instance) -> Reason:
         best = max(degree.items(), key=lambda kv: (kv[1], -abs(kv[0])))[0]
         picked.add(best)
         remaining = [s for s in remaining if best not in s]
-    return greedy_reason(
-        SingleTreeOracle(normalized),
-        x,
-        kind=ReasonKind.APPROX_MINIMAL,
-        extras={"method": "greedy_cover", "max_adjacency": instance.max_adjacency()},
-        seed_term=Term(picked),
-    )
+    oracle = MajorityOracle(RandomForest([normalized]))
+    return greedy_reason(oracle, x, None, ReasonKind.APPROX_MINIMAL, seed_term=Term(picked))

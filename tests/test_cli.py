@@ -288,6 +288,11 @@ class TestExplain:
                 ["--kind", "lime", "--linear-weights", "1/0,1,1"],
                 "--linear-weights has a zero denominator",
             ),
+            (["--kind", "delta-probable", "--delta", "abc"], "not a number in --delta"),
+            (
+                ["--kind", "lime", "--linear-weights", "1,x,1"],
+                "not a number in --linear-weights",
+            ),
         ],
     )
     def test_zero_denominator_refused(self, capsys, tmp_path, flags, message):
@@ -594,13 +599,17 @@ class TestStats:
             (["--kinds", "minimal-weight", "--weights", "x1:0"], "must be a positive int"),
             (["--kinds", "inclusion-preferred", "--strata", "x9"], "feature index 9 out of range"),
             (["--kinds", "comprehensible", "--intelligible", "y"], "unknown feature 'y'"),
-            (["--kinds", "delta-probable", "--delta", "abc"], "Invalid literal for Fraction"),
+            (["--kinds", "delta-probable", "--delta", "abc"], "not a number in --delta"),
             (["--kinds", "delta-probable", "--delta", "1/0"], "--delta has a zero denominator"),
             (["--kinds", "delta-probable", "--delta", "2"], "delta must be within [0, 1]"),
             (["--kinds", "lime", "--linear-weights", "1,1"], "--linear-weights length must match"),
             (
                 ["--kinds", "lime", "--linear-weights", "1/0,1,1,1"],
                 "--linear-weights has a zero denominator",
+            ),
+            (
+                ["--kinds", "lime", "--linear-weights", "1,x,1,1"],
+                "not a number in --linear-weights",
             ),
         ],
     )

@@ -17,6 +17,7 @@ from rfreasons.explain import (
     DeltaProbableOracle,
     MajorityOracle,
     NotAnImplicantError,
+    ReasonKind,
     greedy_reason,
     majoritary_reason_multi,
     oracle_for_instance,
@@ -80,10 +81,11 @@ def assert_same_elimination(make_oracle, x, order, seed_term):
         reference = make_oracle()
         if reference.accepts(full):
             expected = reference_eliminate(reference, full, order)
-            assert greedy_reason(oracle, x, order, seed_term=start).term == expected
+            reason = greedy_reason(oracle, x, order, ReasonKind.SUFFICIENT, seed_term=start)
+            assert reason.term == expected
         else:
             with pytest.raises(NotAnImplicantError):
-                greedy_reason(oracle, x, order, seed_term=start)
+                greedy_reason(oracle, x, order, ReasonKind.SUFFICIENT, seed_term=start)
 
 
 @settings(max_examples=150, deadline=None, database=None)

@@ -158,3 +158,7 @@ class TestWeightedCnf:
     def test_rejects_out_of_range_soft_literal(self):
         with pytest.raises(ValueError):
             WeightedCnf(CnfInstance(1, []), (((2,), 1),))
+        # the solver's one clause check refuses a non-literal too
+        for lit in (1.5, 0, True):
+            with pytest.raises(ValueError, match="a literal is a nonzero int"):
+                WeightedCnf(CnfInstance(2, []), (((lit,), 1),))

@@ -16,7 +16,6 @@ from rfreasons.explain import (
     Prioritization,
     Reason,
     ReasonKind,
-    SingleTreeOracle,
     comprehensible_reason,
     delta_probable_reason_dt,
     direct_reason,
@@ -83,20 +82,21 @@ class TestDirectReason:
 
 class TestGreedyReason:
     def test_majority_trace(self, orchid):
-        r = greedy_reason(MajorityOracle(orchid), X_POS, order=(1, 2, 3, 4))
+        r = greedy_reason(MajorityOracle(orchid), X_POS, (1, 2, 3, 4), ReasonKind.MAJORITARY)
         assert r.term == term_of(2, 3, 4)
 
     def test_forest_sat_trace(self, orchid):
-        r = greedy_reason(ForestSatOracle(orchid), X_POS, order=(2, 3, 4, 1))
+        r = greedy_reason(ForestSatOracle(orchid), X_POS, (2, 3, 4, 1), ReasonKind.SUFFICIENT)
         assert r.term == term_of(1, 4)
 
     def test_constant_tree_empties(self):
-        r = greedy_reason(SingleTreeOracle(DecisionTree.leaf(1, 3)), (0, 1, 0))
+        oracle = MajorityOracle(RandomForest([DecisionTree.leaf(1, 3)]))
+        r = greedy_reason(oracle, (0, 1, 0), None, ReasonKind.SUFFICIENT)
         assert r.term == Term()
 
     def test_rejects_non_implicant_start(self, orchid):
         with pytest.raises(NotAnImplicantError):
-            greedy_reason(MajorityOracle(orchid), X_NEG)  # wrong polarity
+            greedy_reason(MajorityOracle(orchid), X_NEG, None, ReasonKind.MAJORITARY)  # wrong polarity
 
 
 class TestSufficientReasonDt:
@@ -149,7 +149,7 @@ class TestMajoritaryReason:
         # exhausting every order confirms 2 is reachable and 1 is not
         sizes = {
             greedy_reason(
-                MajorityOracle(orchid.negated()), X_NEG, order=perm
+                MajorityOracle(orchid.negated()), X_NEG, perm, ReasonKind.MAJORITARY
             ).size
             for perm in itertools.permutations(range(1, 5))
         }
@@ -229,7 +229,8 @@ class TestSufficientReasonRf:
 
     def test_seeded_with_majoritary(self, orchid):
         seed = majoritary_reason(orchid, X_POS).term
-        r = sufficient_reason_rf(orchid, X_POS, seed_term=seed)
+        oracle = oracle_for_instance(orchid, X_POS, "sufficient")
+        r = greedy_reason(oracle, X_POS, None, ReasonKind.SUFFICIENT, seed_term=seed)
         assert set(r.term) <= set(seed)
         assert r.term in brute.enumerate_sufficient_reasons(orchid, X_POS)
 
@@ -269,7 +270,7 @@ class TestModelRotation:
         forest, x, order = case
         model = normalize(forest, x)
         oracle = ForestSatOracle(model)
-        term = greedy_reason(oracle, x, order).term
+        term = greedy_reason(oracle, x, order, ReasonKind.SUFFICIENT).term
         for var in oracle.necessary:
             rest = Term(l for l in term if abs(l) != var)
             assert len(rest) < len(term)
@@ -278,8 +279,9 @@ class TestModelRotation:
     def test_a_new_start_term_forgets_necessary_literals(self):
         # x1 is necessary in x1 alone, not in x1 ∧ x2, for the forest x1 ∨ x2
         oracle = ForestSatOracle(dnf_to_forest([term_of(1), term_of(2)], 2))
-        assert greedy_reason(oracle, (1, 1), (1, 2), seed_term=term_of(1)).term == term_of(1)
-        assert greedy_reason(oracle, (1, 1), (1, 2)).term == term_of(2)
+        kind = ReasonKind.SUFFICIENT
+        assert greedy_reason(oracle, (1, 1), (1, 2), kind, seed_term=term_of(1)).term == term_of(1)
+        assert greedy_reason(oracle, (1, 1), (1, 2), kind).term == term_of(2)
 
     def test_spares_most_refused_removals_a_solver_call(self, monkeypatch):
         calls = 0
@@ -302,7 +304,33 @@ class TestModelRotation:
         assert calls - requests <= 640  # one call per request tests the start term
 
 
+@st.composite
+def one_tree_cases(draw):
+    """(one-tree forest, x, order): at most 6 variables; the tree is drawn
+    negated half the time, so x falls on either polarity."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    tree = random_tree(rng, n, draw(st.integers(1, 6)))
+    if draw(st.booleans()):
+        tree = tree.negated()
+    order = tuple(draw(st.permutations(range(1, n + 1))))
+    return RandomForest([tree]), random_instance(rng, n), order
+
+
 class TestSingleTreeCollapse:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(one_tree_cases())
+    def test_traversal_matches_the_sat_test(self, case):
+        # a one-tree forest answers the sufficient notion by traversal
+        forest, x, order = case
+        r = sufficient_reason_rf(forest, x, order)
+        sat = ForestSatOracle(normalize(forest, x))
+        assert r.term == greedy_reason(sat, x, order, ReasonKind.SUFFICIENT).term
+        assert r.term in brute.enumerate_sufficient_reasons(forest, x)
+        everything = range(1, forest.var_count + 1)
+        c = comprehensible_reason(forest, x, everything, "sufficient")
+        assert c.extras["notion"] == "sufficient"
+
     def test_all_orders_agree_across_explainers(self):
         # with one tree, majoritary / tree-greedy / SAT-greedy coincide
         rng = random.Random(505)
@@ -313,7 +341,9 @@ class TestSingleTreeCollapse:
             forest = RandomForest([tree])
             for perm in itertools.permutations(range(1, n + 1)):
                 a = majoritary_reason(forest, x, order=perm).term
-                b = greedy_reason(ForestSatOracle(normalize(forest, x)), x, perm).term
+                b = greedy_reason(
+                    ForestSatOracle(normalize(forest, x)), x, perm, ReasonKind.SUFFICIENT
+                ).term
                 c = sufficient_reason_rf(forest, x, order=perm).term
                 assert a == b == c
 
@@ -328,7 +358,9 @@ class TestSingleTreeCollapse:
             for _ in range(8):
                 rng.shuffle(order)
                 a = majoritary_reason(forest, x, order=tuple(order)).term
-                b = greedy_reason(ForestSatOracle(normalize(forest, x)), x, tuple(order)).term
+                b = greedy_reason(
+                    ForestSatOracle(normalize(forest, x)), x, tuple(order), ReasonKind.SUFFICIENT
+                ).term
                 c = sufficient_reason_rf(forest, x, order=tuple(order)).term
                 assert a == b == c
 
@@ -370,18 +402,16 @@ class TestDeltaProbable:
 
 class TestComprehensible:
     def test_majority_notion_golden(self, orchid):
-        oracle = oracle_for_instance(orchid, X_POS, "majority")
-        assert comprehensible_reason(oracle, X_POS, [1, 4]) is None
+        assert comprehensible_reason(orchid, X_POS, [1, 4], "majority") is None
 
     def test_sat_notion_golden(self, orchid):
-        oracle = oracle_for_instance(orchid, X_POS, "sufficient")
-        r = comprehensible_reason(oracle, X_POS, [1, 4])
+        r = comprehensible_reason(orchid, X_POS, [1, 4], "sufficient")
         assert r.term == term_of(1, 4)
         assert r.kind is ReasonKind.COMPREHENSIBLE
 
     def test_unrestricted_is_plain_greedy(self, orchid):
         oracle = oracle_for_instance(orchid, X_POS, "majority")
-        r = comprehensible_reason(oracle, X_POS, [1, 2, 3, 4])
+        r = comprehensible_reason(orchid, X_POS, [1, 2, 3, 4], "majority")
         assert oracle.accepts(r.term)
 
     def test_none_iff_no_subset_passes(self):
@@ -398,7 +428,7 @@ class TestComprehensible:
                 for k in range(len(restricted_full) + 1)
                 for subset in itertools.combinations(restricted_full.literals, k)
             )
-            r = comprehensible_reason(oracle, x, keep)
+            r = comprehensible_reason(forest, x, keep, "majority")
             assert (r is not None) == exists
             if r is not None:
                 assert r.term.variables() <= keep
@@ -407,21 +437,19 @@ class TestComprehensible:
 
 class TestInclusionPreferred:
     def test_sat_notion_golden(self, orchid):
-        oracle = oracle_for_instance(orchid, X_POS, "sufficient")
-        r = inclusion_preferred_reason(oracle, X_POS, Prioritization([[4], [2, 3], [1]]))
+        prio = Prioritization([[4], [2, 3], [1]])
+        r = inclusion_preferred_reason(orchid, X_POS, prio, "sufficient")
         assert r.term == term_of(1, 4)
 
     def test_single_stratum_is_plain_greedy(self, orchid):
-        oracle = oracle_for_instance(orchid, X_POS, "majority")
-        r = inclusion_preferred_reason(oracle, X_POS, Prioritization([[1, 2, 3, 4]]))
+        r = inclusion_preferred_reason(orchid, X_POS, Prioritization([[1, 2, 3, 4]]), "majority")
         plain = greedy_reason(
-            MajorityOracle(orchid), X_POS, order=(1, 2, 3, 4)
+            MajorityOracle(orchid), X_POS, (1, 2, 3, 4), ReasonKind.MAJORITARY
         )
         assert r.term == plain.term
 
     def test_majority_notion_golden(self, orchid):
-        oracle = oracle_for_instance(orchid, X_POS, "majority")
-        r = inclusion_preferred_reason(oracle, X_POS, Prioritization([[1], [2, 3, 4]]))
+        r = inclusion_preferred_reason(orchid, X_POS, Prioritization([[1], [2, 3, 4]]), "majority")
         assert r.term == term_of(2, 3, 4)
 
     def test_front_stratum_dropped_unless_mandatory(self):
@@ -433,7 +461,7 @@ class TestInclusionPreferred:
             f = rng.randint(1, n)
             oracle = oracle_for_instance(forest, x, "majority")
             prio = Prioritization([[f]])
-            r = inclusion_preferred_reason(oracle, x, prio)
+            r = inclusion_preferred_reason(forest, x, prio, "majority")
             if f in r.term.variables():
                 full = Term.of_instance(x)
                 mandatory = all(
@@ -455,8 +483,7 @@ class TestInclusionPreferred:
             cut = rng.randint(1, n)
             prio = Prioritization([sorted(variables[:cut])] +
                                   ([sorted(variables[cut:])] if cut < n else []))
-            oracle = oracle_for_instance(forest, x, "majority")
-            r = inclusion_preferred_reason(oracle, x, prio)
+            r = inclusion_preferred_reason(forest, x, prio, "majority")
             others = brute.enumerate_majoritary_reasons(forest, x)
             for other in others:
                 assert not brute.prefers(prio, other, r.term, n), (other, r.term, prio)

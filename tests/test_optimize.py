@@ -9,8 +9,8 @@ from rfreasons.explain import MajorityOracle, NotAnImplicantError
 from rfreasons.solver import Deadline
 from rfreasons.optimize import (
     WeightMap,
+    _restricted_clauses,
     approx_minimal_reason_dt,
-    build_hitting_instance,
     majority_wcnf,
     minimal_majoritary_reason,
     minimal_sufficient_reason_dt,
@@ -144,22 +144,19 @@ class TestMinimalSufficientDt:
 
 
 class TestHittingInstance:
+    """A term within t_x implies the tree exactly when it hits every
+    restricted 0-path clause."""
+
     def test_clause_tree_instance(self):
         tree = clause_to_tree((1, 2), 2)
-        inst = build_hitting_instance(tree, (1, 1))
-        assert inst.universe == (1, 2)
-        assert inst.sets == (frozenset({1, 2}),)
+        assert _restricted_clauses(tree, (1, 2)) == [(1, 2)]
 
     def test_golden_tree_sets(self, orchid):
-        inst = build_hitting_instance(orchid.trees[1], X_POS)
-        assert set(inst.sets) == {
+        sets = _restricted_clauses(orchid.trees[1], Term.of_instance(X_POS).literals)
+        assert set(map(frozenset, sets)) == {
             frozenset({1, 2}),
             frozenset({2, 4}),
         }
-
-    def test_requires_positive_classification(self, orchid):
-        with pytest.raises(NotAnImplicantError):
-            build_hitting_instance(orchid.trees[0], (0, 0, 0, 0))
 
     def test_hitting_characterizes_implication(self):
         rng = random.Random(604)
@@ -169,12 +166,12 @@ class TestHittingInstance:
             x = random_instance(rng, n)
             if tree.evaluate(x) != 1:
                 tree = tree.negated()
-            inst = build_hitting_instance(tree, x)
             full = Term.of_instance(x)
+            sets = _restricted_clauses(tree, full.literals)
             for k in range(0, min(len(full), 6) + 1):
                 for subset in itertools.combinations(full.literals, k):
                     term = Term(subset)
-                    hits = all(set(subset) & s for s in inst.sets)
+                    hits = all(set(subset) & set(s) for s in sets)
                     assert hits == tree.implied_by(term)
 
 
@@ -189,13 +186,6 @@ class TestGreedyCoverApproximation:
         assert r.term in brute.enumerate_sufficient_reasons(
             RandomForest([orchid.trees[0]]), X_POS
         )
-        # the three 0-paths are contradicted by pairwise distinct literals
-        assert r.extras["max_adjacency"] == 0
-
-    def test_max_adjacency_counts_shared_sets(self):
-        tree = clause_to_tree((1, 2), 2)
-        r = approx_minimal_reason_dt(tree, (1, 1))
-        assert r.extras["max_adjacency"] == 1
 
     def test_ratio_against_exact_minimum(self):
         rng = random.Random(605)
