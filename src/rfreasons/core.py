@@ -208,8 +208,7 @@ class DecisionTree:
     def negated(self) -> "DecisionTree":
         """Same structure, already validated, with every leaf label flipped."""
         nodes = tuple(
-            (0, 1 - lo, 1 - hi) if var == 0 else (var, lo, hi)
-            for var, lo, hi in self.nodes
+            node if node[0] else (0, 1 - node[1], 1 - node[2]) for node in self.nodes
         )
         flipped = object.__new__(DecisionTree)
         flipped.__dict__.update(var_count=self.var_count, nodes=nodes, root=self.root)
@@ -258,19 +257,24 @@ class DecisionTree:
 
     def implied_by(self, term: Term) -> bool:
         """Exact implicant test: does every extension of term reach a 1-leaf?"""
-        return self.implied_under(term.to_array(self.var_count))
+        return self.explore((self.root,), term.to_array(self.var_count)) is not None
 
-    def implied_under(self, assign: Sequence[bool | None]) -> bool:
-        """implied_by on a term in its Term.to_array form: one O(size)
-        traversal under the partial assignment, refuted by any reachable
-        0-leaf."""
+    def explore(
+        self, starts: Iterable[int], assign: Sequence[bool | None]
+    ) -> dict[int, list[int]] | None:
+        """Walk the subtrees at the node indices starts under a partial
+        assignment in Term.to_array form.  None when a 0-leaf is reachable;
+        otherwise the children the assignment closes, grouped by the fixed
+        variable their parent tests: freeing that variable opens just
+        those, and a read-once subtree never tests its parent's variable."""
         nodes = self.nodes
-        stack = [self.root]
+        stack = list(starts)
+        closed: dict[int, list[int]] = {}
         while stack:
             var, lo, hi = nodes[stack.pop()]
             if var == 0:
                 if lo == 0:
-                    return False
+                    return None
                 continue
             fixed = assign[var]
             if fixed is None:
@@ -278,7 +282,8 @@ class DecisionTree:
                 stack.append(hi)
             else:
                 stack.append(hi if fixed else lo)
-        return True
+                closed.setdefault(var, []).append(lo if fixed else hi)
+        return closed
 
     def count_models(self, term: Term = Term()) -> int:
         """Exact number of assignments extending term that reach a 1-leaf.

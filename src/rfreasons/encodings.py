@@ -127,6 +127,6 @@ class WeightedCnf:
 
     def __post_init__(self):
         for clause, weight in self.soft:
-            if weight < 1:
-                raise ValueError("soft weights must be >= 1")
+            if type(weight) is not int or weight < 1:
+                raise ValueError(f"a soft weight is a positive int, got {weight!r}")
             _normalize_clause(clause, self.hard.var_count)  # raises on a bad literal

@@ -106,26 +106,56 @@ class ImplicantOracle:
 
 class MajorityOracle(ImplicantOracle):
     """Implicant of strictly more than half the trees of a forest; on a
-    one-tree forest, the exact implicant test of its tree."""
+    one-tree forest, the exact implicant test of its tree.
+
+    accepts decides by full traversals (DecisionTree.implied_by), so a
+    validation never rests on the bookkeeping that follows.  Each tree
+    the accepted term implies keeps the children that term closes,
+    grouped by variable (DecisionTree.explore), and a drop of v
+    explores only v's group: a reachable 0-leaf breaks the tree, and the
+    children it closes join the groups if the drop is accepted.  A
+    refused drop discards what it explored, and an accepted one copies
+    only the trees it changed, so rewind can resume any number of
+    greedy runs from the state of the last accepts.
+    """
 
     def __init__(self, forest: RandomForest):
         self.forest = forest
         self.var_count = forest.var_count
-        self.live: list[DecisionTree] = []  # trees the last accepted term implies
+        self.majority = forest.majority
+        # tree index -> closed children by variable, for each tree the term implies
+        self._start = self._state = {}
 
     def accepts(self, term: Term) -> bool:
-        self.live = [t for t in self.forest.trees if t.implied_by(term)]
-        return len(self.live) >= self.forest.majority
+        implied = [(i, t) for i, t in enumerate(self.forest.trees) if t.implied_by(term)]
+        if len(implied) < self.majority:
+            return False
+        assign = term.to_array(self.var_count)
+        self._start = self._state = {i: t.explore((t.root,), assign) for i, t in implied}
+        return True
+
+    def rewind(self) -> None:
+        """Make the term of the last accepts the last accepted term again."""
+        self._state = self._start
 
     def accepts_shrunk(self, assign: list[bool | None], var: int) -> bool:
         # dropping a literal never makes a tree implied: only live ones can break
-        still, spare = [], len(self.live) - self.forest.majority
-        for tree in self.live:
-            if tree.implied_under(assign):
-                still.append(tree)
-            elif (spare := spare - 1) < 0:
+        state, trees = self._state, self.forest.trees
+        spare = len(state) - self.majority
+        opened = {}
+        for i in [i for i, closed in state.items() if var in closed]:
+            found = opened[i] = trees[i].explore(state[i][var], assign)
+            if found is None and (spare := spare - 1) < 0:
                 return False
-        self.live = still
+        self._state = state = dict(state)
+        for i, found in opened.items():
+            if found is None:
+                del state[i]
+                continue
+            closed = state[i] = dict(state[i])
+            del closed[var]
+            for u, group in found.items():
+                closed[u] = closed[u] + group if u in closed else group
         return True
 
 
@@ -350,8 +380,10 @@ def sufficient_reason_rf(
 def majoritary_reason(
     forest: RandomForest, x: Instance, order: Sequence[int] | None = None
 ) -> Reason:
-    """Greedy majoritary reason under one elimination order; worst case
-    one tree traversal per (literal, tree) pair."""
+    """Greedy majoritary reason under one elimination order: one
+    traversal per tree for t_x, then each candidate literal explores only
+    the subtrees its drop opens (see MajorityOracle); worst case a whole
+    tree per (literal, tree) pair."""
     return greedy_reason(
         oracle_for_instance(forest, x, "majority"), x, order, ReasonKind.MAJORITARY
     )
@@ -364,19 +396,20 @@ def majoritary_reason_multi(
     seed: int = DEFAULT_SEED,
 ) -> Reason:
     """Smallest majoritary reason over uniformly random elimination
-    orders, deterministic for a fixed seed.  The trees t_x implies are
-    found once and every order starts from them."""
+    orders, deterministic for a fixed seed.  The oracle's state for t_x
+    is built once and every order resumes from it (MajorityOracle.rewind)."""
     if permutations < 1:
         raise ValueError("need at least one permutation")
     rng = random.Random(seed)
     oracle = oracle_for_instance(forest, x, "majority")
     oracle.accepts(Term.of_instance(x))  # true: the forest classifies x as 1
-    full, implied = Term.of_instance(x).to_array(forest.var_count), oracle.live
+    full = Term.of_instance(x).to_array(forest.var_count)
     base = list(range(1, forest.var_count + 1))
     best: list | None = None
     for _ in range(permutations):
         rng.shuffle(base)
-        assign, oracle.live = list(full), implied
+        assign = list(full)
+        oracle.rewind()
         _eliminate(oracle, assign, base)
         if best is None or assign.count(None) > best.count(None):
             best = assign

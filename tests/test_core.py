@@ -15,6 +15,7 @@ from rfreasons.core import (
     clause_to_tree,
     cnf_to_forest,
     dnf_to_forest,
+    normalize,
 )
 from rfreasons.solver import CnfInstance
 
@@ -190,9 +191,10 @@ class TestNegation:
             tree = random_tree(rng, rng.randint(1, 8), 5)
             neg = tree.negated()
             assert (neg.var_count, neg.root) == (tree.var_count, tree.root)
-            for (var, lo, hi), (nvar, nlo, nhi) in zip(tree.nodes, neg.nodes):
-                assert nvar == var
-                assert (nlo, nhi) == ((1 - lo, 1 - hi) if var == 0 else (lo, hi))
+            for node, flipped in zip(tree.nodes, neg.nodes):
+                var, lo, hi = node
+                assert flipped == ((0, 1 - lo, 1 - hi) if var == 0 else node)
+                assert var == 0 or flipped is node  # internal nodes are shared
             assert neg.negated().nodes == tree.nodes
             assert neg.negated() == tree
 
@@ -366,7 +368,32 @@ class TestTreeImplication:
             term = Term(v if rng.random() < 0.5 else -v for v in variables)
             array = term.to_array(n)
             assert len(array) == n + 1 and Term.from_array(array) == term
-            assert tree.implied_under(array) == tree.implied_by(term)
+            implied = tree.explore((tree.root,), array) is not None
+            assert implied == tree.implied_by(term) == brute.is_implicant_bruteforce(tree, term)
+
+    def test_resume_from_closed_children(self):
+        # freeing v and exploring only v's closed children decides the
+        # shrunk term and leaves the groups a run from the root would give
+        rng = random.Random(107)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            x = [rng.randint(0, 1) for _ in range(n)]
+            tree = normalize(random_tree(rng, n, 6, leaf_chance=0.1), x)
+            assign = Term.of_instance(x).to_array(n)
+            closed = tree.explore((tree.root,), assign)
+            for v in rng.sample(range(1, n + 1), n):
+                assign[v] = None
+                found = tree.explore(closed.get(v, ()), assign)
+                fresh = tree.explore((tree.root,), assign)
+                assert (found is None) == (fresh is None)
+                if found is None:
+                    break
+                closed = {u: g for u, g in closed.items() if u != v}
+                for u, group in found.items():
+                    closed[u] = closed.get(u, []) + group
+                assert {u: sorted(g) for u, g in closed.items()} == {
+                    u: sorted(g) for u, g in fresh.items()
+                }
 
     def test_agrees_with_bruteforce(self):
         rng = random.Random(105)

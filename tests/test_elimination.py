@@ -3,7 +3,8 @@
 reference_eliminate is the loop as it read before the working term
 became one assignment array: one Term and one oracle.accepts call per
 candidate removal.  The array loop, with the incremental majority
-oracle, must give the same term for every oracle, start and order.
+oracle, must give the same term for every oracle, start and order, and
+its reasons must be among those the brute-force enumerations list.
 """
 
 import random
@@ -19,10 +20,13 @@ from rfreasons.explain import (
     NotAnImplicantError,
     ReasonKind,
     greedy_reason,
+    majoritary_reason,
     majoritary_reason_multi,
     oracle_for_instance,
+    sufficient_reason_rf,
 )
 
+import brute
 from generators import random_forest, random_instance
 
 
@@ -71,6 +75,19 @@ def cases(draw):
     order = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(0, n))]
     keep = draw(st.sets(st.integers(1, n)))
     return RandomForest(trees), x, tuple(order), Term.of_instance(x).restrict_to(keep)
+
+
+@st.composite
+def deep_cases(draw):
+    """(forest, x, order): up to 8 variables and depth up to 6, so that a
+    variable is tested on several branches of one tree and the children
+    its literal closes come in groups that merge as drops open them."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    forest = random_forest(
+        rng, n, draw(st.integers(1, 7)), draw(st.integers(1, 6)), leaf_chance=0.1
+    )
+    return forest, random_instance(rng, n), tuple(draw(st.permutations(range(1, n + 1))))
 
 
 def assert_same_elimination(make_oracle, x, order, seed_term):
@@ -125,3 +142,49 @@ def test_multi_order_majoritary_matches_on_larger_forests():
         seed = rng.randrange(2**16)
         got = majoritary_reason_multi(forest, x, 8, seed)
         assert got.term == reference_multi(forest, x, 8, seed)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(deep_cases(), st.integers(0, 2**16), st.integers(1, 8))
+def test_multi_order_majoritary_matches_on_deep_trees(case, seed, permutations):
+    forest, x, _ = case
+    got = majoritary_reason_multi(forest, x, permutations, seed)
+    assert got.term == reference_multi(forest, x, permutations, seed)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(deep_cases())
+def test_greedy_reasons_on_deep_trees_are_enumerated(case):
+    forest, x, order = case
+    reasons = brute.enumerate_majoritary_reasons(forest, x)
+    assert majoritary_reason(forest, x, order).term in reasons
+    one_tree = RandomForest(forest.trees[:1])
+    reasons = brute.enumerate_sufficient_reasons(one_tree, x)
+    assert sufficient_reason_rf(one_tree, x, order).term in reasons
+
+
+def test_refused_drop_leaves_no_trace():
+    # x2 ? 1 : (x3 ? 1 : 0), and x1 ? (x2 ? 1 : 0) : (x2 ? 1 : 0), where
+    # dropping x1 merges a second 0-leaf into x2's group; the refused drop
+    # of x2 explores the x3 node of the first tree, and keeping its closed
+    # 0-leaf would make the drop of x3 break that tree
+    guard = {"var": 2, "low": {"leaf": 0}, "high": {"leaf": 1}}
+    first = {"var": 2, "low": {"var": 3, "low": {"leaf": 0}, "high": {"leaf": 1}},
+             "high": {"leaf": 1}}
+    second = {"var": 1, "low": guard, "high": guard}
+    forest = RandomForest(
+        [DecisionTree.from_nested(first, 3), DecisionTree.from_nested(second, 3),
+         DecisionTree.leaf(0, 3)]
+    )
+    x = (1, 1, 1)
+    oracle, reference = MajorityOracle(forest), MajorityOracle(forest)
+    assert oracle.accepts(Term.of_instance(x))
+    assign, outcomes = Term.of_instance(x).to_array(3), []
+    for var in (1, 2, 3):
+        value, assign[var] = assign[var], None
+        outcomes.append(oracle.accepts_shrunk(assign, var))
+        assert outcomes[-1] == reference.accepts(Term.from_array(assign))
+        if not outcomes[-1]:
+            assign[var] = value
+    assert outcomes == [True, False, True]
+    assert Term.from_array(assign) == Term([2])

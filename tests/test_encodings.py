@@ -155,6 +155,11 @@ class TestWeightedCnf:
         with pytest.raises(ValueError):
             WeightedCnf(CnfInstance(1, []), (((1,), 0),))
 
+    @pytest.mark.parametrize("weight", [1.5, True, "2"])
+    def test_rejects_non_int_weight(self, weight):
+        with pytest.raises(ValueError, match="a soft weight is a positive int"):
+            WeightedCnf(CnfInstance(1, []), (((1,), weight),))
+
     def test_rejects_out_of_range_soft_literal(self):
         with pytest.raises(ValueError):
             WeightedCnf(CnfInstance(1, []), (((2,), 1),))
