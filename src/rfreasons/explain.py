@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import DecisionTree, Instance, RandomForest, Term, normalize
 from .encodings import implicant_test_cnf
@@ -116,31 +116,41 @@ class MajorityOracle(ImplicantOracle):
     children it closes join the groups if the drop is accepted.  A
     refused drop discards what it explored, and an accepted one copies
     only the trees it changed, so rewind can resume any number of
-    greedy runs from the state of the last accepts.
+    greedy runs from the state of the last accepts.  That start state
+    is built at the first drop after accepts, so a check with no drop
+    after it costs the traversals of accepts alone.
     """
 
     def __init__(self, forest: RandomForest):
         self.forest = forest
         self.var_count = forest.var_count
         self.majority = forest.majority
-        # tree index -> closed children by variable, for each tree the term implies
-        self._start = self._state = {}
+        self._accepted = None  # the last accepted term and the trees it implies
+        # tree index -> closed children by variable, for each tree the term
+        # implies; _start is None until the first drop, _state at the start
+        self._start = self._state = None
 
     def accepts(self, term: Term) -> bool:
-        implied = [(i, t) for i, t in enumerate(self.forest.trees) if t.implied_by(term)]
+        implied = [i for i, t in enumerate(self.forest.trees) if t.implied_by(term)]
         if len(implied) < self.majority:
             return False
-        assign = term.to_array(self.var_count)
-        self._start = self._state = {i: t.explore((t.root,), assign) for i, t in implied}
+        self._accepted = (term, implied)
+        self._start = self._state = None
         return True
 
     def rewind(self) -> None:
         """Make the term of the last accepts the last accepted term again."""
-        self._state = self._start
+        self._state = None
 
     def accepts_shrunk(self, assign: list[bool | None], var: int) -> bool:
         # dropping a literal never makes a tree implied: only live ones can break
         state, trees = self._state, self.forest.trees
+        if state is None:
+            if self._start is None:
+                term, implied = self._accepted
+                start = term.to_array(self.var_count)
+                self._start = {i: trees[i].explore((trees[i].root,), start) for i in implied}
+            state = self._start
         spare = len(state) - self.majority
         opened = {}
         for i in [i for i, closed in state.items() if var in closed]:
@@ -396,29 +406,53 @@ def majoritary_reason_multi(
     seed: int = DEFAULT_SEED,
 ) -> Reason:
     """Smallest majoritary reason over uniformly random elimination
-    orders, deterministic for a fixed seed.  The oracle's state for t_x
-    is built once and every order resumes from it (MajorityOracle.rewind)."""
+    orders, deterministic for a fixed seed (see best_of_orders)."""
     if permutations < 1:
         raise ValueError("need at least one permutation")
-    rng = random.Random(seed)
-    oracle = oracle_for_instance(forest, x, "majority")
-    oracle.accepts(Term.of_instance(x))  # true: the forest classifies x as 1
-    full = Term.of_instance(x).to_array(forest.var_count)
-    base = list(range(1, forest.var_count + 1))
-    best: list | None = None
-    for _ in range(permutations):
-        rng.shuffle(base)
-        assign = list(full)
-        oracle.rewind()
-        _eliminate(oracle, assign, base)
-        if best is None or assign.count(None) > best.count(None):
-            best = assign
+    term = best_of_orders(oracle_for_instance(forest, x, "majority"), x, permutations, seed)
     return Reason(
-        Term.from_array(best),
+        term,
         ReasonKind.MAJORITARY,
         tuple(x),
         extras={"permutations": permutations, "seed": seed},
     )
+
+
+def best_of_orders(
+    oracle: MajorityOracle,
+    x: Instance,
+    permutations: int,
+    seed: int,
+    deadline: Deadline | None = None,
+    weight: Callable[[int], int] | None = None,
+) -> Term | None:
+    """The lightest greedy majoritary reason over seeded random
+    elimination orders, on the majority oracle of the normalized forest;
+    weight(v) prices a kept literal on v (None: 1 each), and ties go to
+    the earlier order.  The oracle's state for t_x is built once and
+    every order resumes from it (MajorityOracle.rewind).  The deadline
+    is checked before each order: the best order so far stands, and None
+    means it passed before the first one.
+    """
+    rng = random.Random(seed)
+    oracle.accepts(Term.of_instance(x))  # true: the forest classifies x as 1
+    full = Term.of_instance(x).to_array(oracle.var_count)
+    base = list(range(1, oracle.var_count + 1))
+    best, best_cost = None, 0
+    for _ in range(permutations):
+        if deadline is not None and deadline.expired():
+            break
+        rng.shuffle(base)
+        assign = list(full)
+        oracle.rewind()
+        _eliminate(oracle, assign, base)
+        if weight is None:
+            cost = len(assign) - assign.count(None)
+        else:
+            cost = sum(weight(v) for v, b in enumerate(assign) if b is not None)
+        if best is None or cost < best_cost:
+            best, best_cost = assign, cost
+    return None if best is None else Term.from_array(best)
 
 
 def delta_probable_reason_dt(

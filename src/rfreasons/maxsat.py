@@ -1,8 +1,9 @@
 """Anytime Partial MaxSAT by model-improving linear search.
 
 Soft clauses get relaxation selectors, then the loop alternates between
-finding a model and tightening a "total violated weight <= best - 1"
-constraint (a sequential weighted counter over the selectors).  Every
+tightening a "total violated weight <= best - 1" constraint (a
+sequential weighted counter over the selectors) and finding a model;
+the first bound comes from the caller's upper bound, when given.  Every
 intermediate model satisfies all hard clauses, so callers can use each
 one as a valid approximate solution; costs reported through the
 callback are strictly decreasing.
@@ -24,9 +25,12 @@ class HardClausesUnsatisfiable(Exception):
 
 @dataclass(frozen=True)
 class MaxSatResult:
-    """Best model found, its exact cost, and whether optimality was proved."""
+    """Best model found, its exact cost, and whether optimality was proved.
 
-    model: tuple[bool, ...]
+    model is None when the run found nothing cheaper than the caller's
+    upper bound, which cost then repeats."""
+
+    model: tuple[bool, ...] | None
     cost: int
     optimal: bool
     iterations: int = 0
@@ -47,6 +51,7 @@ def maxsat_anytime(
     problem: WeightedCnf,
     deadline: Deadline | None = None,
     on_improve: Callable[[tuple[bool, ...], int, float], None] | None = None,
+    upper: int | None = None,
 ) -> MaxSatResult | None:
     """Minimize the violated soft weight subject to the hard clauses.
 
@@ -55,6 +60,12 @@ def maxsat_anytime(
     deadline that passes later yields the best model so far with
     optimal=False.  on_improve(model, cost, elapsed) fires once per
     strictly improving model, the final one included.
+
+    upper is the cost of a solution the caller already holds: the bound
+    "cost <= upper - 1" goes in before the first solve, so only cheaper
+    models are searched for.  If there is none, the result has model
+    None and cost upper (optimal unless the deadline cut the search).
+    iterations counts the solve calls, the final UNSAT proof included.
 
     Each run owns a fresh solver session: proving optimality leaves the
     session permanently over-constrained, so sessions cannot be shared
@@ -72,30 +83,31 @@ def maxsat_anytime(
 
     n_report = problem.hard.var_count
     best_model: tuple[bool, ...] | None = None
-    best_cost = 0
+    best_cost = upper
     iterations = 0
 
     def finish(optimal: bool) -> MaxSatResult:
         return MaxSatResult(best_model, best_cost, optimal, iterations)
 
     while True:
+        if best_cost is not None:
+            for clause in weighted_at_most(relaxed, best_cost - 1, alloc):
+                solver.ensure_vars(alloc.top)
+                if not solver.add_clause(clause):
+                    break  # refuted at the root: the solve below says UNSAT
         outcome = solver.solve(deadline=deadline)
         iterations += 1
         if outcome.status is SolveStatus.TIMEOUT:
-            return None if best_model is None else finish(False)
+            return None if best_cost is None else finish(False)
         if outcome.status is SolveStatus.UNSAT:
-            if best_model is None:
+            if best_cost is None:
                 raise HardClausesUnsatisfiable("hard clauses are unsatisfiable")
             return finish(True)
         model = outcome.model[:n_report]
         cost = violated_weight(problem.soft, model)
-        assert best_model is None or cost < best_cost
+        assert best_cost is None or cost < best_cost
         best_model, best_cost = model, cost
         if on_improve is not None:
             on_improve(model, cost, time.monotonic() - start)
         if cost == 0:
             return finish(True)
-        for clause in weighted_at_most(relaxed, cost - 1, alloc):
-            solver.ensure_vars(alloc.top)
-            if not solver.add_clause(clause):
-                return finish(True)

@@ -188,3 +188,32 @@ def test_refused_drop_leaves_no_trace():
             assign[var] = value
     assert outcomes == [True, False, True]
     assert Term.from_array(assign) == Term([2])
+
+
+
+def test_start_state_is_built_on_the_first_drop(monkeypatch):
+    # accepts alone traverses each tree once (implied_by); the start state
+    # waits for the first drop and then serves every order
+    x = (1, 0, 1, 1, 0, 0, 1, 0)
+    forest = normalize(random_forest(random.Random(11), 8, 5, 5, leaf_chance=0.2), x)
+    full = Term.of_instance(x)
+    implied = sum(t.implied_by(full) for t in forest.trees)
+    from_root = []
+    explore = DecisionTree.explore
+    monkeypatch.setattr(
+        DecisionTree,
+        "explore",
+        lambda t, starts, a: from_root.append(starts == (t.root,)) or explore(t, starts, a),
+    )
+    oracle = MajorityOracle(forest)
+    assert oracle.accepts(full)
+    assert from_root.count(True) == forest.tree_count
+    oracle.rewind()
+    for var in (1, 2, 3):
+        assign = full.to_array(8)
+        assign[var] = None
+        oracle.accepts_shrunk(assign, var)
+        oracle.rewind()
+    assert from_root.count(True) == forest.tree_count + implied
+    assert oracle.accepts(full)  # a check with no drop after it
+    assert from_root.count(True) == 2 * forest.tree_count + implied

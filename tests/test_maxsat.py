@@ -6,6 +6,7 @@ import pytest
 from rfreasons.encodings import WeightedCnf
 from rfreasons.maxsat import (
     HardClausesUnsatisfiable,
+    MaxSatResult,
     maxsat_anytime,
     violated_weight,
 )
@@ -74,6 +75,40 @@ class TestRandomized:
             assert costs == sorted(costs, reverse=True)
             assert len(set(costs)) == len(costs)
             assert costs[-1] == result.cost
+
+    def test_upper_bound_searches_below_it(self):
+        # a caller's solution at the optimum leaves one UNSAT proof; one
+        # above it leaves a cheaper model to find
+        rng = random.Random(404)
+        for _ in range(80):
+            n = rng.randint(1, 8)
+            def clause(width):
+                variables = rng.sample(range(1, n + 1), min(width, n))
+                return tuple(v if rng.random() < 0.5 else -v for v in variables)
+            hard = [clause(rng.randint(1, 3)) for _ in range(rng.randint(0, n))]
+            soft = tuple(
+                (clause(rng.randint(1, 2)), rng.randint(1, 4))
+                for _ in range(rng.randint(1, 2 * n))
+            )
+            expect = brute_optimum(n, hard, soft)
+            if expect is None:
+                continue
+            problem = WeightedCnf(CnfInstance(n, hard), soft)
+            proved = maxsat_anytime(problem, upper=expect)
+            assert proved == MaxSatResult(None, expect, True, 1)
+            costs = []
+            result = maxsat_anytime(
+                problem, on_improve=lambda m, c, e: costs.append(c), upper=expect + 1
+            )
+            assert result.optimal and result.cost == expect == costs[-1]
+            assert violated_weight(soft, result.model) == expect
+            assert result.iterations == len(costs) + (expect > 0)  # cost 0 needs no proof
+
+    def test_upper_bound_past_the_deadline(self):
+        problem = WeightedCnf(CnfInstance(1, []), (((1,), 1),))
+        assert maxsat_anytime(problem, Deadline.after(0), upper=1) == MaxSatResult(
+            None, 1, False, 1
+        )
 
     def test_larger_instances_reach_the_optimum(self):
         # wider problems, checked against a vectorized enumerator

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from rfreasons.core import DecisionTree, RandomForest, Term, clause_to_tree
-from rfreasons.explain import MajorityOracle, NotAnImplicantError
+from rfreasons.core import DecisionTree, RandomForest, Term, clause_to_tree, normalize
+from rfreasons.explain import DEFAULT_SEED, MajorityOracle, NotAnImplicantError, best_of_orders
 from rfreasons.solver import Deadline
 from rfreasons.optimize import (
+    GREEDY_ORDERS,
     WeightMap,
     _restricted_clauses,
     approx_minimal_reason_dt,
@@ -141,6 +142,78 @@ class TestMinimalSufficientDt:
             )
             r = minimal_sufficient_reason_dt(tree, x)
             assert r.optimal and r.size == expected
+
+
+class TestGreedyUpperBound:
+    """The minimal kinds report the best greedy majoritary reason first,
+    then let MaxSAT search below its cost."""
+
+    @staticmethod
+    def greedy(forest, x, weights):
+        oracle = MajorityOracle(normalize(forest, x))
+        return best_of_orders(oracle, x, GREEDY_ORDERS, DEFAULT_SEED, weight=weights.of)
+
+    @staticmethod
+    def check_log(r, seen, greedy, weights):
+        # the greedy reason opens the trajectory, which the log repeats
+        costs = [c for _, c in seen]
+        assert seen[0] == (greedy, weights.of_term(greedy))
+        assert tuple(c for _, c in r.extras["log"].entries) == tuple(costs)
+        assert costs == sorted(set(costs), reverse=True)
+        assert r.term == seen[-1][0] and r.cost == costs[-1]
+
+    def test_optimum_below_a_beaten_greedy_bound(self):
+        rng = random.Random(1300)
+        beaten = 0
+        for _ in range(40):
+            n = rng.randint(8, 10)
+            forest = random_forest(rng, n, rng.choice([3, 9]), 6, leaf_chance=0.1)
+            x = random_instance(rng, n)
+            candidates = brute.enumerate_majoritary_reasons(forest, x)
+            random_weights = WeightMap({v: rng.randint(1, 30) for v in range(1, n + 1)})
+            for weights in (WeightMap(), random_weights):
+                expected = min(weights.of_term(t) for t in candidates)
+                greedy = self.greedy(forest, x, weights)
+                seen = []
+                record = lambda t, c, e: seen.append((t, c))
+                if weights.weights:
+                    r = minimal_weight_majoritary_reason(forest, x, weights, on_improve=record)
+                else:
+                    r = minimal_majoritary_reason(forest, x, on_improve=record)
+                assert r.optimal and r.cost == expected and r.term in candidates
+                self.check_log(r, seen, greedy, weights)
+                if weights.of_term(greedy) > expected:
+                    beaten += 1
+                    assert len(seen) >= 2  # MaxSAT improved on the bound
+
+            tree = forest.trees[0]
+            one_tree = RandomForest([tree])
+            expected = min(len(t) for t in brute.enumerate_sufficient_reasons(one_tree, x))
+            greedy = self.greedy(one_tree, x, WeightMap())
+            r = minimal_sufficient_reason_dt(tree, x)
+            assert r.optimal and r.size == r.cost == expected
+            assert r.extras["log"].entries[0][1] == len(greedy)
+            beaten += len(greedy) > expected
+        assert beaten >= 1  # two weighted instances with this seed
+
+    def test_deadline_inside_maxsat_keeps_the_greedy_reason(self, orchid):
+        # the deadline passes once the greedy reason is reported
+        reported = []
+
+        class PassesOnReport(Deadline):
+            def expired(self):
+                return bool(reported)
+
+        r = minimal_majoritary_reason(
+            orchid, X_POS, PassesOnReport(math.inf), lambda t, c, e: reported.append(t)
+        )
+        assert len(reported) == 1 and r.term == reported[0]
+        assert not r.optimal and r.cost == r.size and "fallback" not in r.extras
+        assert MajorityOracle(orchid).accepts(r.term)
+
+    def test_greedy_skipped_after_the_deadline(self, orchid):
+        oracle = MajorityOracle(orchid)
+        assert best_of_orders(oracle, X_POS, GREEDY_ORDERS, DEFAULT_SEED, Deadline.after(0)) is None
 
 
 class TestHittingInstance:
