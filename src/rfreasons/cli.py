@@ -219,7 +219,8 @@ def _notion(name: str | None) -> Callable[[RandomForest, Reason], bool]:
     def accepts(forest: RandomForest, reason: Reason) -> bool:
         term = reason.term
         allowed = reason.extras.get("intelligible", term.variables())
-        oracle = oracle_for_instance(forest, reason.instance, name or reason.extras["notion"])
+        notion = name or reason.extras["notion"]
+        oracle = oracle_for_instance(forest, reason.instance, notion, under=term)
         return term.variables() <= set(allowed) and oracle.accepts(term)
 
     return accepts
@@ -377,9 +378,11 @@ def is_partial(reason: Reason) -> bool:
 
 
 def validate_reason(forest: RandomForest, reason: Reason) -> None:
-    """Re-check the output against its defining oracle; a failure here
-    means an encoding bug and is a hard error.  Validation takes no
-    deadline: it is a safety check and always runs to completion."""
+    """Re-check the output against its defining oracle, on an encoding
+    and solver of its own (for a sufficient reason, the encoding of its
+    extensions alone); a failure here means an encoding bug and is a
+    hard error.  Validation takes no deadline: it is a completion check
+    and always runs to the end (README says why)."""
     if not KIND_TABLE[reason.kind.value.replace("_", "-")].oracle(forest, reason):
         raise AssertionError(
             f"validation failed: {reason.kind.value} reason {reason.term} "

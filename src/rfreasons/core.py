@@ -214,15 +214,18 @@ class DecisionTree:
         flipped.__dict__.update(var_count=self.var_count, nodes=nodes, root=self.root)
         return flipped
 
-    def paths(self) -> Iterator[tuple[tuple[int, ...], int]]:
+    def paths(self, assign: Sequence[bool | None] = ()) -> Iterator[tuple[tuple[int, ...], int]]:
         """Yield (path literals as signed ints, leaf label) for every
-        root-to-leaf path."""
+        root-to-leaf path; given a partial assignment in Term.to_array
+        form, for every path it leaves reachable, over the free variables."""
         stack = [(self.root, ())]
         while stack:
             i, lits = stack.pop()
             var, lo, hi = self.nodes[i]
             if var == 0:
                 yield lits, lo
+            elif assign and assign[var] is not None:
+                stack.append((hi if assign[var] else lo, lits))
             else:
                 stack.append((hi, lits + (var,)))
                 stack.append((lo, lits + (-var,)))

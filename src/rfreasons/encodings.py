@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import RandomForest
+from .core import RandomForest, Term
 from .solver import CnfInstance, _normalize_clause, check_literal
 
 
@@ -24,9 +24,6 @@ class VarAllocator:
     def fresh(self) -> int:
         self.top += 1
         return self.top
-
-    def block(self, count: int) -> list[int]:
-        return [self.fresh() for _ in range(count)]
 
 
 def weighted_at_most(
@@ -86,12 +83,14 @@ def at_least(selectors: Sequence[int], k: int, alloc: VarAllocator) -> list[tupl
 
 @dataclass(frozen=True)
 class ImplicantCnf:
-    """CNF H with: a term t over the feature variables implies the forest
-    iff H together with t's literals is unsatisfiable.
+    """CNF H built for a term t: a term extending t over the feature
+    variables implies the forest iff H together with its literals is
+    unsatisfiable, so H alone is unsatisfiable iff t does.
 
-    Selector y_i guards the clausal form of the i-th negated tree, and a
+    Each selector guards the clausal form of one negated tree, and a
     cardinality constraint demands that more trees be falsified than the
-    majority can spare, so H's models are exactly the counterexamples.
+    majority can spare, so H's models are exactly the counterexamples
+    extending t.
     """
 
     cnf: CnfInstance
@@ -99,23 +98,35 @@ class ImplicantCnf:
     selectors: tuple[int, ...]
 
 
-def implicant_test_cnf(forest: RandomForest) -> ImplicantCnf:
-    """Build the refutation CNF for exact forest implicant tests.
+def implicant_test_cnf(forest: RandomForest, term: Term = Term()) -> ImplicantCnf:
+    """Build the refutation CNF for exact forest implicant tests on the
+    extensions of term (none given: every assignment).
 
     The forest decides 0 exactly when fewer than forest.majority trees
     vote 1, that is when at least m - majority + 1 of its m trees are
-    falsified; the bound holds for odd and even m alike.
+    falsified; the bound holds for odd and even m alike.  Under term's
+    literals (unit clauses) each tree gets a clause per reachable 1-path
+    over the free variables, and a tree term implies gets no selector:
+    with fewer selectors left than the bound, the bound is the empty
+    clause.  The empty term keeps one on constant trees too, so the
+    search's encoding is the full one.
     """
     n = forest.var_count
-    m = forest.tree_count
+    assign = term.to_array(n)
     alloc = VarAllocator(n)
-    selectors = tuple(alloc.block(m))
-    clauses: list[tuple[int, ...]] = []
-    for y, tree in zip(selectors, forest.trees):
-        for clause in tree.negated().cnf_clauses():
-            clauses.append((-y,) + clause)
-    clauses.extend(at_least(selectors, m - forest.majority + 1, alloc))
-    return ImplicantCnf(CnfInstance(alloc.top, clauses), n, selectors)
+    selectors = []
+    clauses: list[tuple[int, ...]] = [(l,) for l in term]
+    for tree in forest.trees:
+        paths = list(tree.paths(assign))
+        if term and all(label for _, label in paths):
+            continue
+        y = alloc.fresh()
+        selectors.append(y)
+        for lits, label in paths:
+            if label:
+                clauses.append((-y,) + tuple(sorted((-l for l in lits), key=abs)))
+    clauses.extend(at_least(selectors, forest.tree_count - forest.majority + 1, alloc))
+    return ImplicantCnf(CnfInstance(alloc.top, clauses), n, tuple(selectors))
 
 
 @dataclass(frozen=True)

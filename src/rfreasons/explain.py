@@ -182,13 +182,16 @@ class ForestSatOracle(ImplicantOracle):
     subterm keeping it, so the answers are those of plain deletion.
 
     Once the deadline has passed it rejects every query, since it never
-    accepts a term it has not proved, and sets timed_out.
+    accepts a term it has not proved, and sets timed_out.  Built under a
+    term, it encodes and decides only terms extending it (implicant_test_cnf).
     """
 
-    def __init__(self, forest: RandomForest, deadline: Deadline | None = None):
+    def __init__(
+        self, forest: RandomForest, deadline: Deadline | None = None, under: Term = Term()
+    ):
         self.forest = forest
         self.var_count = forest.var_count
-        self.encoding = implicant_test_cnf(forest)
+        self.encoding = implicant_test_cnf(forest, under)
         self.session = SatSolver(self.encoding.cnf)
         self.deadline = deadline
         self.necessary: set[int] = set()  # variables the current term must keep
@@ -272,16 +275,18 @@ def oracle_for_instance(
     x: Instance,
     notion: str = "majority",
     deadline: Deadline | None = None,
+    under: Term = Term(),
 ) -> ImplicantOracle:
     """The oracle of the implicant notion "majority" or "sufficient"
     (exact) on the polarity-normalized forest.  A one-tree forest has
     majority 1, so its exact test is the majority oracle's traversal;
-    otherwise it takes SAT calls, the only ones the deadline reaches."""
+    otherwise it takes SAT calls, the only ones the deadline reaches,
+    on an encoding restricted to the extensions of under."""
     if notion not in ("majority", "sufficient"):
         raise ValueError(f"unknown implicant notion {notion!r}")
     forest = normalize(forest, x)
     if notion == "sufficient" and forest.tree_count > 1:
-        return ForestSatOracle(forest, deadline)
+        return ForestSatOracle(forest, deadline, under)
     return MajorityOracle(forest)
 
 

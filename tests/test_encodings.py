@@ -2,9 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rfreasons.core import DecisionTree, RandomForest, Term
+from rfreasons.core import DecisionTree, RandomForest, Term, normalize
 from rfreasons.encodings import (
+    ImplicantCnf,
     VarAllocator,
     WeightedCnf,
     at_least,
@@ -15,7 +18,7 @@ from rfreasons.solver import CnfInstance, SatSolver, SolveStatus
 
 import brute
 from conftest import X_NEG, X_POS
-from generators import random_forest
+from generators import random_forest, random_instance
 
 
 def projected_satisfiable(clauses, var_count, fixed_bits):
@@ -148,6 +151,75 @@ class TestImplicantCnf:
                 term = Term((v if rng.random() < 0.5 else -v) for v in variables)
                 got = solver.solve(assumptions=term.to_ints()).status is SolveStatus.UNSAT
                 assert got == brute.is_implicant_bruteforce(forest, term)
+
+
+@st.composite
+def restricted_cases(draw):
+    """(normalized forest, subterm of t_x): 1 to 8 trees, so even counts
+    get the negation's padding tree, and depth 0 makes constant trees."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    forest = random_forest(rng, n, draw(st.integers(1, 8)), draw(st.integers(0, 4)), 0.3)
+    x = random_instance(rng, n)
+    keep = draw(st.sets(st.integers(1, n)))
+    return normalize(forest, x), Term.of_instance(x).restrict_to(keep)
+
+
+def counterexamples(enc: ImplicantCnf) -> set[tuple[int, ...]]:
+    """Every model of the encoding, restricted to the features."""
+    solver, found = SatSolver(enc.cnf), set()
+    while (outcome := solver.solve()).status is SolveStatus.SAT:
+        z = tuple(int(b) for b in outcome.model[: enc.feature_count])
+        found.add(z)
+        solver.add_clause([-v if b else v for v, b in enumerate(z, 1)])
+    return found
+
+
+class TestRestrictedImplicantCnf:
+    """implicant_test_cnf(forest, t) encodes the extensions of t alone."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(restricted_cases())
+    def test_agrees_with_bruteforce(self, case):
+        forest, term = case
+        enc = implicant_test_cnf(forest, term)
+        outcome = SatSolver(enc.cnf).solve()
+        assert (outcome.status is SolveStatus.UNSAT) == brute.is_implicant_bruteforce(
+            forest, term
+        )
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(restricted_cases())
+    def test_models_are_the_counterexamples_extending_the_term(self, case):
+        forest, term = case
+        expected = {
+            z
+            for z in itertools.product((0, 1), repeat=forest.var_count)
+            if term.covers(z) and forest.evaluate(z) == 0
+        }
+        assert counterexamples(implicant_test_cnf(forest, term)) == expected
+
+    def test_empty_term_gives_the_full_encoding(self, orchid):
+        # constant trees keep their selector: the search's encoding is unchanged
+        padded = RandomForest([*orchid.trees, DecisionTree.leaf(1, 4)]).negated()
+        for forest in (orchid, padded):
+            enc = implicant_test_cnf(forest, Term())
+            assert enc == implicant_test_cnf(forest)
+            assert len(enc.selectors) == forest.tree_count
+        assert SatSolver(implicant_test_cnf(orchid).cnf).solve().status is SolveStatus.SAT
+
+    def test_term_implying_a_majority_outright_is_the_empty_clause(self, orchid):
+        # t_x implies all three orchid trees: no tree can be falsified
+        enc = implicant_test_cnf(orchid, Term.of_instance(X_POS))
+        assert enc.selectors == () and () in enc.cnf.clauses
+        assert SatSolver(enc.cnf).solve().status is SolveStatus.UNSAT
+
+    def test_term_the_forest_refutes(self, orchid):
+        term = Term.of_instance(X_NEG)
+        assert orchid.evaluate(X_NEG) == 0
+        enc = implicant_test_cnf(orchid, term)
+        assert counterexamples(enc) == {X_NEG}
+        assert enc.cnf.clause_count < implicant_test_cnf(orchid).cnf.clause_count
 
 
 class TestWeightedCnf:

@@ -16,13 +16,14 @@ from hypothesis import strategies as st
 from rfreasons.cli import (
     KIND_TABLE,
     KINDS,
+    _EXACT,
     ExplainSettings,
     compute_reason,
     is_partial,
     validate_reason,
 )
 from rfreasons import explain
-from rfreasons.core import RandomForest, Term, cnf_to_forest
+from rfreasons.core import RandomForest, Term, cnf_to_forest, normalize
 from rfreasons.encodings import implicant_test_cnf
 from rfreasons.explain import ReasonKind
 
@@ -76,16 +77,21 @@ def test_zero_timeout_gives_every_kind_a_valid_reason(x):
 
 @pytest.mark.parametrize("x", [X_POS, X_NEG])
 def test_sufficient_validation_encodes_the_forest_anew(monkeypatch, x):
-    # validation shares nothing with the search, its encoding included
+    # validation shares nothing with the search, its encoding included;
+    # the search encodes every assignment, the validation the reason's extensions
     builds = []
     monkeypatch.setattr(
-        explain, "implicant_test_cnf", lambda f: builds.append(f) or implicant_test_cnf(f)
+        explain,
+        "implicant_test_cnf",
+        lambda f, *args: builds.append((f, *args)) or implicant_test_cnf(f, *args),
     )
     forest = RandomForest(orchid_trees())
     reason = compute_reason(forest, x, ExplainSettings(kind="sufficient"))
     assert len(builds) == 1
     validate_reason(forest, reason)
-    assert len(builds) == 2 and builds[0] == builds[1]
+    assert len(builds) == 2 and builds[0][0] == builds[1][0]
+    assert builds[0][1:] == (Term(),)
+    assert builds[1][1:] == (reason.term,)
 
 
 def test_sufficient_validation_refuses_a_reason_of_another_forest():
@@ -151,3 +157,16 @@ def test_every_kind_agrees_with_its_oracle_and_brute(drawn, notion):
             assert reason.term in brute.enumerate_sufficient_reasons(model, x)
         if kind in ("majoritary", "minimal-majoritary"):
             assert reason.term in brute.enumerate_majoritary_reasons(model, x)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(small_forests())
+def test_validation_proves_sufficient_reasons_prime(drawn):
+    # each shorter term takes the refusal (SAT) branch of the restricted encoding
+    forest, x = drawn
+    reason = compute_reason(forest, x, ExplainSettings(kind="sufficient"))
+    validate_reason(forest, reason)
+    for lit in reason.term:
+        shorter = replace(reason, term=Term(l for l in reason.term if l != lit))
+        assert not brute.is_implicant_bruteforce(normalize(forest, x), shorter.term)
+        assert not _EXACT(forest, shorter)
