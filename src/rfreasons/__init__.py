@@ -55,7 +55,6 @@ from .maxsat import (
     maxsat_anytime,
 )
 from .optimize import (
-    AnytimeLog,
     OptimizationBudgetError,
     WeightMap,
     approx_minimal_reason_dt,

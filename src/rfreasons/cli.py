@@ -8,6 +8,7 @@ left only a partial (but still valid) result, 1 anything else.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -42,7 +43,7 @@ from .explain import (
     oracle_for_instance,
     sufficient_reason_rf,
 )
-from .models import InstanceFormatError, StatsRow
+from .models import InstanceFormatError
 from .optimize import (
     WeightMap,
     approx_minimal_reason_dt,
@@ -534,7 +535,13 @@ def parity_fixture(var_count: int, copies: int) -> RandomForest:
     return RandomForest(trees)
 
 
+# the model file about doubles with each unit of width: 33 MB at 16
+_MAX_PARITY = 16
+
+
 def cmd_fixture_gen(args) -> int:
+    if args.parity > _MAX_PARITY:
+        raise CliError(f"--parity must be at most {_MAX_PARITY}, got {args.parity}")
     forest = parity_fixture(args.parity, args.copies)
     models.dump_forest(forest, args.out)
     print(
@@ -550,30 +557,20 @@ def cmd_fixture_gen(args) -> int:
 
 def _stats_one(
     forest: RandomForest, index: int, x: tuple[int, ...], s: ExplainSettings
-) -> tuple[StatsRow, list[tuple[float, int]]]:
-    trajectory: list[tuple[float, int]] = []
+) -> dict:
+    """One stats row: the explain record under the requested kind name
+    and the row number, with the rendered term as "reason" and the
+    anytime log, if any, as "log"; or the request's error."""
     try:
         reason = compute_reason(forest, x, s)
     except Exception as e:  # per-instance failures stay in-row
-        return StatsRow(index, s.kind, error=f"{type(e).__name__}: {e}"), trajectory
+        return {"instance": index, "kind": s.kind, "error": f"{type(e).__name__}: {e}"}
     if reason is None:
-        return StatsRow(index, s.kind, error="no comprehensible reason"), trajectory
+        return {"instance": index, "kind": s.kind, "error": "no comprehensible reason"}
     validate_reason(forest, reason)
-    log = reason.extras.get("log")
-    if log is not None:
-        trajectory = list(log.entries)
     record = reason_record(reason, forest)
-    row = StatsRow(
-        index,
-        s.kind,
-        reason.size,
-        reason.elapsed,
-        reason.optimal,
-        reason.cost,
-        record["probability"],
-        record["rendered"],
-    )
-    return row, trajectory
+    log = reason.extras.get("log", ())
+    return {**record, "instance": index, "kind": s.kind, "reason": record["rendered"], "log": log}
 
 
 def _stats_instance_task(payload):
@@ -602,28 +599,23 @@ def cmd_stats(args) -> int:
         check_request(forest, s)  # a mistake that holds for every instance ends the run here
         requests.append(s)
     payloads = [(forest, i, x, requests) for i, x in enumerate(instances, 1)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(payloads))  # the pool forks them all at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_instance = list(pool.map(_stats_instance_task, payloads))
     else:
         per_instance = [_stats_instance_task(p) for p in payloads]
-    rows: list[StatsRow] = []
-    trajectories: list[tuple[int, str, float, int]] = []
-    for results in per_instance:
-        for row, trajectory in results:
-            rows.append(row)
-            trajectories.extend(
-                (row.instance, row.kind, round(elapsed, 6), cost)
-                for elapsed, cost in trajectory
-            )
+    rows = [row for results in per_instance for row in results]
     models.write_stats(rows, args.out if args.out else sys.stdout)
     if args.trajectories:
-        import csv as _csv
-
         with open(args.trajectories, "w", newline="") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(models.TRAJECTORY_COLUMNS)
-            writer.writerows(trajectories)
+            for row in rows:
+                writer.writerows(
+                    (row["instance"], row["kind"], round(elapsed, 6), cost)
+                    for elapsed, cost in row.get("log", ())
+                )
     return EXIT_OK
 
 

@@ -6,7 +6,7 @@ hard clauses carry the top weight.
 
 from __future__ import annotations
 
-from typing import IO, Iterable
+from typing import Iterable
 
 from .core import InconsistentTermError, Term
 from .encodings import WeightedCnf
@@ -49,19 +49,13 @@ def _clause_lines(lines: Iterable[str], var_count: int):
         raise DimacsError(opened_at, "unterminated clause at end of input")
 
 
-def _read_lines(source: str | IO[str]) -> list[str]:
-    if hasattr(source, "read"):
-        return source.read().splitlines()
-    return str(source).splitlines()
-
-
 def _read_records(
-    source: str | IO[str], fmt: str, fields: tuple[str, str]
+    text: str, fmt: str, fields: tuple[str, str]
 ) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
     """Parse the 'p <fmt> <vars> <count>' header and the records after it:
     (variable count, [(line number, literals)]), with the record count
     checked against the header."""
-    lines = _read_lines(source)
+    lines = text.splitlines()
     shape = f"'p {fmt} " + " ".join(f"<{f}>" for f in fields) + "'"
     header = None
     for i, raw in enumerate(lines, 1):
@@ -91,16 +85,16 @@ def _read_records(
     return var_count, records
 
 
-def read_dimacs(source: str | IO[str]) -> CnfInstance:
-    """Parse a DIMACS CNF document (text or file object)."""
-    var_count, records = _read_records(source, "cnf", ("vars", "clauses"))
+def read_dimacs(text: str) -> CnfInstance:
+    """Parse the text of a DIMACS CNF document."""
+    var_count, records = _read_records(text, "cnf", ("vars", "clauses"))
     return CnfInstance(var_count, [lits for _, lits in records])
 
 
-def read_dnf(source: str | IO[str]) -> tuple[list[Term], int]:
-    """Parse a DIMACS-style DNF document ('p dnf <vars> <terms>', one
-    0-terminated term per record): (terms, variable count)."""
-    var_count, records = _read_records(source, "dnf", ("vars", "terms"))
+def read_dnf(text: str) -> tuple[list[Term], int]:
+    """Parse the text of a DIMACS-style DNF document ('p dnf <vars>
+    <terms>', one 0-terminated term per record): (terms, variable count)."""
+    var_count, records = _read_records(text, "dnf", ("vars", "terms"))
     terms = []
     for line_no, lits in records:
         try:

@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from typing import IO, Sequence
 
 from .core import DecisionTree, ModelFormatError, RandomForest
@@ -82,27 +81,21 @@ def document_to_forest(doc: dict) -> RandomForest:
     return RandomForest(trees, names)
 
 
-def dump_forest(forest: RandomForest, target: str | IO[str]) -> None:
+def dump_forest(forest: RandomForest, path: str) -> None:
     """Write a model file; trees too deep to serialize (and so to load
     back) raise ModelFormatError before anything is written."""
     try:
         text = json.dumps(forest_to_document(forest), indent=2) + "\n"
     except RecursionError:
         raise ModelFormatError("trees nest too deeply to write") from None
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w") as fh:
-            fh.write(text)
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
-def load_forest(source: str | IO[str]) -> RandomForest:
-    """Load and structurally validate a model file (path or file object)."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source) as fh:
-            text = fh.read()
+def load_forest(path: str) -> RandomForest:
+    """Load and structurally validate a model file."""
+    with open(path) as fh:
+        text = fh.read()
     try:
         return document_to_forest(json.loads(text))
     except json.JSONDecodeError as e:
@@ -116,19 +109,16 @@ class InstanceFormatError(ValueError):
 
 
 def parse_instances(
-    source: str | IO[str], var_count: int | None = None
+    path: str, var_count: int
 ) -> tuple[list[tuple[int, ...]], list[str] | None]:
-    """Read instance rows, returning (instances, header or None).
+    """Read instance rows of var_count values, returning (instances,
+    header or None).
 
     A first row whose cells are not all 0/1 is treated as a header of
-    feature names, which must name var_count features when it is given.
+    feature names, which must name var_count features.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source) as fh:
-            text = fh.read()
-    rows = [r for r in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in r)]
+    with open(path) as fh:
+        rows = [r for r in csv.reader(fh) if any(cell.strip() for cell in r)]
     header = None
 
     def numeric(cell: str) -> bool:
@@ -143,7 +133,7 @@ def parse_instances(
     if rows and not all(numeric(cell) for cell in rows[0]):
         header = [cell.strip() for cell in rows[0]]
         rows = rows[1:]
-        if var_count is not None and len(header) != var_count:
+        if len(header) != var_count:
             raise InstanceFormatError(
                 f"header: expected {var_count} feature names, got {len(header)}"
             )
@@ -157,7 +147,7 @@ def parse_instances(
                     f"row {r}, column {c}: expected 0 or 1, got {cell!r}"
                 )
             bits.append(int(cell))
-        if var_count is not None and len(bits) != var_count:
+        if len(bits) != var_count:
             raise InstanceFormatError(
                 f"row {r}: expected {var_count} values, got {len(bits)}"
             )
@@ -165,58 +155,29 @@ def parse_instances(
     return instances, header
 
 
-@dataclass(frozen=True)
-class StatsRow:
-    """One per (instance, kind): what was computed and how long it took."""
-
-    instance: int
-    kind: str
-    size: int | None = None
-    elapsed: float | None = None
-    optimal: bool | None = None
-    cost: int | None = None
-    probability: str | None = None
-    reason: str | None = None
-    error: str | None = None
-
-    def as_csv_row(self) -> list[str]:
-        def fmt(v):
-            if v is None:
-                return ""
-            if isinstance(v, bool):
-                return "true" if v else "false"
-            if isinstance(v, float):
-                return f"{v:.6f}"
-            return str(v)
-
-        return [
-            fmt(v)
-            for v in (
-                self.instance,
-                self.kind,
-                self.size,
-                self.elapsed,
-                self.optimal,
-                self.cost,
-                self.probability,
-                self.reason,
-                self.error,
-            )
-        ]
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return str(value)
 
 
-def write_stats(rows: Sequence[StatsRow], target: str | IO[str]) -> None:
-    """Emit the stats table plus a '#'-prefixed per-kind summary block
-    (mean and standard deviation of reason sizes)."""
+def write_stats(rows: Sequence[dict], target: str | IO[str]) -> None:
+    """Emit the STATS_COLUMNS cells of each row (a missing one is empty)
+    plus a '#'-prefixed per-kind summary block: the mean and standard
+    deviation of the reason sizes of the rows without an error."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(STATS_COLUMNS)
     for row in rows:
-        writer.writerow(row.as_csv_row())
+        writer.writerow([_cell(row.get(column)) for column in STATS_COLUMNS])
     by_kind: dict[str, list[int]] = {}
     for row in rows:
-        if row.size is not None and row.error is None:
-            by_kind.setdefault(row.kind, []).append(row.size)
+        if row.get("error") is None:
+            by_kind.setdefault(row["kind"], []).append(row["size"])
     for kind in sorted(by_kind):
         sizes = by_kind[kind]
         mean = sum(sizes) / len(sizes)

@@ -39,13 +39,6 @@ OptimizationBudgetError = TimeoutError
 
 
 @dataclass(frozen=True)
-class AnytimeLog:
-    """Improvement trajectory: (seconds since start, cost) per model."""
-
-    entries: tuple[tuple[float, int], ...]
-
-
-@dataclass(frozen=True)
 class WeightMap:
     """Positive integer disutility per feature; missing features weigh 1."""
 
@@ -122,8 +115,8 @@ def _optimize(
     over GREEDY_ORDERS seeded orders is the first improvement, and MaxSAT
     then searches only below its cost, so a request whose greedy reason
     is already optimal takes one UNSAT proof.  Every improvement is
-    checked on the majority oracle and logged as (seconds since start,
-    cost); the reason is the last one.  A deadline that passed before
+    checked on the majority oracle and logged in extras["log"], a tuple
+    of (seconds since start, cost) pairs; the reason is the last one.  A deadline that passed before
     the greedy search starts leaves no improvement: the result is then
     the instance term with extras["fallback"] = "timeout"."""
     start = time.monotonic()
@@ -163,7 +156,7 @@ def _optimize(
         tuple(x),
         cost=result.cost,
         optimal=result.optimal,
-        extras={"log": AnytimeLog(tuple(log))},
+        extras={"log": tuple(log)},
     )
 
 

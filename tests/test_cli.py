@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import random
@@ -15,6 +16,8 @@ from rfreasons.cli import (
     EXIT_NO_COMPREHENSIBLE,
     EXIT_OK,
     EXIT_PARTIAL,
+    KIND_TABLE,
+    compute_reason,
     main,
     parity_tree,
 )
@@ -22,7 +25,7 @@ from rfreasons.core import RandomForest
 from rfreasons.models import dump_forest, load_forest, parse_instances
 
 import brute
-from conftest import orchid_trees
+from conftest import X_NEG, X_POS, orchid_trees
 from generators import random_forest, random_instance
 
 
@@ -516,6 +519,14 @@ class TestFixtureGen:
         assert code == EXIT_OK
         assert json.loads(out)["literals"] == []
 
+    @pytest.mark.parametrize("width", [1200, rfreasons.cli._MAX_PARITY + 1])
+    def test_width_past_the_bound_is_refused(self, capsys, tmp_path, width):
+        # the tree builder recurses once per level, and the file doubles per level
+        target = tmp_path / "parity.json"
+        code, _, err = run(capsys, "fixture-gen", "--parity", str(width), "--copies", "1", "-o", str(target))
+        assert code == 1 and "--parity" in err
+        assert not target.exists()
+
 
 class TestStats:
     def test_golden_sizes(self, capsys, model_file, tmp_path):
@@ -645,7 +656,7 @@ class TestStats:
             cells = row.split(",")
             assert cells[4] == "false"  # optimal
             assert cells[2] == "4"  # fallback is the full instance term
-        parsed, _ = parse_instances(instances_file)
+        parsed, _ = parse_instances(instances_file, 4)
         assert len(rows) == len(parsed)
 
     def test_timeout_row_agrees_with_explain(self, capsys, model_file, instances_file, tmp_path):
@@ -690,6 +701,89 @@ class TestStats:
         lines = traj.read_text().splitlines()
         assert lines[0] == "instance,kind,elapsed,cost"
         assert len(lines) > 1
+
+    # one flag set per kind that reads one; stats gives majoritary 50 permutations
+    KIND_FLAGS = {
+        "majoritary": ("--permutations", "50"),
+        "minimal-weight": ("--weights", "x1:3,x2:2"),
+        "comprehensible": ("--intelligible", "x1,x3,x4"),
+        "inclusion-preferred": ("--strata", "x4;x2,x3;x1"),
+        "lime": ("--linear-weights", "3,-1,-1,1"),
+        "delta-probable": ("--delta", "3/4"),
+    }
+
+    @pytest.mark.parametrize("single_tree", [False, True])
+    def test_rows_are_explain_records(self, capsys, monkeypatch, tmp_path, single_tree):
+        model = tmp_path / "m.json"
+        dump_forest(RandomForest(orchid_trees()[: 1 if single_tree else 3]), str(model))
+        inst = tmp_path / "i.csv"
+        inst.write_text("".join(",".join(map(str, x)) + "\n" for x in (X_POS, X_NEG)))
+        kinds = [k for k, spec in KIND_TABLE.items() if spec.single_tree == single_tree]
+        flags = [f for k in kinds if k != "majoritary" for f in self.KIND_FLAGS.get(k, ())]
+        reasons = {}
+
+        def recording(forest, x, s):
+            reasons[x, s.kind] = compute_reason(forest, x, s)
+            return reasons[x, s.kind]
+
+        monkeypatch.setattr(rfreasons.cli, "compute_reason", recording)
+        out_csv, traj = tmp_path / "stats.csv", tmp_path / "traj.csv"
+        code, _, _ = run(
+            capsys, "stats", str(model), str(inst), "--kinds", ",".join(kinds), *flags,
+            "--out", str(out_csv), "--trajectories", str(traj),
+        )
+        monkeypatch.undo()  # explain below computes its own reasons
+        assert code == EXIT_OK
+        with open(out_csv, newline="") as fh:
+            rows = [r for r in csv.DictReader(fh) if not r["instance"].startswith("#")]
+        assert len(rows) == 2 * len(kinds)
+        logged = []
+        for row in rows:
+            x = (X_POS, X_NEG)[int(row["instance"]) - 1]
+            code, out, _ = run(
+                capsys, "explain", str(model), "".join(map(str, x)), "--kind", row["kind"],
+                *self.KIND_FLAGS.get(row["kind"], ()), "--json",
+            )
+            assert code == EXIT_OK and not row["error"]
+            record = json.loads(out)
+            assert [row[k] for k in ("size", "optimal", "cost", "probability", "reason")] == [
+                str(record["size"]),
+                "true" if record["optimal"] else "false",
+                "" if record["cost"] is None else str(record["cost"]),
+                record["probability"] or "",
+                record["rendered"],
+            ]
+            logged.extend(
+                [row["instance"], row["kind"], str(round(elapsed, 6)), str(cost)]
+                for elapsed, cost in reasons[x, row["kind"]].extras.get("log", ())
+            )
+        with open(traj, newline="") as fh:
+            assert list(csv.reader(fh))[1:] == logged
+        assert single_tree or logged
+
+    def test_workers_at_most_one_per_instance(self, capsys, monkeypatch, model_file, tmp_path):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(rfreasons.cli, "ProcessPoolExecutor", RecordingPool)
+        for rows, workers in (("1,1,1,1\n0,1,0,0\n", [2]), ("1,1,1,1\n", []), ("", [])):
+            started.clear()
+            inst = tmp_path / "inst.csv"
+            inst.write_text(rows)
+            code, _, _ = run(capsys, "stats", model_file, str(inst), "--kinds", "direct", "--jobs", "5000")
+            assert code == EXIT_OK and started == workers
 
     def test_parallel_keeps_input_order(self, capsys, model_file, tmp_path):
         inst = tmp_path / "many.csv"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rfreasons.core import DecisionTree, ModelFormatError, RandomForest, Term
 from rfreasons.models import (
     InstanceFormatError,
-    StatsRow,
     document_to_forest,
     dump_forest,
     forest_to_document,
@@ -81,11 +80,11 @@ class TestModelFiles:
         # parse -> serialize -> parse is structurally stable
         assert forest_to_document(again) == forest_to_document(orchid)
 
-    def test_empty_feature_names_survive(self):
+    def test_empty_feature_names_survive(self, tmp_path):
         forest = RandomForest([DecisionTree.leaf(1, 0)], [])
-        out = io.StringIO()
-        dump_forest(forest, out)
-        assert load_forest(io.StringIO(out.getvalue())).feature_names == ()
+        path = tmp_path / "empty.json"
+        dump_forest(forest, str(path))
+        assert load_forest(str(path)).feature_names == ()
 
     def test_feature_names_survive(self, tmp_path):
         forest = RandomForest(
@@ -140,19 +139,19 @@ class TestModelFiles:
 
     @settings(max_examples=300, deadline=None)
     @given(model_documents)
-    def test_any_field_value_loads_or_is_refused(self, doc):
-        text = json.dumps(doc)
+    def test_any_field_value_loads_or_is_refused(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "any.json"
+        path.write_text(json.dumps(doc))
         try:
-            forest = load_forest(io.StringIO(text))
+            forest = load_forest(str(path))
         except ModelFormatError:
             return
         n = forest.var_count
         for x in ((0,) * n, (1,) * n):
             assert forest.evaluate(x) in (0, 1)
             Term.of_instance(x).render(forest.feature_names)
-        out = io.StringIO()
-        dump_forest(forest, out)
-        assert load_forest(io.StringIO(out.getvalue())) == forest
+        dump_forest(forest, str(path))
+        assert load_forest(str(path)) == forest
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -161,34 +160,40 @@ class TestModelFiles:
             load_forest(str(path))
 
 
+def text_file(tmp_path, text: str) -> str:
+    path = tmp_path / "inst.csv"
+    path.write_text(text)
+    return str(path)
+
+
 class TestInstanceFiles:
-    def test_plain_rows(self):
-        instances, header = parse_instances(io.StringIO("1,0,1\n0,0,0\n"))
+    def test_plain_rows(self, tmp_path):
+        instances, header = parse_instances(text_file(tmp_path, "1,0,1\n0,0,0\n"), 3)
         assert header is None
         assert instances == [(1, 0, 1), (0, 0, 0)]
 
-    def test_header_detected(self):
-        instances, header = parse_instances(io.StringIO("a,b\n1,0\n"))
+    def test_header_detected(self, tmp_path):
+        instances, header = parse_instances(text_file(tmp_path, "a,b\n1,0\n"), 2)
         assert header == ["a", "b"]
         assert instances == [(1, 0)]
 
-    def test_empty_file(self):
-        instances, header = parse_instances(io.StringIO(""))
+    def test_empty_file(self, tmp_path):
+        instances, header = parse_instances(text_file(tmp_path, ""), 2)
         assert instances == [] and header is None
 
-    def test_malformed_bit_names_row_and_column(self):
+    def test_malformed_bit_names_row_and_column(self, tmp_path):
         with pytest.raises(InstanceFormatError) as e:
-            parse_instances(io.StringIO("1,0\n0,2\n"))
+            parse_instances(text_file(tmp_path, "1,0\n0,2\n"), 2)
         assert "row 2" in str(e.value) and "column 2" in str(e.value)
 
-    def test_dimension_check(self):
+    def test_dimension_check(self, tmp_path):
         with pytest.raises(InstanceFormatError):
-            parse_instances(io.StringIO("1,0,1\n"), var_count=2)
+            parse_instances(text_file(tmp_path, "1,0,1\n"), var_count=2)
 
     def test_write_read_round_trip(self, tmp_path):
         path = tmp_path / "inst.csv"
         path.write_text("a,b\n1,0\n0,1\n")
-        instances, header = parse_instances(str(path))
+        instances, header = parse_instances(str(path), 2)
         assert instances == [(1, 0), (0, 1)]
         assert header == ["a", "b"]
 
@@ -196,10 +201,10 @@ class TestInstanceFiles:
 class TestStatsCsv:
     def test_columns_and_summary(self):
         rows = [
-            StatsRow(1, "direct", size=4, elapsed=0.001, optimal=False),
-            StatsRow(1, "sufficient", size=2, elapsed=0.002, optimal=False),
-            StatsRow(2, "direct", size=2, elapsed=0.001, optimal=False),
-            StatsRow(2, "sufficient", size=None, error="boom"),
+            {"instance": 1, "kind": "direct", "size": 4, "elapsed": 0.001, "optimal": False},
+            {"instance": 1, "kind": "sufficient", "size": 2, "elapsed": 0.002, "optimal": False},
+            {"instance": 2, "kind": "direct", "size": 2, "elapsed": 0.001, "optimal": False},
+            {"instance": 2, "kind": "sufficient", "size": None, "error": "boom"},
         ]
         buf = io.StringIO()
         write_stats(rows, buf)

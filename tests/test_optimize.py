@@ -67,7 +67,7 @@ class TestMinimalMajoritary:
         )
         costs = [c for _, c in improvements]
         assert costs == sorted(costs, reverse=True)
-        assert tuple(c for _, c in r.extras["log"].entries) == tuple(costs)
+        assert tuple(c for _, c in r.extras["log"]) == tuple(costs)
         target_oracle = MajorityOracle(orchid)
         for term, _ in improvements:
             assert target_oracle.accepts(term)
@@ -158,7 +158,7 @@ class TestGreedyUpperBound:
         # the greedy reason opens the trajectory, which the log repeats
         costs = [c for _, c in seen]
         assert seen[0] == (greedy, weights.of_term(greedy))
-        assert tuple(c for _, c in r.extras["log"].entries) == tuple(costs)
+        assert tuple(c for _, c in r.extras["log"]) == tuple(costs)
         assert costs == sorted(set(costs), reverse=True)
         assert r.term == seen[-1][0] and r.cost == costs[-1]
 
@@ -192,7 +192,7 @@ class TestGreedyUpperBound:
             greedy = self.greedy(one_tree, x, WeightMap())
             r = minimal_sufficient_reason_dt(tree, x)
             assert r.optimal and r.size == r.cost == expected
-            assert r.extras["log"].entries[0][1] == len(greedy)
+            assert r.extras["log"][0][1] == len(greedy)
             beaten += len(greedy) > expected
         assert beaten >= 1  # two weighted instances with this seed
 
