@@ -609,7 +609,7 @@ def cmd_stats(args) -> int:
     models.write_stats(rows, args.out if args.out else sys.stdout)
     if args.trajectories:
         with open(args.trajectories, "w", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(models.TRAJECTORY_COLUMNS)
             for row in rows:
                 writer.writerows(

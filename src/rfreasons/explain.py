@@ -1,11 +1,11 @@
 """Reasons explaining tree and forest classifications.
 
-The greedy explainers all share one shape: start from the instance term,
-try to drop literals in some order, keep a drop whenever the remaining
-term still passes an implicant oracle.  Oracles encapsulate what
-"implicant" means: of a strict majority of trees (of the tree itself
-in a one-tree forest), of the forest function (via the SAT encoding),
-or probabilistically.
+The greedy explainers all share one shape: start from the instance term
+(the sufficient reason from a majoritary one), try to drop literals in
+some order, keep a drop whenever the remaining term still passes an
+implicant oracle.  Oracles encapsulate what "implicant" means: of a
+strict majority of trees (of the tree itself in a one-tree forest), of
+the forest function (via the SAT encoding), or probabilistically.
 
 A negative classification is always explained by negating the model
 first (core.normalize); no algorithm here is dual-cased.
@@ -326,15 +326,17 @@ def greedy_reason(
     extras: dict | None = None,
     seed_term: Term | None = None,
 ) -> Reason:
-    """Shrink t_x, or seed_term (an implicant covering x), literal by
-    literal in order (None: default_order) while the oracle keeps
-    accepting; the result is a reason of the given kind.
+    """Shrink t_x, or seed_term (a term covering x), literal by literal
+    in order (None: default_order) while the oracle keeps accepting; the
+    result is a reason of the given kind.
 
     The result passes the oracle and no single-literal removal does,
     unless the oracle's deadline cut the search short: the result is then
-    the last term the oracle accepted (t_x when it accepted none), with
-    extras["fallback"] = "timeout".  Raises NotAnImplicantError when the
-    start term itself is rejected.
+    the last term the oracle accepted (the start term when it accepted
+    none), with extras["fallback"] = "timeout".  So when the oracle can
+    time out, seed_term must be an implicant proved by other means;
+    t_x is one for any normalized model.  Raises NotAnImplicantError
+    when the start term itself is rejected.
     """
     full = Term.of_instance(x) if seed_term is None else seed_term
     if not full.covers(x):
@@ -346,7 +348,7 @@ def greedy_reason(
         )
         term = Term.from_array(assign)
     elif oracle.timed_out:
-        term = Term.of_instance(x)  # an implicant of any normalized model
+        term = full  # an implicant, as the caller guarantees
     else:
         raise NotAnImplicantError(
             "the start term fails the oracle; is the polarity normalized?"
@@ -380,16 +382,24 @@ def sufficient_reason_rf(
 ) -> Reason:
     """A prime implicant of the forest function covering x.
 
-    Deletion-based extraction: each candidate removal costs at most one
-    SAT call with assumptions against the implicant encoding, and
-    recursive model rotation proves most necessary literals from the
-    counterexamples without one (see ForestSatOracle); a single-tree
-    forest takes one tree traversal per candidate instead.  A deadline
-    that passes first ends the search with its fallback reason (see
-    greedy_reason).
+    Deletion (Izza & Marques-Silva, IJCAI 2021) starts from the greedy
+    majoritary reason in the same order, found by traversals alone: it
+    implies a strict majority of the trees, so it fixes the vote and is
+    an implicant, and deletion from any implicant covering x ends in a
+    prime one.  Each candidate removal then costs at most one SAT call
+    with assumptions, and recursive model rotation proves most necessary
+    literals without one (see ForestSatOracle).  Both passes keep the
+    literals of the variables the order leaves out.  On a one-tree
+    forest the majoritary reason is already sufficient.  A deadline that
+    passes first returns the last term the SAT oracle accepted, the seed
+    when it accepted none (see greedy_reason).
     """
-    oracle = oracle_for_instance(forest, x, "sufficient", deadline)
-    return greedy_reason(oracle, x, order, ReasonKind.SUFFICIENT)
+    forest = normalize(forest, x)
+    seed = greedy_reason(MajorityOracle(forest), x, order, ReasonKind.SUFFICIENT)
+    if forest.tree_count == 1:
+        return seed
+    oracle = ForestSatOracle(forest, deadline)
+    return greedy_reason(oracle, x, order, ReasonKind.SUFFICIENT, seed_term=seed.term)
 
 
 def majoritary_reason(

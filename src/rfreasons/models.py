@@ -168,9 +168,10 @@ def _cell(value) -> str:
 def write_stats(rows: Sequence[dict], target: str | IO[str]) -> None:
     """Emit the STATS_COLUMNS cells of each row (a missing one is empty)
     plus a '#'-prefixed per-kind summary block: the mean and standard
-    deviation of the reason sizes of the rows without an error."""
+    deviation of the reason sizes of the rows without an error.  Every
+    line ends in a bare line feed."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(STATS_COLUMNS)
     for row in rows:
         writer.writerow([_cell(row.get(column)) for column in STATS_COLUMNS])
@@ -190,5 +191,5 @@ def write_stats(rows: Sequence[dict], target: str | IO[str]) -> None:
     if hasattr(target, "write"):
         target.write(text)
     else:
-        with open(target, "w") as fh:
+        with open(target, "w", newline="") as fh:
             fh.write(text)

@@ -174,14 +174,16 @@ def deletion_reason_bruteforce(
     x: Instance,
     order: Sequence[int] | None = None,
     var_limit: int = DEFAULT_VAR_LIMIT,
+    start: Term | None = None,
 ) -> Term:
-    """Plain deletion from t_x: visit the variables in order (descending
-    index by default) and drop each literal whose removal leaves an
-    implicant of the normalized forest, decided on its truth table."""
+    """Plain deletion from start (t_x by default): visit the variables in
+    order (descending index by default) and drop each literal whose
+    removal leaves an implicant of the normalized forest, decided on its
+    truth table."""
     forest = normalize(forest, x)
     table = truth_table_forest(forest, var_limit)
     n = forest.var_count
-    term = Term.of_instance(x)
+    term = Term.of_instance(x) if start is None else start
     for var in range(n, 0, -1) if order is None else order:
         candidate = Term(l for l in term if abs(l) != var)
         if len(candidate) < len(term) and table[cover_mask(candidate, n)].all():

@@ -22,6 +22,7 @@ from rfreasons.cli import (
     parity_tree,
 )
 from rfreasons.core import RandomForest
+from rfreasons.explain import majoritary_reason
 from rfreasons.models import dump_forest, load_forest, parse_instances
 
 import brute
@@ -318,7 +319,9 @@ class TestExplain:
         )
         assert code == EXIT_PARTIAL
         record = json.loads(out)
-        assert record["size"] == 4 and record["fallback"] == "timeout"
+        # the fallback is the majoritary seed, proved by traversal alone
+        seed = majoritary_reason(load_forest(model_file), (1, 1, 1, 1)).term
+        assert record["literals"] == list(seed) and record["fallback"] == "timeout"
 
     def test_inclusion_preferred_sufficient_notion_honours_timeout(self, capsys, model_file):
         code, out, _ = run(
@@ -668,10 +671,14 @@ class TestStats:
         )
         assert code == EXIT_OK
         rows = [l for l in out_csv.read_text().splitlines()[1:] if l and not l.startswith("#")]
-        assert len(rows) == 2
-        for row in rows:
+        forest = load_forest(model_file)
+        instances, _ = parse_instances(instances_file, 4)
+        assert len(rows) == len(instances) == 2
+        for row, x in zip(rows, instances):
             cells = row.split(",")
-            assert cells[2] == "4"  # the instance term, the last verified one
+            # the majoritary seed, the last verified term
+            seed = majoritary_reason(forest, x).term
+            assert cells[2] == str(len(seed)) and cells[7] == seed.render()
             assert cells[-1] == ""  # no error recorded
 
     def test_sat_notion_is_validated_against_sat_oracle(self, capsys, model_file, tmp_path):
@@ -701,6 +708,22 @@ class TestStats:
         lines = traj.read_text().splitlines()
         assert lines[0] == "instance,kind,elapsed,cost"
         assert len(lines) > 1
+
+    def test_lines_end_in_line_feeds(self, capsys, model_file, instances_file, tmp_path):
+        # header, data rows, error rows, summary lines and trajectories alike
+        out_csv, traj = tmp_path / "stats.csv", tmp_path / "traj.csv"
+        flags = ("--kinds", "minimal-majoritary,lime", "--linear-weights=-1,-1,-1,-1")
+        code, _, _ = run(
+            capsys, "stats", model_file, instances_file, *flags,
+            "--out", str(out_csv), "--trajectories", str(traj),
+        )
+        assert code == EXIT_OK
+        stats, side = out_csv.read_bytes(), traj.read_bytes()
+        assert b"# summary" in stats and b"disagrees" in stats and side.count(b"\n") > 1
+        for data in (stats, side):
+            assert b"\r" not in data and data.endswith(b"\n")
+        code, out, _ = run(capsys, "stats", model_file, instances_file, *flags)
+        assert code == EXIT_OK and "\r" not in out and out.count("\n") == stats.count(b"\n")
 
     # one flag set per kind that reads one; stats gives majoritary 50 permutations
     KIND_FLAGS = {

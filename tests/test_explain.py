@@ -207,8 +207,9 @@ class TestForestImplicantHelper:
 
     def test_timeout_surfaces_with_partial(self, orchid):
         r = sufficient_reason_rf(orchid, X_POS, deadline=Deadline.after(0))
-        # the returned term is the last accepted implicant (here the start)
-        assert r.term == Term.of_instance(X_POS)
+        # the returned term is the last accepted implicant: here the
+        # majoritary seed, proved by traversal before any SAT call
+        assert r.term == majoritary_reason(orchid, X_POS).term
         assert r.extras["fallback"] == "timeout" and not r.optimal
 
 
@@ -245,6 +246,43 @@ class TestSufficientReasonRf:
 
 
 @st.composite
+def seed_cases(draw):
+    """(forest, x, order): 2 to 9 trees over at most 8 variables, x of
+    either class (the forest is negated half the time), and order None or
+    over any subset of the variables, in any order."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    forest = random_forest(rng, n, draw(st.integers(2, 9)), draw(st.integers(1, 5)), 0.15)
+    if draw(st.booleans()):
+        forest = forest.negated()
+    order = draw(st.none() | st.lists(st.integers(1, n), unique=True).map(tuple))
+    return forest, random_instance(rng, n), order
+
+
+class TestMajoritarySeed:
+    """Deletion starts from the greedy majoritary reason in the same order."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(seed_cases())
+    def test_against_the_exhaustive_oracles(self, case):
+        forest, x, order = case
+        n = forest.var_count
+        seed = majoritary_reason(forest, x, order).term
+        term = sufficient_reason_rf(forest, x, order).term
+        assert set(term) <= set(seed)
+        visited = set(range(1, n + 1) if order is None else order)
+        # literals the order leaves out are kept by both passes
+        assert all(lit in term for lit in Term.of_instance(x) if abs(lit) not in visited)
+        model = normalize(forest, x)
+        assert brute.is_implicant_bruteforce(model, term)
+        for lit in term:
+            if abs(lit) in visited:
+                assert not brute.is_implicant_bruteforce(model, Term(l for l in term if l != lit))
+        if len(visited) == n:
+            assert term in brute.enumerate_sufficient_reasons(forest, x)
+
+
+@st.composite
 def rotation_cases(draw):
     """(forest, x, order): 2 to 9 trees over at most 8 variables."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -260,8 +298,10 @@ class TestModelRotation:
     @settings(max_examples=120, deadline=None, database=None)
     @given(rotation_cases())
     def test_same_reason_as_plain_deletion(self, case):
+        # both delete from the majoritary seed in the same order
         forest, x, order = case
-        expected = brute.deletion_reason_bruteforce(forest, x, order)
+        seed = majoritary_reason(forest, x, order).term
+        expected = brute.deletion_reason_bruteforce(forest, x, order, start=seed)
         assert sufficient_reason_rf(forest, x, order).term == expected
 
     @settings(max_examples=120, deadline=None, database=None)
