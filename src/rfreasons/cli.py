@@ -446,9 +446,11 @@ def cmd_explain(args) -> int:
     forest = _load_model(args.model)
     x = _parse_instance(args.instance, forest.var_count)
     if args.export_wcnf:
+        check_request(forest, settings)  # a refused request writes no file
         wm = _parse_weights(args.weights, forest) if args.weights else None
+        text = dimacs.write_wcnf(majority_wcnf(normalize(forest, x), x, wm))
         with open(args.export_wcnf, "w") as fh:
-            fh.write(dimacs.write_wcnf(majority_wcnf(normalize(forest, x), x, wm)))
+            fh.write(text)
     reason = compute_reason(forest, x, settings)
     if reason is None:
         print("no comprehensible reason")

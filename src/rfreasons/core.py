@@ -161,7 +161,7 @@ class DecisionTree:
     def from_nested(cls, node: dict, var_count: int) -> "DecisionTree":
         """Build from nested records {"var": i, "low": ..., "high": ...} with
         {"leaf": 0|1} at the leaves."""
-        b = _TreeBuilder(var_count)
+        nodes: list[_Node] = []
 
         def build(rec) -> int:
             if not isinstance(rec, dict):
@@ -169,7 +169,8 @@ class DecisionTree:
             if "leaf" in rec:
                 if type(rec["leaf"]) is not int or rec["leaf"] not in (0, 1):
                     raise ModelFormatError(f"leaf label must be 0 or 1, got {rec['leaf']!r}")
-                return b.leaf(rec["leaf"])
+                nodes.append((0, rec["leaf"], rec["leaf"]))
+                return len(nodes) - 1
             try:
                 var = rec["var"]
                 if type(var) is not int or var < 1:
@@ -180,9 +181,11 @@ class DecisionTree:
                 hi = build(rec["high"])
             except KeyError as e:
                 raise ModelFormatError(f"node record missing {e.args[0]!r}") from None
-            return b.node(var, lo, hi)
+            nodes.append((var, lo, hi))
+            return len(nodes) - 1
 
-        return b.finish(build(node))
+        root = build(node)
+        return cls(var_count, tuple(nodes), root)
 
     def to_nested(self) -> dict:
         """Inverse of from_nested."""
@@ -289,50 +292,16 @@ class DecisionTree:
         return closed
 
     def count_models(self, term: Term = Term()) -> int:
-        """Exact number of assignments extending term that reach a 1-leaf.
-
-        Leaves are weighted by 2^(number of free variables left off the
-        path); integer arithmetic throughout.
+        """Exact number of assignments extending term that reach a 1-leaf:
+        each 1-leaf path reachable under term (see paths) weighs 2 to the
+        number of free variables it leaves untested.  Integer arithmetic
+        throughout.
         """
         assign = term.to_array(self.var_count)
         if len(assign) > self.var_count + 1:
             raise DimensionError("term mentions a variable beyond the tree's range")
-        free_total = self.var_count - len(term)
-        total = 0
-        stack = [(self.root, 0)]
-        while stack:
-            i, branched_free = stack.pop()
-            var, lo, hi = self.nodes[i]
-            if var == 0:
-                if lo == 1:
-                    total += 1 << (free_total - branched_free)
-                continue
-            fixed = assign[var]
-            if fixed is None:
-                stack.append((lo, branched_free + 1))
-                stack.append((hi, branched_free + 1))
-            else:
-                stack.append((hi if fixed else lo, branched_free))
-        return total
-
-
-class _TreeBuilder:
-    """Accumulates nodes bottom-up into an arena."""
-
-    def __init__(self, var_count: int):
-        self.var_count = var_count
-        self.nodes: list[_Node] = []
-
-    def leaf(self, label: int) -> int:
-        self.nodes.append((0, int(bool(label)), int(bool(label))))
-        return len(self.nodes) - 1
-
-    def node(self, var: int, lo: int, hi: int) -> int:
-        self.nodes.append((var, lo, hi))
-        return len(self.nodes) - 1
-
-    def finish(self, root: int) -> DecisionTree:
-        return DecisionTree(self.var_count, tuple(self.nodes), root)
+        free = self.var_count - len(term)
+        return sum(1 << (free - len(lits)) for lits, label in self.paths(assign) if label)
 
 
 def clause_to_tree(clause: Iterable[int], var_count: int) -> DecisionTree:
@@ -346,15 +315,12 @@ def clause_to_tree(clause: Iterable[int], var_count: int) -> DecisionTree:
     lits = {check_literal(l) for l in clause}
     if any(-l in lits for l in lits):
         return DecisionTree.leaf(1, var_count)
-    b = _TreeBuilder(var_count)
-    current = b.leaf(0)
+    nodes: list[_Node] = [(0, 0, 0)]
     for lit in sorted(lits, key=abs, reverse=True):
-        one = b.leaf(1)
-        if lit > 0:
-            current = b.node(lit, current, one)
-        else:
-            current = b.node(-lit, one, current)
-    return b.finish(current)
+        current, one = len(nodes) - 1, len(nodes)
+        nodes.append((0, 1, 1))
+        nodes.append((lit, current, one) if lit > 0 else (-lit, one, current))
+    return DecisionTree(var_count, tuple(nodes), len(nodes) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -260,9 +260,7 @@ class DeltaProbableOracle(ImplicantOracle):
         self.delta = delta
 
     def accepts(self, term: Term) -> bool:
-        count = self.tree.count_models(term)
-        extensions = 1 << (self.tree.var_count - len(term))
-        return count * self.delta.denominator >= self.delta.numerator * extensions
+        return self.probability(term) >= self.delta
 
     def probability(self, term: Term) -> Fraction:
         return Fraction(
@@ -389,16 +387,16 @@ def sufficient_reason_rf(
     prime one.  Each candidate removal then costs at most one SAT call
     with assumptions, and recursive model rotation proves most necessary
     literals without one (see ForestSatOracle).  Both passes keep the
-    literals of the variables the order leaves out.  On a one-tree
-    forest the majoritary reason is already sufficient.  A deadline that
-    passes first returns the last term the SAT oracle accepted, the seed
-    when it accepted none (see greedy_reason).
+    literals of the variables the order leaves out.  The second pass
+    takes the exact oracle of oracle_for_instance: on a one-tree forest
+    that is the traversal test of the seed's own pass, so the seed is
+    already prime and every drop is refused.  A deadline that passes
+    first returns the last term the SAT oracle accepted, the seed when
+    it accepted none (see greedy_reason).
     """
     forest = normalize(forest, x)
     seed = greedy_reason(MajorityOracle(forest), x, order, ReasonKind.SUFFICIENT)
-    if forest.tree_count == 1:
-        return seed
-    oracle = ForestSatOracle(forest, deadline)
+    oracle = oracle_for_instance(forest, x, "sufficient", deadline)
     return greedy_reason(oracle, x, order, ReasonKind.SUFFICIENT, seed_term=seed.term)
 
 
@@ -425,12 +423,7 @@ def majoritary_reason_multi(
     if permutations < 1:
         raise ValueError("need at least one permutation")
     term = best_of_orders(oracle_for_instance(forest, x, "majority"), x, permutations, seed)
-    return Reason(
-        term,
-        ReasonKind.MAJORITARY,
-        tuple(x),
-        extras={"permutations": permutations, "seed": seed},
-    )
+    return Reason(term, ReasonKind.MAJORITARY, tuple(x))
 
 
 def best_of_orders(
@@ -562,13 +555,12 @@ def inclusion_preferred_reason(
     that tries hardest to drop the least salient features: elimination
     follows the strata in order, ascending feature index inside a
     stratum."""
-    strata = tuple(tuple(sorted(s)) for s in prioritization.strata)
     return greedy_reason(
         oracle_for_instance(forest, x, notion, deadline),
         x,
         prioritization.elimination_order(forest.var_count),
         ReasonKind.INCLUSION_PREFERRED,
-        extras={"strata": strata, "notion": notion},
+        extras={"notion": notion},
     )
 
 
@@ -621,17 +613,14 @@ def lime_linear_reason(model: LinearModel, x: Instance) -> Reason:
 
     picked: list[int] = []
     total = Fraction(0)
-    reached = exceed(total)
     for w, var in pool:
-        if reached:
+        if exceed(total):
             break
         picked.append(var)
         total += w
-        if exceed(total):
-            reached = True
 
     fallback = None
-    if not reached:
+    if not exceed(total):
         fallback = "bound_unreachable"
     elif any(x[v - 1] != 1 for v in picked):
         fallback = "selection_not_covering"

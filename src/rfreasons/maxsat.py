@@ -11,7 +11,6 @@ callback are strictly decreasing.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -50,28 +49,29 @@ def violated_weight(
 def maxsat_anytime(
     problem: WeightedCnf,
     deadline: Deadline | None = None,
-    on_improve: Callable[[tuple[bool, ...], int, float], None] | None = None,
+    on_improve: Callable[[tuple[bool, ...], int], None] | None = None,
     upper: int | None = None,
 ) -> MaxSatResult | None:
     """Minimize the violated soft weight subject to the hard clauses.
 
     Raises HardClausesUnsatisfiable when no model exists at all, and
-    returns None when the deadline passes before the first model.  A
-    deadline that passes later yields the best model so far with
-    optimal=False.  on_improve(model, cost, elapsed) fires once per
-    strictly improving model, the final one included.
+    returns None when, with no upper given, the deadline passes before
+    the first model.  A deadline that passes later yields the best
+    model so far with optimal=False.  on_improve(model, cost) fires once
+    per strictly improving model, the final one included; the loop keeps
+    no clock, so a caller that logs when improvements come times them.
 
     upper is the cost of a solution the caller already holds: the bound
     "cost <= upper - 1" goes in before the first solve, so only cheaper
     models are searched for.  If there is none, the result has model
-    None and cost upper (optimal unless the deadline cut the search).
-    iterations counts the solve calls, the final UNSAT proof included.
+    None and cost upper (optimal unless the deadline cut the search), and
+    the result is never None.  iterations counts the solve calls, the
+    final UNSAT proof included.
 
     Each run owns a fresh solver session: proving optimality leaves the
     session permanently over-constrained, so sessions cannot be shared
     between runs.
     """
-    start = time.monotonic()
     solver = SatSolver(problem.hard)
     alloc = VarAllocator(problem.hard.var_count)
     relaxed: list[tuple[int, int]] = []  # (selector literal, weight)
@@ -108,6 +108,6 @@ def maxsat_anytime(
         assert best_cost is None or cost < best_cost
         best_model, best_cost = model, cost
         if on_improve is not None:
-            on_improve(model, cost, time.monotonic() - start)
+            on_improve(model, cost)
         if cost == 0:
             return finish(True)

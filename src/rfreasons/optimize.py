@@ -116,42 +116,44 @@ def _optimize(
     then searches only below its cost, so a request whose greedy reason
     is already optimal takes one UNSAT proof.  Every improvement is
     checked on the majority oracle and logged in extras["log"], a tuple
-    of (seconds since start, cost) pairs; the reason is the last one.  A deadline that passed before
-    the greedy search starts leaves no improvement: the result is then
-    the instance term with extras["fallback"] = "timeout"."""
+    of (seconds since start, cost) pairs timed here; the reason is the
+    last one.  A deadline that passed before the greedy search starts
+    leaves no improvement, and MaxSAT could then only time out: the
+    result is the instance term with extras["fallback"] = "timeout"."""
     start = time.monotonic()
     weights = weights or WeightMap()
     normalized = normalize(forest, x)
     problem = majority_wcnf(normalized, x, weights)
     oracle = MajorityOracle(normalized)
-    log: list[tuple[float, int]] = []
-    terms: list[Term] = []
-
-    def improved(term: Term, cost: int) -> None:
-        if not oracle.accepts(term):
-            raise AssertionError("optimizer produced a non-implicant")
-        elapsed = time.monotonic() - start
-        terms.append(term)
-        log.append((elapsed, cost))
-        if on_improve is not None:
-            on_improve(term, cost, elapsed)
-
     greedy = best_of_orders(oracle, x, GREEDY_ORDERS, DEFAULT_SEED, deadline, weights.of)
-    if greedy is not None:
-        improved(greedy, weights.of_term(greedy))
-    result = maxsat_anytime(
-        problem,
-        deadline,
-        lambda model, cost, _: improved(_intersect_with_model(x, model), cost),
-        upper=log[-1][1] if log else None,
-    )
-    if result is None:
+    if greedy is None:
         full = Term.of_instance(x)
         return Reason(
             full, kind, tuple(x), cost=weights.of_term(full), extras={"fallback": "timeout"}
         )
+    best = greedy
+    log: list[tuple[float, int]] = []
+
+    def improved(term: Term, cost: int) -> None:
+        nonlocal best
+        if not oracle.accepts(term):
+            raise AssertionError("optimizer produced a non-implicant")
+        elapsed = time.monotonic() - start
+        best = term
+        log.append((elapsed, cost))
+        if on_improve is not None:
+            on_improve(term, cost, elapsed)
+
+    upper = weights.of_term(greedy)
+    improved(greedy, upper)
+    result = maxsat_anytime(
+        problem,
+        deadline,
+        lambda model, cost: improved(_intersect_with_model(x, model), cost),
+        upper=upper,
+    )
     return Reason(
-        terms[-1],
+        best,
         kind,
         tuple(x),
         cost=result.cost,

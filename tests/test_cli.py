@@ -256,6 +256,19 @@ class TestExplain:
             "--weights", "x1:5", "--export-wcnf", str(target),
         )
         assert code == EXIT_OK
+        # a refused request and a failed build leave no file
+        for flags in (
+            ["--kind", "minimal-weight"],
+            ["--kind", "comprehensible"],
+            ["--kind", "minimal-sufficient"],
+            ["--kind", "direct", "--weights", "x1:2147483647,x2:5"],
+        ):
+            refused = tmp_path / "refused.wcnf"
+            code, _, err = run(
+                capsys, "explain", model_file, "1111", *flags, "--export-wcnf", str(refused)
+            )
+            assert code == 1 and err.startswith("error: ")
+            assert not refused.exists()
 
     @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5, 6])
     def test_exported_wcnf_optimum_is_the_minimal_cost(self, capsys, tmp_path, seed):

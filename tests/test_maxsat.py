@@ -67,7 +67,7 @@ class TestRandomized:
                     maxsat_anytime(problem)
                 continue
             costs = []
-            result = maxsat_anytime(problem, on_improve=lambda m, c, e: costs.append(c))
+            result = maxsat_anytime(problem, on_improve=lambda m, c: costs.append(c))
             assert result.optimal
             assert result.cost == expect
             assert violated_weight(soft, result.model) == result.cost
@@ -98,7 +98,7 @@ class TestRandomized:
             assert proved == MaxSatResult(None, expect, True, 1)
             costs = []
             result = maxsat_anytime(
-                problem, on_improve=lambda m, c, e: costs.append(c), upper=expect + 1
+                problem, on_improve=lambda m, c: costs.append(c), upper=expect + 1
             )
             assert result.optimal and result.cost == expect == costs[-1]
             assert violated_weight(soft, result.model) == expect
@@ -163,7 +163,7 @@ class TestRandomized:
 
         seen = []
 
-        def record(model, cost, elapsed):
+        def record(model, cost):
             for clause in hard:
                 assert any(model[abs(l) - 1] == (l > 0) for l in clause)
             seen.append(cost)

@@ -42,10 +42,17 @@ class TestMinimalMajoritary:
         r = minimal_majoritary_reason(RandomForest([DecisionTree.leaf(1, 3)]), (1, 0, 1))
         assert r.term == Term() and r.cost == 0 and r.optimal
 
-    def test_budget_zero_carries_trivial_fallback(self, orchid):
+    def test_budget_zero_carries_trivial_fallback(self, orchid, monkeypatch):
         fallback = minimal_majoritary_reason(orchid, X_POS, Deadline.after(0))
         assert fallback.term == Term.of_instance(X_POS)
         assert fallback.extras["fallback"] == "timeout" and not fallback.optimal
+        # with no greedy reason the deadline has passed, so MaxSAT is not run
+        def no_maxsat(*args, **kwargs):
+            raise AssertionError("MaxSAT ran past the deadline")
+
+        monkeypatch.setattr("rfreasons.optimize.maxsat_anytime", no_maxsat)
+        again = minimal_majoritary_reason(orchid, X_POS, Deadline.after(0))
+        assert again == fallback and again.extras == fallback.extras
 
     def test_matches_bruteforce_minimum(self):
         rng = random.Random(601)
