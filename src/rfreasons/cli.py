@@ -537,13 +537,19 @@ def parity_fixture(var_count: int, copies: int) -> RandomForest:
     return RandomForest(trees)
 
 
-# the model file about doubles with each unit of width: 33 MB at 16
+# the model file about doubles with each unit of width: 33 MB at 16,
+# and grows with the copies, so width and copies share one budget
 _MAX_PARITY = 16
 
 
 def cmd_fixture_gen(args) -> int:
-    if args.parity > _MAX_PARITY:
-        raise CliError(f"--parity must be at most {_MAX_PARITY}, got {args.parity}")
+    if not 1 <= args.parity <= _MAX_PARITY:
+        raise CliError(f"--parity must be from 1 to {_MAX_PARITY}, got {args.parity}")
+    max_copies = 1 << (_MAX_PARITY - args.parity)
+    if args.copies > max_copies:
+        raise CliError(
+            f"--copies must be at most {max_copies} at --parity {args.parity}, got {args.copies}"
+        )
     forest = parity_fixture(args.parity, args.copies)
     models.dump_forest(forest, args.out)
     print(

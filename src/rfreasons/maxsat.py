@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .encodings import VarAllocator, WeightedCnf, weighted_at_most
-from .solver import Deadline, SatSolver, SolveStatus
+from .solver import CnfInstance, Deadline, SatSolver, SolveStatus
 
 
 class HardClausesUnsatisfiable(Exception):
@@ -68,17 +68,16 @@ def maxsat_anytime(
     the result is never None.  iterations counts the solve calls, the
     final UNSAT proof included.
 
-    Each run owns a fresh solver session: proving optimality leaves the
-    session permanently over-constrained, so sessions cannot be shared
-    between runs.
+    Each bound is solved on a solver of its own, built in one pass from
+    the hard clauses, the relaxed soft clauses and that bound's counter,
+    whose registers every bound numbers from the same base.
     """
-    solver = SatSolver(problem.hard)
     alloc = VarAllocator(problem.hard.var_count)
+    base = list(problem.hard.clauses)
     relaxed: list[tuple[int, int]] = []  # (selector literal, weight)
     for clause, weight in problem.soft:
         sel = alloc.fresh()
-        solver.ensure_vars(sel)
-        solver.add_clause(tuple(clause) + (sel,))
+        base.append(tuple(clause) + (sel,))
         relaxed.append((sel, weight))
 
     n_report = problem.hard.var_count
@@ -90,12 +89,9 @@ def maxsat_anytime(
         return MaxSatResult(best_model, best_cost, optimal, iterations)
 
     while True:
-        if best_cost is not None:
-            for clause in weighted_at_most(relaxed, best_cost - 1, alloc):
-                solver.ensure_vars(alloc.top)
-                if not solver.add_clause(clause):
-                    break  # refuted at the root: the solve below says UNSAT
-        outcome = solver.solve(deadline=deadline)
+        registers = VarAllocator(alloc.top)
+        counter = [] if best_cost is None else weighted_at_most(relaxed, best_cost - 1, registers)
+        outcome = SatSolver(CnfInstance(registers.top, base + counter)).solve(deadline=deadline)
         iterations += 1
         if outcome.status is SolveStatus.TIMEOUT:
             return None if best_cost is None else finish(False)

@@ -1,11 +1,11 @@
 """Conflict-driven clause-learning SAT solver with assumptions.
 
-A small incremental CDCL engine: two-watched-literal propagation,
-first-UIP clause learning, activity-based branching with a stable
-index tie-break, phase saving, Luby restarts and learnt-clause garbage
-collection.  Clauses may be added between solve calls; assumptions are
-handled as forced first decisions, so repeated queries under different
-assumption sets reuse everything learnt so far.
+A small CDCL engine: two-watched-literal propagation, first-UIP clause
+learning, activity-based branching with a stable index tie-break, phase
+saving, Luby restarts and learnt-clause garbage collection.  A solver
+holds the one CnfInstance it was built from; assumptions are handled as
+forced first decisions, so repeated queries under different assumption
+sets reuse everything learnt so far.
 
 Literals are signed integers (DIMACS convention).  The solver is fully
 deterministic: no heuristic is randomized.
@@ -14,8 +14,8 @@ Values and watch lists are indexed by literal, MiniSat's layout (Eén &
 Sörensson, SAT 2003) in Python's negative indexing: over n variables a
 list of 2n+1 entries holds literal k at k and literal -k at 2n+1-k, so
 _val[lit] reads a literal's value (+1, -1 or 0) with no abs() or sign
-flip.  The hot loops bind these lists to locals, so ensure_vars, which
-rebuilds them, runs only at decision level 0, between solve calls.
+flip.  The constructor sizes these lists once, for the instance's
+variable count.
 """
 
 from __future__ import annotations
@@ -128,14 +128,14 @@ def _luby(i: int) -> int:
 class SatSolver:
     """One solver session; single-threaded, exclusively owned by its caller."""
 
-    def __init__(self, cnf: CnfInstance | None = None):
-        self.var_count = 0
-        self._val: list[int] = [0]  # by literal: +1 true, -1 false, 0 unassigned
-        self._wl: list[list[_Clause]] = [[]]  # by literal: clauses watching it
-        self._level: list[int] = [0]
-        self._reason: list[_Clause | None] = [None]
-        self._activity: list[float] = [0.0]
-        self._phase: list[bool] = [False]
+    def __init__(self, cnf: CnfInstance):
+        n = self.var_count = cnf.var_count
+        self._val: list[int] = [_UNASSIGNED] * (2 * n + 1)  # by literal: +1 true, -1 false
+        self._wl: list[list[_Clause]] = [[] for _ in range(2 * n + 1)]  # by literal: watchers
+        self._level: list[int] = [0] * (n + 1)
+        self._reason: list[_Clause | None] = [None] * (n + 1)
+        self._activity: list[float] = [0.0] * (n + 1)
+        self._phase: list[bool] = [False] * (n + 1)
         self._clauses: list[_Clause] = []
         self._learnts: list[_Clause] = []
         self._trail: list[int] = []
@@ -147,40 +147,15 @@ class SatSolver:
         self._conflicts = 0
         self._decisions = 0
         self._heap: list[tuple[float, int]] = []
-        if cnf is not None:
-            self.ensure_vars(cnf.var_count)
-            for c in cnf.clauses:  # already normalized and in range
-                self._attach(c)
+        for c in cnf.clauses:  # already normalized and in range
+            if not self._attach(c):
+                break
 
-    # -- variable and clause management ------------------------------------
-
-    def ensure_vars(self, var_count: int) -> None:
-        n = self.var_count
-        grow = var_count - n
-        if grow <= 0:
-            return
-        assert not self._trail_lim, "variables must be added at decision level 0"
-        # Literals -k sit at the tail, at 2n+1-k: new negatives go between.
-        self._val = self._val[: n + 1] + [_UNASSIGNED] * (2 * grow) + self._val[n + 1 :]
-        self._wl = self._wl[: n + 1] + [[] for _ in range(2 * grow)] + self._wl[n + 1 :]
-        self._level += [0] * grow
-        self._reason += [None] * grow
-        self._activity += [0.0] * grow
-        self._phase += [False] * grow
-        self.var_count = var_count
-
-    def add_clause(self, lits: Sequence[int]) -> bool:
-        """Add a clause; returns False if the instance is already refuted."""
-        if self._unsat:
-            return False
-        norm = _normalize_clause(lits, self.var_count)
-        return True if norm is None else self._attach(norm)
+    # -- clause intake ---------------------------------------------------------
 
     def _attach(self, norm: tuple[int, ...]) -> bool:
-        """add_clause after _normalize_clause."""
-        if self._unsat:
-            return False
-        assert not self._trail_lim, "clauses must be added at decision level 0"
+        """Attach a normalized clause at the root, simplified by the root
+        assignment; False once the instance is refuted."""
         if not self._trail and len(norm) > 1:
             lits = list(norm)  # the root assigns nothing yet: watch it as is
         else:
@@ -392,11 +367,11 @@ class SatSolver:
         has passed.  The solver is left at decision level 0 with all learnt
         clauses retained.
         """
+        for lit in assumptions:
+            if abs(check_literal(lit)) > self.var_count:
+                raise ValueError(f"bad assumption literal {lit}")
         if self._unsat:
             return SolveOutcome(SolveStatus.UNSAT)
-        for lit in assumptions:
-            if lit == 0 or abs(lit) > self.var_count:
-                raise ValueError(f"bad assumption literal {lit}")
         if deadline is not None:
             if deadline.expired():
                 return SolveOutcome(SolveStatus.TIMEOUT)

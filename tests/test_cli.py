@@ -543,6 +543,13 @@ class TestFixtureGen:
         assert code == 1 and "--parity" in err
         assert not target.exists()
 
+    def test_copies_past_the_bound_are_refused(self, capsys, tmp_path):
+        # width and copies share one size budget: 2**15 copies at width 1
+        target = tmp_path / "parity.json"
+        code, _, err = run(capsys, "fixture-gen", "--parity", "1", "--copies", "40000", "-o", str(target))
+        assert code == 1 and "--copies" in err
+        assert not target.exists()
+
 
 class TestStats:
     def test_golden_sizes(self, capsys, model_file, tmp_path):

@@ -166,13 +166,16 @@ def restricted_cases(draw):
 
 
 def counterexamples(enc: ImplicantCnf) -> set[tuple[int, ...]]:
-    """Every model of the encoding, restricted to the features."""
-    solver, found = SatSolver(enc.cnf), set()
-    while (outcome := solver.solve()).status is SolveStatus.SAT:
+    """Every model of the encoding, restricted to the features: each
+    model found blocks its features in the next solver's CNF."""
+    clauses, found = list(enc.cnf.clauses), set()
+    while True:
+        outcome = SatSolver(CnfInstance(enc.cnf.var_count, clauses)).solve()
+        if outcome.status is not SolveStatus.SAT:
+            return found
         z = tuple(int(b) for b in outcome.model[: enc.feature_count])
         found.add(z)
-        solver.add_clause([-v if b else v for v, b in enumerate(z, 1)])
-    return found
+        clauses.append([-v if b else v for v, b in enumerate(z, 1)])
 
 
 class TestRestrictedImplicantCnf:

@@ -76,6 +76,29 @@ class TestRandomized:
             assert len(set(costs)) == len(costs)
             assert costs[-1] == result.cost
 
+    def test_iterations_count_improvements_and_the_proof(self):
+        # one solve call per improving model, and one more for the UNSAT
+        # proof unless the last model costs 0
+        rng = random.Random(405)
+        for _ in range(80):
+            n = rng.randint(1, 8)
+            def clause(width):
+                variables = rng.sample(range(1, n + 1), min(width, n))
+                return tuple(v if rng.random() < 0.5 else -v for v in variables)
+            hard = [clause(rng.randint(1, 3)) for _ in range(rng.randint(0, n))]
+            soft = tuple(
+                (clause(rng.randint(1, 2)), rng.randint(1, 4))
+                for _ in range(rng.randint(1, 2 * n))
+            )
+            if brute_optimum(n, hard, soft) is None:
+                continue
+            costs = []
+            result = maxsat_anytime(
+                WeightedCnf(CnfInstance(n, hard), soft), on_improve=lambda m, c: costs.append(c)
+            )
+            assert result.optimal and costs[-1] == result.cost
+            assert result.iterations == len(costs) + (costs[-1] > 0)
+
     def test_upper_bound_searches_below_it(self):
         # a caller's solution at the optimum leaves one UNSAT proof; one
         # above it leaves a cheaper model to find

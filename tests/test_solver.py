@@ -88,27 +88,18 @@ class TestSolve:
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
-    def test_loaded_and_added_clauses_agree(self, data):
-        # SatSolver(cnf) attaches CnfInstance's normalized clauses directly;
-        # add_clause normalizes raw ones itself.  Both must build the same
-        # solver: same watch lists, same statuses and models, and those
-        # right by brute force.  Unit clauses drawn between longer ones
-        # assign variables at the root that later clauses mention, which
-        # ends _attach's shortcut for an unassigned root.
+    def test_loaded_clauses_agree_with_brute_force(self, data):
+        # SatSolver(cnf) attaches CnfInstance's normalized clauses, each
+        # simplified by the root assignment so far.  Unit clauses drawn
+        # between longer ones assign variables at the root that later
+        # clauses mention, which ends _attach's shortcut for an
+        # unassigned root.
         n = data.draw(st.integers(1, 6))
         literal = st.integers(-n, n).filter(bool)
         longer = st.lists(literal, min_size=2, max_size=4)
         clause = st.one_of(longer, st.lists(literal, max_size=4), literal.map(lambda l: [l]))
         raw = data.draw(st.lists(clause, max_size=12))
         loaded = SatSolver(CnfInstance(n, raw))
-        fed = SatSolver()
-        fed.ensure_vars(n)
-        for c in raw:
-            fed.add_clause(c)
-        literals = [l for v in range(1, n + 1) for l in (v, -v)]
-        watched = lambda s: {l: [c.lits for c in s._wl[l]] for l in literals}
-        assert watched(loaded) == watched(fed)
-        assert loaded._trail == fed._trail and loaded._unsat == fed._unsat
         for _ in range(3):
             assumed = data.draw(st.lists(literal, max_size=3))
             constraints = raw + [[a] for a in assumed]
@@ -116,18 +107,9 @@ class TestSolve:
                 any(x[abs(l) - 1] == (l > 0) for l in c) for c in constraints
             )
             expect = any(map(satisfied, itertools.product((False, True), repeat=n)))
-            first = loaded.solve(assumptions=assumed)
-            second = fed.solve(assumptions=assumed)
-            assert first == second
-            assert first.status is (SolveStatus.SAT if expect else SolveStatus.UNSAT)
-            assert first.model is None or satisfied(first.model)
-
-    def test_incremental_clause_addition(self):
-        s = SatSolver(CnfInstance(3, [(1, 2)]))
-        assert s.solve(assumptions=[-2]).status is SolveStatus.SAT
-        s.add_clause((-1,))
-        assert s.solve(assumptions=[-2]).status is SolveStatus.UNSAT
-        assert s.solve().status is SolveStatus.SAT
+            outcome = loaded.solve(assumptions=assumed)
+            assert outcome.status is (SolveStatus.SAT if expect else SolveStatus.UNSAT)
+            assert outcome.model is None or satisfied(outcome.model)
 
     def test_deterministic_models(self):
         rng = random.Random(203)
@@ -158,8 +140,12 @@ class TestSolve:
         s = SatSolver(CnfInstance(2, []))
         with pytest.raises(ValueError):
             s.solve(assumptions=[5])
-        with pytest.raises(ValueError):
-            s.add_clause((0,))
+
+    @pytest.mark.parametrize("bad", [1.5, "2", True, 0])
+    def test_non_literal_assumption_is_refused(self, bad):
+        # True is no x1, and a float or str is no literal either
+        with pytest.raises(ValueError, match="literal"):
+            SatSolver(CnfInstance(2, [(1, 2)])).solve(assumptions=[bad])
 
 
 class TestCnfInstance:
@@ -175,20 +161,11 @@ class TestCnfInstance:
     def test_tautology_with_a_non_literal_is_refused(self, bad):
         with pytest.raises(ValueError, match="literal"):
             CnfInstance(2, [(1, -1, bad)])
-        s = SatSolver()
-        s.ensure_vars(2)
-        with pytest.raises(ValueError, match="literal"):
-            s.add_clause((1, -1, bad))
 
     def test_out_of_range_literal_gives_one_error(self):
         with pytest.raises(ValueError) as loaded:
             CnfInstance(2, [(1, -3)])
-        s = SatSolver()
-        s.ensure_vars(2)
-        with pytest.raises(ValueError) as added:
-            s.add_clause((1, -3))
-        assert str(loaded.value) == str(added.value)
-        assert str(added.value) == "literal -3 exceeds declared variable count 2"
+        assert str(loaded.value) == "literal -3 exceeds declared variable count 2"
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -215,28 +192,18 @@ class TestAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_same_steps_same_search(self, data):
-        # Steps as maxsat_anytime takes them: clauses added between
-        # solves, and variables added in stages at level 0.
+        # One drawn CnfInstance loads both solvers, then a drawn sequence
+        # of solves under assumptions reuses what each has learnt.
         n = data.draw(st.integers(1, 8))
-        new, ref = SatSolver(), reference_solver.SatSolver()
-        new.ensure_vars(n)
-        ref.ensure_vars(n)
-        for _ in range(data.draw(st.integers(1, 12))):
-            step = data.draw(st.sampled_from(["clause", "grow", "solve"]))
-            literal = st.integers(-n, n).filter(bool)
-            if step == "clause":
-                clause = data.draw(st.lists(literal, max_size=5))
-                assert_same_state(new, ref, new.add_clause(clause), ref.add_clause(clause))
-            elif step == "grow":
-                n += data.draw(st.integers(1, 4))
-                new.ensure_vars(n)
-                ref.ensure_vars(n)
-                assert_same_state(new, ref, new.var_count, ref.var_count)
-            else:
-                assumed = data.draw(st.lists(literal, max_size=4))
-                assert_same_state(
-                    new, ref, new.solve(assumptions=assumed), ref.solve(assumptions=assumed)
-                )
+        literal = st.integers(-n, n).filter(bool)
+        cnf = CnfInstance(n, data.draw(st.lists(st.lists(literal, max_size=5), max_size=24)))
+        new, ref = SatSolver(cnf), reference_solver.SatSolver(cnf)
+        assert_same_state(new, ref, new._unsat, ref._unsat)
+        for _ in range(data.draw(st.integers(1, 8))):
+            assumed = data.draw(st.lists(literal, max_size=4))
+            assert_same_state(
+                new, ref, new.solve(assumptions=assumed), ref.solve(assumptions=assumed)
+            )
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(30, 90))
@@ -244,12 +211,12 @@ class TestAgainstReference:
         # Random 3-SAT at the threshold: tens to hundreds of conflicts, so
         # learning, backjumps and restarts all run.
         rng = random.Random(seed)
-        new, ref = SatSolver(), reference_solver.SatSolver()
-        new.ensure_vars(n)
-        ref.ensure_vars(n)
-        for _ in range(int(4.26 * n)):
-            clause = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
-            assert new.add_clause(clause) == ref.add_clause(clause)
+        clauses = [
+            [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+            for _ in range(int(4.26 * n))
+        ]
+        cnf = CnfInstance(n, clauses)
+        new, ref = SatSolver(cnf), reference_solver.SatSolver(cnf)
         for _ in range(4):
             k = rng.randint(0, 4)
             assumed = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), k)]
