@@ -109,8 +109,10 @@ class Term:
 
 # Node layout: (var, low, high) with var >= 1 for internal nodes, where
 # low/high are arena indices for the value-0/value-1 child; leaves are
-# (0, label, label).
+# (0, label, label), the two tuples of _LEAVES shared by every tree built
+# or flipped here.
 _Node = tuple[int, int, int]
+_LEAVES: tuple[_Node, _Node] = ((0, 0, 0), (0, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,7 @@ class DecisionTree:
     @classmethod
     def leaf(cls, label: int, var_count: int = 0) -> "DecisionTree":
         """A constant tree."""
-        return cls(var_count, ((0, int(bool(label)), int(bool(label))),), 0)
+        return cls(var_count, (_LEAVES[bool(label)],), 0)
 
     @classmethod
     def from_nested(cls, node: dict, var_count: int) -> "DecisionTree":
@@ -169,7 +171,7 @@ class DecisionTree:
             if "leaf" in rec:
                 if type(rec["leaf"]) is not int or rec["leaf"] not in (0, 1):
                     raise ModelFormatError(f"leaf label must be 0 or 1, got {rec['leaf']!r}")
-                nodes.append((0, rec["leaf"], rec["leaf"]))
+                nodes.append(_LEAVES[rec["leaf"]])
                 return len(nodes) - 1
             try:
                 var = rec["var"]
@@ -210,9 +212,7 @@ class DecisionTree:
 
     def negated(self) -> "DecisionTree":
         """Same structure, already validated, with every leaf label flipped."""
-        nodes = tuple(
-            node if node[0] else (0, 1 - node[1], 1 - node[2]) for node in self.nodes
-        )
+        nodes = tuple(node if node[0] else _LEAVES[1 - node[1]] for node in self.nodes)
         flipped = object.__new__(DecisionTree)
         flipped.__dict__.update(var_count=self.var_count, nodes=nodes, root=self.root)
         return flipped
@@ -315,10 +315,10 @@ def clause_to_tree(clause: Iterable[int], var_count: int) -> DecisionTree:
     lits = {check_literal(l) for l in clause}
     if any(-l in lits for l in lits):
         return DecisionTree.leaf(1, var_count)
-    nodes: list[_Node] = [(0, 0, 0)]
+    nodes: list[_Node] = [_LEAVES[0]]
     for lit in sorted(lits, key=abs, reverse=True):
         current, one = len(nodes) - 1, len(nodes)
-        nodes.append((0, 1, 1))
+        nodes.append(_LEAVES[1])
         nodes.append((lit, current, one) if lit > 0 else (-lit, one, current))
     return DecisionTree(var_count, tuple(nodes), len(nodes) - 1)
 
@@ -376,12 +376,18 @@ class RandomForest:
         Flipping every leaf complements the majority vote only when the
         tree count is odd; an even ensemble first gets padded with a
         constant tree so that tied votes (which the original maps to 0)
-        come out as 1 after negation.
+        come out as 1 after negation.  Built on the first call and kept
+        with the forest, outside its fields (a pickled forest carries
+        it); two threads racing on the first call build equal forests.
         """
-        flipped = [t.negated() for t in self.trees]
-        if len(self.trees) % 2 == 0:
-            flipped.append(DecisionTree.leaf(1, self.var_count))
-        return RandomForest(flipped, self.feature_names)
+        negation = self.__dict__.get("_negation")
+        if negation is None:
+            flipped = [t.negated() for t in self.trees]
+            if len(self.trees) % 2 == 0:
+                flipped.append(DecisionTree.leaf(1, self.var_count))
+            negation = RandomForest(flipped, self.feature_names)
+            object.__setattr__(self, "_negation", negation)
+        return negation
 
     def single(self) -> DecisionTree:
         if len(self.trees) != 1:

@@ -90,12 +90,15 @@ class ImplicantCnf:
     Each selector guards the clausal form of one negated tree, and a
     cardinality constraint demands that more trees be falsified than the
     majority can spare, so H's models are exactly the counterexamples
-    extending t.
+    extending t.  owners[i] is the index in forest.trees of the tree
+    selectors[i] guards: a tree t implies has none, so the two do not
+    pair by position.
     """
 
     cnf: CnfInstance
     feature_count: int
     selectors: tuple[int, ...]
+    owners: tuple[int, ...]
 
 
 def implicant_test_cnf(forest: RandomForest, term: Term = Term()) -> ImplicantCnf:
@@ -114,19 +117,20 @@ def implicant_test_cnf(forest: RandomForest, term: Term = Term()) -> ImplicantCn
     n = forest.var_count
     assign = term.to_array(n)
     alloc = VarAllocator(n)
-    selectors = []
+    selectors, owners = [], []
     clauses: list[tuple[int, ...]] = [(l,) for l in term]
-    for tree in forest.trees:
+    for i, tree in enumerate(forest.trees):
         paths = list(tree.paths(assign))
         if term and all(label for _, label in paths):
             continue
         y = alloc.fresh()
         selectors.append(y)
+        owners.append(i)
         for lits, label in paths:
             if label:
                 clauses.append((-y,) + tuple(sorted((-l for l in lits), key=abs)))
     clauses.extend(at_least(selectors, forest.tree_count - forest.majority + 1, alloc))
-    return ImplicantCnf(CnfInstance(alloc.top, clauses), n, tuple(selectors))
+    return ImplicantCnf(CnfInstance(alloc.top, clauses), n, tuple(selectors), tuple(owners))
 
 
 @dataclass(frozen=True)

@@ -181,9 +181,23 @@ class ForestSatOracle(ImplicantOracle):
     solver.  A literal necessary in a term stays necessary in every
     subterm keeping it, so the answers are those of plain deletion.
 
+    Each SAT call assumes the term's literals, then the negated selector
+    of every tree the term implies, found by traversal
+    (DecisionTree.explore).  No extension of the term falsifies such a
+    tree, so these assumptions remove no model and leave every answer as
+    it was; they spare the search the work of finding that out, and the
+    counter forces the remaining selectors by unit propagation.  A tree
+    the last accepted term does not imply is implied by none of its
+    subterms, so a query dropping one literal of that term walks only
+    the trees that term implies, and of these only those whose last
+    walk tested the dropped variable: freeing a variable no reachable
+    node tests leaves the tree implied.
+
     Once the deadline has passed it rejects every query, since it never
     accepts a term it has not proved, and sets timed_out.  Built under a
-    term, it encodes and decides only terms extending it (implicant_test_cnf).
+    term, it encodes and decides only terms extending it (implicant_test_cnf);
+    a tree a nonempty such term implies has no selector, so a query on
+    that term itself, as in validation, assumes its literals alone.
     """
 
     def __init__(
@@ -196,23 +210,40 @@ class ForestSatOracle(ImplicantOracle):
         self.deadline = deadline
         self.necessary: set[int] = set()  # variables the current term must keep
         self.counterexample: tuple[bool, ...] | None = None  # of the last refusal
+        # (selector, tree, closed children by variable, None before a walk)
+        trees, enc = forest.trees, self.encoding
+        self._guarded = [(y, trees[i], None) for y, i in zip(enc.selectors, enc.owners)]
+        self._implied = self._guarded  # those the last accepted term implies
 
-    def accepts(self, term: Term, shrunk: bool = False) -> bool:
-        """One SAT call.  shrunk says term is the last accepted term less
-        one literal, so the literals proved necessary so far stay so; any
-        other term starts afresh."""
-        if not shrunk:
+    def accepts(self, term: Term, dropped: int | None = None) -> bool:
+        """One SAT call.  dropped names the variable whose literal term
+        lacks from the last accepted term, so the literals proved
+        necessary so far stay so and only the trees that term implies
+        can be implied; None: any other term, which starts afresh."""
+        if dropped is None:
             self.necessary.clear()
-        outcome = self.session.solve(assumptions=term.literals, deadline=self.deadline)
+        assign = term.to_array(self.var_count)
+        assumed, implied = list(term.literals), []
+        for y, tree, closed in self._guarded if dropped is None else self._implied:
+            if closed is None or dropped in closed:
+                closed = tree.explore((tree.root,), assign)
+                if closed is None:
+                    continue
+            assumed.append(-y)
+            implied.append((y, tree, closed))
+        outcome = self.session.solve(assumptions=assumed, deadline=self.deadline)
         if outcome.status is SolveStatus.TIMEOUT:
             self.timed_out = True
         self.counterexample = outcome.model if outcome.status is SolveStatus.SAT else None
-        return outcome.status is SolveStatus.UNSAT
+        if outcome.status is SolveStatus.UNSAT:
+            self._implied = implied
+            return True
+        return False
 
     def accepts_shrunk(self, assign: list[bool | None], var: int) -> bool:
         if var in self.necessary:
             return False  # proved by an earlier counterexample
-        if self.accepts(Term.from_array(assign), shrunk=True):
+        if self.accepts(Term.from_array(assign), dropped=var):
             return True
         if self.counterexample is not None:
             self._rotate(assign, var, self.counterexample)
@@ -385,8 +416,10 @@ def sufficient_reason_rf(
     implies a strict majority of the trees, so it fixes the vote and is
     an implicant, and deletion from any implicant covering x ends in a
     prime one.  Each candidate removal then costs at most one SAT call
-    with assumptions, and recursive model rotation proves most necessary
-    literals without one (see ForestSatOracle).  Both passes keep the
+    with assumptions, which also rule out falsifying the trees the
+    candidate implies, a fact the traversals settle and the search
+    then need not; recursive model rotation proves most necessary
+    literals without a call (see ForestSatOracle).  Both passes keep the
     literals of the variables the order leaves out.  The second pass
     takes the exact oracle of oracle_for_instance: on a one-tree forest
     that is the traversal test of the seed's own pass, so the seed is

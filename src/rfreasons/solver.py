@@ -7,15 +7,29 @@ holds the one CnfInstance it was built from; assumptions are handled as
 forced first decisions, so repeated queries under different assumption
 sets reuse everything learnt so far.
 
-Literals are signed integers (DIMACS convention).  The solver is fully
-deterministic: no heuristic is randomized.
+Literals are signed integers (DIMACS convention) at the interface:
+clauses, assumptions and models.  The solver is fully deterministic: no
+heuristic is randomized.
 
-Values and watch lists are indexed by literal, MiniSat's layout (Eén &
-Sörensson, SAT 2003) in Python's negative indexing: over n variables a
-list of 2n+1 entries holds literal k at k and literal -k at 2n+1-k, so
-_val[lit] reads a literal's value (+1, -1 or 0) with no abs() or sign
-flip.  The constructor sizes these lists once, for the instance's
-variable count.
+Inside, a literal is a non-negative code, MiniSat's (Eén & Sörensson,
+SAT 2003): variable v is 2v and its negation 2v+1, so code ^ 1 negates
+a literal and code >> 1 is its variable.  Values and watch lists are
+lists indexed by code, 2n+2 entries over n variables (codes 0 and 1 are
+unused), sized once by the constructor; _val[code] reads a literal's
+value (+1, -1 or 0).  Clauses, the trail and learnt clauses hold codes.
+The codes are non-negative because CPython 3.11 specializes list reads
+at non-negative int indices only.  The constructor codes the instance
+through one lookup table, solve codes its assumptions, and a model is
+read back by variable.
+
+The branching heap holds (-activity, variable) entries, so ties go to
+the lower variable, and a popped entry whose variable is assigned is
+dropped.  Backtracking pushes every variable it unassigns, often an
+entry equal to one still in the heap; these copies stay.  Up to an
+activity rescale they never change which variable a pop returns, but a
+copy keyed before a rescale outranks every later key, so dropping copies
+would change the search there, and counting them exactly did not pay
+for itself.
 """
 
 from __future__ import annotations
@@ -130,12 +144,12 @@ class SatSolver:
 
     def __init__(self, cnf: CnfInstance):
         n = self.var_count = cnf.var_count
-        self._val: list[int] = [_UNASSIGNED] * (2 * n + 1)  # by literal: +1 true, -1 false
-        self._wl: list[list[_Clause]] = [[] for _ in range(2 * n + 1)]  # by literal: watchers
+        self._val: list[int] = [_UNASSIGNED] * (2 * n + 2)  # by code: +1 true, -1 false
+        self._wl: list[list[_Clause]] = [[] for _ in range(2 * n + 2)]  # by code: watchers
         self._level: list[int] = [0] * (n + 1)
         self._reason: list[_Clause | None] = [None] * (n + 1)
         self._activity: list[float] = [0.0] * (n + 1)
-        self._phase: list[bool] = [False] * (n + 1)
+        self._phase: list[int] = [1] * (n + 1)  # saved phase: decide 2v | phase, false first
         self._clauses: list[_Clause] = []
         self._learnts: list[_Clause] = []
         self._trail: list[int] = []
@@ -147,31 +161,38 @@ class SatSolver:
         self._conflicts = 0
         self._decisions = 0
         self._heap: list[tuple[float, int]] = []
+        # signed literal -> code: k at k and -k at 2n+1-k (negative indexing)
+        code = [0, *range(2, 2 * n + 1, 2), *range(2 * n + 1, 2, -2)].__getitem__
+        trail, wl, clauses, value = self._trail, self._wl, self._clauses, self._val.__getitem__
         for c in cnf.clauses:  # already normalized and in range
-            if not self._attach(c):
+            lits = [*map(code, c)]
+            # two or more literals, none assigned at the root: watch it as is
+            if len(lits) > 1 and not (trail and any(map(value, lits))):
+                clause = _Clause(lits)
+                clauses.append(clause)
+                wl[lits[0]].append(clause)
+                wl[lits[1]].append(clause)
+            elif not self._attach(lits):
                 break
 
     # -- clause intake ---------------------------------------------------------
 
-    def _attach(self, norm: tuple[int, ...]) -> bool:
-        """Attach a normalized clause at the root, simplified by the root
+    def _attach(self, lits: list[int]) -> bool:
+        """Attach a clause of codes at the root, simplified by the root
         assignment; False once the instance is refuted."""
-        if not self._trail and len(norm) > 1:
-            lits = list(norm)  # the root assigns nothing yet: watch it as is
-        else:
-            val = self._val  # every assignment is a root one here
-            lits = [l for l in norm if val[l] != -1]
-            if any(val[l] == 1 for l in norm):
-                return True  # satisfied at root
-            if not lits:
+        val = self._val  # every assignment is a root one here
+        if any(val[l] == 1 for l in lits):
+            return True  # satisfied at root
+        lits = [l for l in lits if val[l] != -1]
+        if not lits:
+            self._unsat = True
+            return False
+        if len(lits) == 1:
+            self._enqueue(lits[0], None)
+            if self._propagate() is not None:
                 self._unsat = True
                 return False
-            if len(lits) == 1:
-                self._enqueue(lits[0], None)
-                if self._propagate() is not None:
-                    self._unsat = True
-                    return False
-                return True
+            return True
         clause = _Clause(lits)
         self._clauses.append(clause)
         self._watch(clause)
@@ -185,8 +206,8 @@ class SatSolver:
 
     def _enqueue(self, lit: int, reason: _Clause | None) -> None:
         self._val[lit] = 1
-        self._val[-lit] = -1
-        var = lit if lit > 0 else -lit
+        self._val[lit ^ 1] = -1
+        var = lit >> 1
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._trail.append(lit)
@@ -198,7 +219,7 @@ class SatSolver:
         current = len(self._trail_lim)
         qhead = self._qhead
         while qhead < len(trail):
-            false_lit = -trail[qhead]
+            false_lit = trail[qhead] ^ 1
             qhead += 1
             watchers = wl[false_lit]
             i = j = 0
@@ -233,8 +254,8 @@ class SatSolver:
                         self._qhead = qhead
                         return clause
                     val[first] = 1
-                    val[-first] = -1
-                    var = first if first > 0 else -first
+                    val[first ^ 1] = -1
+                    var = first >> 1
                     level[var] = current
                     reasons[var] = clause
                     trail.append(first)
@@ -269,7 +290,7 @@ class SatSolver:
             for q in reason.lits:
                 if q == p:
                     continue
-                var = q if q > 0 else -q
+                var = q >> 1
                 if not seen[var] and level[var] > 0:
                     seen[var] = True
                     activity[var] += var_inc
@@ -284,19 +305,19 @@ class SatSolver:
             while True:
                 index -= 1
                 p = trail[index]
-                if seen[p if p > 0 else -p]:
+                if seen[p >> 1]:
                     break
             counter -= 1
-            var = p if p > 0 else -p
+            var = p >> 1
             seen[var] = False
             if counter == 0:
                 break
             reason = reasons[var]
-        learnt[0] = -p
+        learnt[0] = p ^ 1
         if len(learnt) == 1:
             return learnt, 0
         # Backjump to the second-highest level in the clause.
-        levels = [level[q if q > 0 else -q] for q in learnt]
+        levels = [level[q >> 1] for q in learnt]
         max_i = 1
         for i in range(2, len(learnt)):
             if levels[i] > levels[max_i]:
@@ -312,9 +333,9 @@ class SatSolver:
         activity, heap, push = self._activity, self._heap, heapq.heappush
         bound = trail_lim[level]
         for lit in reversed(trail[bound:]):
-            var = lit if lit > 0 else -lit
-            phase[var] = lit > 0
-            val[lit] = val[-lit] = _UNASSIGNED
+            var = lit >> 1
+            phase[var] = lit & 1
+            val[lit] = val[lit ^ 1] = _UNASSIGNED
             reasons[var] = None
             push(heap, (-activity[var], var))
         del trail[bound:]
@@ -332,7 +353,7 @@ class SatSolver:
         self._enqueue(lits[0], clause)
 
     def _reduce_learnts(self) -> None:
-        locked = {self._reason[abs(l)] for l in self._trail}
+        locked = {self._reason[l >> 1] for l in self._trail}
         self._learnts.sort(key=lambda c: c.activity)
         keep_from = len(self._learnts) // 2
         kept = []
@@ -350,7 +371,7 @@ class SatSolver:
         heap, val = self._heap, self._val
         while heap:
             _, var = heapq.heappop(heap)
-            if val[var] == _UNASSIGNED:
+            if val[var << 1] == _UNASSIGNED:
                 return var
         return None
 
@@ -376,12 +397,13 @@ class SatSolver:
             if deadline.expired():
                 return SolveOutcome(SolveStatus.TIMEOUT)
             deadline = deadline.at  # the search loop compares clock readings
+        assumptions = [2 * l if l > 0 else 1 - 2 * l for l in assumptions]
 
         val, activity = self._val, self._activity
         self._heap = [
             (-activity[v], v)
             for v in range(1, self.var_count + 1)
-            if val[v] == _UNASSIGNED
+            if val[v << 1] == _UNASSIGNED
         ]
         heapq.heapify(self._heap)
 
@@ -438,10 +460,10 @@ class SatSolver:
             if decision is None:
                 var = self._pick_branch_var()
                 if var is None:
-                    model = tuple(v == 1 for v in val[1 : self.var_count + 1])
+                    model = tuple(v == 1 for v in val[2 : 2 * self.var_count + 2 : 2])
                     self._backtrack(0)
                     return SolveOutcome(SolveStatus.SAT, model)
-                decision = var if self._phase[var] else -var
+                decision = var << 1 | self._phase[var]
             self._decisions += 1
             if deadline is not None and self._decisions % 512 == 0:
                 if time.monotonic() > deadline:

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -221,6 +222,27 @@ class TestNegation:
             f = random_forest(rng, n, rng.choice([1, 3, 5]), 5)
             neg = f.negated()
             assert all(neg.evaluate(x) == 1 - f.evaluate(x) for x in all_assignments(n))
+
+    def test_forest_negation_is_built_once_and_pickled_with_the_forest(self):
+        f = random_forest(random.Random(105), 6, 4, 4)
+        neg = f.negated()
+        assert f.negated() is neg
+        # the cache is no field: equality and hashing see the trees alone
+        fresh = RandomForest(f.trees)
+        assert fresh == f and hash(fresh) == hash(f)
+        copy = pickle.loads(pickle.dumps(f))
+        assert copy == f and copy.__dict__["_negation"] == neg
+        assert copy.negated() is copy.__dict__["_negation"]
+
+    def test_leaves_are_shared(self):
+        # every tree built from records, flipped, or made constant holds the
+        # same two leaf tuples
+        rng = random.Random(106)
+        trees = [random_tree(rng, rng.randint(1, 8), 5) for _ in range(10)]
+        trees += [t.negated() for t in trees] + [DecisionTree.leaf(b, 3) for b in (0, 1)]
+        trees.append(clause_to_tree((1, -2), 2))
+        leaves = [node for t in trees for node in t.nodes if node[0] == 0]
+        assert len(leaves) > 20 and len({id(node) for node in leaves}) == 2
 
     def test_negation_even_forest_handles_ties(self):
         rng = random.Random(102)

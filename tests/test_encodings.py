@@ -100,7 +100,7 @@ class TestImplicantCnf:
     def test_golden_structure(self, orchid):
         enc = implicant_test_cnf(orchid)
         assert enc.feature_count == 4
-        assert enc.selectors == (5, 6, 7)
+        assert enc.selectors == (5, 6, 7) and enc.owners == (0, 1, 2)
         assert enc.cnf.var_count > 7  # cardinality registers beyond selectors
 
     def test_golden_queries(self, orchid):
@@ -201,6 +201,16 @@ class TestRestrictedImplicantCnf:
             if term.covers(z) and forest.evaluate(z) == 0
         }
         assert counterexamples(implicant_test_cnf(forest, term)) == expected
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(restricted_cases())
+    def test_owners_name_the_trees_the_term_leaves_open(self, case):
+        # a tree the term implies gets no selector, so selectors and trees
+        # do not pair by position
+        forest, term = case
+        enc = implicant_test_cnf(forest, term)
+        open_trees = [i for i, t in enumerate(forest.trees) if not (term and t.implied_by(term))]
+        assert enc.owners == tuple(open_trees) and len(enc.selectors) == len(enc.owners)
 
     def test_empty_term_gives_the_full_encoding(self, orchid):
         # constant trees keep their selector: the search's encoding is unchanged

@@ -345,6 +345,88 @@ class TestModelRotation:
 
 
 @st.composite
+def oracle_cases(draw):
+    """(normalized forest, x, under, start, order): 2 to 8 trees over at
+    most 7 variables, x of either class, so an even forest is padded with
+    a constant tree when x is negative; under and start are subterms of
+    t_x, start extending under, and order a permutation of the variables."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 7))
+    forest = random_forest(rng, n, draw(st.integers(2, 8)), draw(st.integers(1, 5)), 0.15)
+    x = random_instance(rng, n)
+    full = Term.of_instance(x)
+    under = Term(l for l in full if rng.random() < 0.3)
+    start = Term(l for l in full if l in under.literals or rng.random() < 0.6)
+    order = tuple(draw(st.permutations(range(1, n + 1))))
+    return normalize(forest, x), x, under, start, order
+
+
+def drop_walk(oracle, model, term: Term, order, keep: Term = Term()) -> None:
+    """Greedy drops from term, an accepted term, in order, each checked
+    against the truth table; the literals of keep stay."""
+    assign = term.to_array(model.var_count)
+    for var in order:
+        if assign[var] is None or var in keep.variables():
+            continue
+        value, assign[var] = assign[var], None
+        expected = brute.is_implicant_bruteforce(model, Term.from_array(assign))
+        assert oracle.accepts_shrunk(assign, var) == expected
+        if not expected:
+            assign[var] = value
+
+
+class TestImpliedTreeAssumptions:
+    """ForestSatOracle also assumes the selectors of the trees a query
+    implies false; every answer stays the truth table's."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(oracle_cases())
+    def test_accepts_and_shrunk_queries_agree_with_brute_force(self, case):
+        model, x, _, start, order = case
+        oracle = ForestSatOracle(model)
+        # one session answers the fresh queries, then a greedy walk
+        assert oracle.accepts(start) == brute.is_implicant_bruteforce(model, start)
+        assert oracle.accepts(Term.of_instance(x))
+        drop_walk(oracle, model, Term.of_instance(x), order)
+        if oracle.accepts(start):
+            drop_walk(oracle, model, start, order[::-1])
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(oracle_cases())
+    def test_an_oracle_under_a_term_agrees_on_its_extensions(self, case):
+        model, x, under, start, order = case
+        oracle = ForestSatOracle(model, under=under)
+        assert oracle.accepts(under) == brute.is_implicant_bruteforce(model, under)
+        assert oracle.accepts(start) == brute.is_implicant_bruteforce(model, start)
+        assert oracle.accepts(Term.of_instance(x))
+        drop_walk(oracle, model, Term.of_instance(x), order, keep=under)
+
+    def test_validation_assumes_the_term_alone(self, monkeypatch):
+        # under the term itself, every tree with a selector is one the term
+        # leaves open, so the query is the term's literals and nothing else
+        forest = random_forest(random.Random(1), 40, 25, 8, 0.1)
+        x = random_instance(random.Random(2), 40)
+        model = normalize(forest, x)
+        term = sufficient_reason_rf(forest, x).term
+        assumed = []
+        solve = SatSolver.solve
+
+        def recording(self, assumptions=(), deadline=None):
+            assumed.append(tuple(assumptions))
+            return solve(self, assumptions, deadline)
+
+        monkeypatch.setattr(SatSolver, "solve", recording)
+        assert ForestSatOracle(model, under=term).accepts(term)
+        assert assumed == [term.literals]
+        # the search's oracle assumes the trees the term implies besides
+        search = ForestSatOracle(model)
+        assert search.accepts(term)
+        enc = search.encoding
+        implied = [y for y, i in zip(enc.selectors, enc.owners) if model.trees[i].implied_by(term)]
+        assert implied and assumed[1] == term.literals + tuple(-y for y in implied)
+
+
+@st.composite
 def one_tree_cases(draw):
     """(one-tree forest, x, order): at most 6 variables; the tree is drawn
     negated half the time, so x falls on either polarity."""

@@ -184,6 +184,11 @@ def assert_same_state(new: SatSolver, ref: reference_solver.SatSolver, first, se
     assert new._conflicts == ref._conflicts and new._decisions == ref._decisions
 
 
+def signed(code: int) -> int:
+    """The signed literal of a solver-internal literal code (2v, 2v+1)."""
+    return -(code >> 1) if code & 1 else code >> 1
+
+
 class TestAgainstReference:
     """The solver and tests/reference_solver.py, its loop version, make
     the same search: same outcomes and models, same conflict and
@@ -235,17 +240,44 @@ class TestAgainstReference:
         cnf = CnfInstance(130, clauses)
         new, ref = SatSolver(cnf), reference_solver.SatSolver(cnf)
         assert_same_state(new, ref, new.solve(), ref.solve())
-        assert [c.lits for c in new._learnts] == [c.lits for c in ref._learnts]
+        learnts = [[signed(code) for code in c.lits] for c in new._learnts]
+        assert learnts == [c.lits for c in ref._learnts]
         assert len(new._learnts) < new._conflicts - 500
+
+    def test_same_search_across_an_activity_rescale(self):
+        # var_inc grows by 1/0.95 per conflict, so activities pass 1e100
+        # and are rescaled after ~4,490 conflicts; the third solve crosses
+        # that point and runs ~2,300 conflicts beyond it, while the heap
+        # still holds entries keyed by the activities before the rescale.
+        rng = random.Random(8)
+        clauses = [
+            tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 151), 3))
+            for _ in range(639)
+        ]
+        cnf = CnfInstance(150, clauses)
+        new, ref = SatSolver(cnf), reference_solver.SatSolver(cnf)
+        for _ in range(3):
+            k = rng.randint(0, 3)
+            assumed = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 151), k)]
+            assert_same_state(
+                new, ref, new.solve(assumptions=assumed), ref.solve(assumptions=assumed)
+            )
+        # without a rescale the conflicts alone would have taken var_inc past 1e100
+        assert 0.95 ** -new._conflicts > 1e100 > new._var_inc
+        assert new._activity == ref._activity
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_same_search_on_implicant_encoding(self, seed):
+        # A term's literals, then negated selectors, as ForestSatOracle
+        # assumes them (now and then a selector of either sign).
         encoding = implicant_test_cnf(random_forest(random.Random(seed), 40, 25, 8, 0.1))
         new, ref = SatSolver(encoding.cnf), reference_solver.SatSolver(encoding.cnf)
         rng = random.Random(seed)
         for _ in range(20):
             k = rng.randint(0, 40)
             assumed = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 41), k)]
+            picked = rng.sample(encoding.selectors, rng.randint(0, len(encoding.selectors)))
+            assumed += [y if rng.random() < 0.1 else -y for y in picked]
             assert_same_state(
                 new, ref, new.solve(assumptions=assumed), ref.solve(assumptions=assumed)
             )
