@@ -215,15 +215,19 @@ class ForestSatOracle(ImplicantOracle):
         self._guarded = [(y, trees[i], None) for y, i in zip(enc.selectors, enc.owners)]
         self._implied = self._guarded  # those the last accepted term implies
 
-    def accepts(self, term: Term, dropped: int | None = None) -> bool:
-        """One SAT call.  dropped names the variable whose literal term
-        lacks from the last accepted term, so the literals proved
-        necessary so far stay so and only the trees that term implies
-        can be implied; None: any other term, which starts afresh."""
-        if dropped is None:
-            self.necessary.clear()
-        assign = term.to_array(self.var_count)
-        assumed, implied = list(term.literals), []
+    def accepts(self, term: Term) -> bool:
+        """One SAT call on any term, which starts afresh."""
+        self.necessary.clear()
+        return self._query(term.to_array(self.var_count), None)
+
+    def _query(self, assign: list[bool | None], dropped: int | None) -> bool:
+        """The SAT call on the term assign.  dropped names the variable
+        whose literal it lacks from the last accepted term, so only the
+        trees that term implies can be implied; None: walk every tree
+        with a selector."""
+        # the literals in ascending variable order, as Term.literals has them
+        assumed = [v if b else -v for v, b in enumerate(assign) if b is not None]
+        implied = []
         for y, tree, closed in self._guarded if dropped is None else self._implied:
             if closed is None or dropped in closed:
                 closed = tree.explore((tree.root,), assign)
@@ -243,7 +247,7 @@ class ForestSatOracle(ImplicantOracle):
     def accepts_shrunk(self, assign: list[bool | None], var: int) -> bool:
         if var in self.necessary:
             return False  # proved by an earlier counterexample
-        if self.accepts(Term.from_array(assign), dropped=var):
+        if self._query(assign, var):
             return True
         if self.counterexample is not None:
             self._rotate(assign, var, self.counterexample)

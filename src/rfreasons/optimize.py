@@ -67,9 +67,13 @@ def majority_wcnf(
     Callers must pass a polarity-normalized forest (one that classifies x
     positively).  Soft clauses negate the instance literals; hard clauses
     say "selector i implies every clause of tree i restricted to the
-    instance literals" plus the strict-majority count over selectors.  A
-    tree with a clause that loses all its literals under the restriction
-    cannot be implied from within t_x, so its selector is forced off.
+    instance literals" plus the strict-majority count over selectors.
+    Only each tree's subset-minimal restricted clauses are encoded, in
+    their order: a term hitting C hits every clause containing C, so
+    (-y | C) subsumes (-y | C') for C within C', and the hard part keeps
+    its models and every optimum its cost.  A tree with a clause that
+    loses all its literals under the restriction cannot be implied from
+    within t_x, so its selector is forced off by the unit (-y,) alone.
     """
     if forest.evaluate(x) != 1:
         raise NotAnImplicantError("forest must classify the instance positively")
@@ -84,7 +88,7 @@ def majority_wcnf(
     selectors = tuple(alloc.fresh() for _ in forest.trees)
     hard: list[tuple[int, ...]] = []
     for y, tree in zip(selectors, forest.trees):
-        for clause in _restricted_clauses(tree, instance):
+        for clause in _subset_minimal(_restricted_clauses(tree, instance)):
             hard.append((-y,) + clause)  # an empty one forces -y
     hard.extend(at_least(selectors, forest.majority, alloc))
     soft = tuple(((-lit,), weights.of(abs(lit))) for lit in instance)
@@ -92,11 +96,28 @@ def majority_wcnf(
 
 
 def _restricted_clauses(tree: DecisionTree, instance: Sequence[int]) -> list[tuple[int, ...]]:
-    """The tree's 0-path clauses cut down to the instance literals: a term
-    within the instance term implies the tree exactly when it hits every
-    one of them."""
+    """The tree's 0-path clauses cut down to the instance literals, one
+    per 0-path and in cnf_clauses order: a term within the instance term
+    implies the tree exactly when it hits every one of them.  Every
+    clause is kept, subsumed ones too; majority_wcnf drops those
+    (_subset_minimal), approx_minimal_reason_dt counts them."""
     keep = set(instance)
     return [tuple(l for l in clause if l in keep) for clause in tree.cnf_clauses()]
+
+
+def _subset_minimal(clauses: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Of clauses that repeat no literal, those that contain no other
+    one, in their order; of equal ones the first.  A term hits them all
+    exactly when it hits every clause, so they are the same hitting-set
+    instance."""
+    kept: list[int] = []
+    sets: list[frozenset[int]] = []  # of the kept clauses
+    for _, i in sorted(zip(map(len, clauses), range(len(clauses)))):
+        s = frozenset(clauses[i])
+        if not any(map(s.issuperset, sets)):
+            kept.append(i)
+            sets.append(s)
+    return [clauses[i] for i in sorted(kept)]
 
 
 def _intersect_with_model(x: Instance, model: Sequence[bool]) -> Term:
@@ -212,6 +233,9 @@ def approx_minimal_reason_dt(tree: DecisionTree, x: Instance) -> Reason:
     Repeatedly picks an instance literal hitting the most still-uncovered
     restricted 0-path clauses (ties to the lowest feature index), then
     prime-reduces the cover so the output is a genuine sufficient reason.
+    The degrees count every restricted clause, subsumed ones included:
+    dropping those, as majority_wcnf does, leaves the clauses to hit the
+    same but changes which literal has the most, and so the cover.
     """
     normalized = normalize(tree, x)
     remaining = _restricted_clauses(normalized, Term.of_instance(x).literals)

@@ -425,6 +425,38 @@ class TestImpliedTreeAssumptions:
         implied = [y for y, i in zip(enc.selectors, enc.owners) if model.trees[i].implied_by(term)]
         assert implied and assumed[1] == term.literals + tuple(-y for y in implied)
 
+    def test_shrunk_queries_assume_the_term_in_variable_order(self, monkeypatch):
+        # a drop is queried from the greedy loop's array: its literals in
+        # ascending variable order, then the trees the term implies, as a
+        # fresh query on the same term assumes them
+        forest = random_forest(random.Random(3), 12, 7, 5, 0.1)
+        x = random_instance(random.Random(4), 12)
+        model = normalize(forest, x)
+        oracle = ForestSatOracle(model)
+        enc = oracle.encoding
+        assumed = []
+        solve = SatSolver.solve
+
+        def recording(self, assumptions=(), deadline=None):
+            assumed.append(tuple(assumptions))
+            return solve(self, assumptions, deadline)
+
+        monkeypatch.setattr(SatSolver, "solve", recording)
+        assign = Term.of_instance(x).to_array(12)
+        assert oracle.accepts(Term.of_instance(x))
+        queried = 0
+        for var in range(12, 0, -1):
+            value, assign[var] = assign[var], None
+            term, calls = Term.from_array(assign), len(assumed)
+            if not oracle.accepts_shrunk(assign, var):
+                assign[var] = value
+            if len(assumed) > calls:
+                queried += 1
+                implied = zip(enc.selectors, enc.owners)
+                selectors = tuple(-y for y, i in implied if model.trees[i].implied_by(term))
+                assert assumed[-1] == term.literals + selectors
+        assert queried >= 3
+
 
 @st.composite
 def one_tree_cases(draw):

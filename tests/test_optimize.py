@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfreasons.core import DecisionTree, RandomForest, Term, clause_to_tree, normalize
 from rfreasons.explain import DEFAULT_SEED, MajorityOracle, NotAnImplicantError, best_of_orders
@@ -25,6 +27,17 @@ from generators import random_forest, random_instance, random_tree
 
 def term_of(*lits: int) -> Term:
     return Term(lits)
+
+
+def guarded_clauses(problem, forest: RandomForest) -> list[list[tuple[int, ...]]]:
+    """Per tree, the restricted clauses its selector guards in
+    majority_wcnf's hard part; the selectors follow the features in tree
+    order, and only a tree clause holds a negated selector."""
+    n = forest.var_count
+    return [
+        [c[1:] for c in problem.hard.clauses if c[0] == -(n + 1 + i)]
+        for i in range(len(forest.trees))
+    ]
 
 
 class TestMinimalMajoritary:
@@ -299,3 +312,86 @@ class TestWcnfConstruction:
         assert (-3,) in problem.hard.clauses  # selector of the first tree
         r = minimal_majoritary_reason(forest, x)
         assert r.term == Term()
+
+
+@st.composite
+def forest_cases(draw):
+    """(forest, x, weights): 1 to 9 trees, so odd and even counts, over at
+    most 8 variables, with x of either class."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    forest = random_forest(rng, n, draw(st.integers(1, 9)), draw(st.integers(1, 6)), 0.15)
+    weights = WeightMap({v: rng.randint(1, 9) for v in range(1, n + 1)})
+    return forest, random_instance(rng, n), weights
+
+
+class TestSubsumptionFreeInstance:
+    """majority_wcnf keeps only each tree's subset-minimal restricted
+    clauses: the same hitting-set instance, so the same optima."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(forest_cases())
+    def test_optima_and_implication_match_brute_force(self, case):
+        forest, x, weights = case
+        candidates = brute.enumerate_majoritary_reasons(forest, x)
+        r = minimal_majoritary_reason(forest, x)
+        assert r.optimal and r.cost == min(map(len, candidates)) and r.term in candidates
+        w = minimal_weight_majoritary_reason(forest, x, weights)
+        assert w.optimal and w.cost == min(map(weights.of_term, candidates))
+        assert w.term in candidates
+        # a subterm of t_x implies a tree exactly when it hits every kept clause
+        model = normalize(forest, x)
+        full = Term.of_instance(x)
+        kept = guarded_clauses(majority_wcnf(model, x), model)
+        for k in range(len(full) + 1):
+            for subset in itertools.combinations(full.literals, k):
+                term = Term(subset)
+                for tree, clauses in zip(model.trees, kept):
+                    hits = all(set(subset) & set(c) for c in clauses)
+                    assert hits == tree.implied_by(term)
+
+    def test_subsumed_clause_is_dropped(self):
+        # the tree computes x1 through x2: its 0-paths give (1, 2) and
+        # (1, -2), restricted to t_x = x1 x2 (1, 2) and (1,)
+        half = {"var": 1, "low": {"leaf": 0}, "high": {"leaf": 1}}
+        tree = DecisionTree.from_nested({"var": 2, "low": half, "high": half}, 2)
+        assert _restricted_clauses(tree, (1, 2)) == [(1, 2), (1,)]
+        problem = majority_wcnf(RandomForest([tree]), (1, 1))
+        assert guarded_clauses(problem, RandomForest([tree])) == [[(1,)]]
+        assert (-3, 1, 2) not in problem.hard.clauses
+
+    def test_empty_clause_leaves_the_unit_alone(self):
+        # x1 x2 reaches a 0-leaf, so the first tree cannot be implied
+        # within t_x; its other 0-paths restrict to (1,) and (2,)
+        tree = DecisionTree.from_nested(
+            {
+                "var": 1,
+                "low": {"leaf": 0},
+                "high": {"var": 2, "low": {"leaf": 0}, "high": {"leaf": 0}},
+            },
+            2,
+        )
+        forest = RandomForest([tree, DecisionTree.leaf(1, 2), DecisionTree.leaf(1, 2)])
+        x = (1, 1)
+        assert sorted(_restricted_clauses(tree, (1, 2))) == [(), (1,), (2,)]
+        problem = majority_wcnf(forest, x)
+        assert guarded_clauses(problem, forest) == [[()], [], []]
+
+    def test_no_kept_clause_contains_another(self):
+        rng = random.Random(2001)
+        dropped = 0
+        for _ in range(12):
+            forest = random_forest(rng, 20, 15, 6, 0.1)
+            x = random_instance(rng, 20)
+            model = normalize(forest, x)
+            instance = Term.of_instance(x).literals
+            for tree, kept in zip(model.trees, guarded_clauses(majority_wcnf(model, x), model)):
+                full = _restricted_clauses(tree, instance)
+                # kept clauses come in their order in the full family
+                assert kept == [c for c in full if c in kept]
+                sets = list(map(frozenset, kept))
+                assert not any(a <= b for a, b in itertools.permutations(sets, 2))
+                # every dropped clause contains a kept one
+                assert all(any(k <= set(c) for k in sets) for c in full)
+                dropped += len(full) - len(kept)
+        assert dropped > 0
