@@ -261,6 +261,35 @@ class DecisionTree:
             if label == 0
         )
 
+    def disagreement_masks(self, x: Instance) -> list[int]:
+        """Per 0-path, the variables it tests against the complete
+        instance x as an int mask (bit v for x_v), subset-minimal ones
+        only, in cnf_clauses order; [0] when x reaches a 0-leaf.  A term
+        within t_x implies the tree exactly when it meets each one.  The
+        walk follows x first, so where two paths part, the later one goes
+        against x and its mask is not within the earlier's; it skips a
+        subtree once its mask contains one found."""
+        nodes, width = self.nodes, self.var_count + 1
+        found: list[int] = []
+        paths: list[int] = []  # a 1, then the branch bits (high = 1)
+        stack = [(self.root, 0, 1)]
+        while stack:
+            i, mask, path = stack.pop()
+            for m in found:
+                if m & mask == m:
+                    break
+            else:
+                var, lo, hi = nodes[i]
+                while var:
+                    up = 1 if x[var - 1] else 0
+                    path = path << 1 | up
+                    stack.append(((hi, lo)[up], mask | 1 << var, path ^ 1))
+                    var, lo, hi = nodes[(lo, hi)[up]]
+                if lo == 0:
+                    found.append(mask)
+                    paths.append(path << width - path.bit_length())  # left-aligned
+        return [m for _, m in sorted(zip(paths, found))]
+
     def implied_by(self, term: Term) -> bool:
         """Exact implicant test: does every extension of term reach a 1-leaf?"""
         return self.explore((self.root,), term.to_array(self.var_count)) is not None
@@ -302,6 +331,14 @@ class DecisionTree:
             raise DimensionError("term mentions a variable beyond the tree's range")
         free = self.var_count - len(term)
         return sum(1 << (free - len(lits)) for lits, label in self.paths(assign) if label)
+
+
+def mask_variables(mask: int) -> Iterator[int]:
+    """The variables whose bits are set in mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def clause_to_tree(clause: Iterable[int], var_count: int) -> DecisionTree:

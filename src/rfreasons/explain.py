@@ -17,9 +17,11 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Sequence
 
-from .core import DecisionTree, Instance, RandomForest, Term, normalize
+from .core import DecisionTree, Instance, RandomForest, Term, mask_variables, normalize
 from .encodings import implicant_test_cnf
 from .solver import Deadline, SatSolver, SolveStatus
 
@@ -109,16 +111,12 @@ class MajorityOracle(ImplicantOracle):
     one-tree forest, the exact implicant test of its tree.
 
     accepts decides by full traversals (DecisionTree.implied_by), so a
-    validation never rests on the bookkeeping that follows.  Each tree
-    the accepted term implies keeps the children that term closes,
-    grouped by variable (DecisionTree.explore), and a drop of v
-    explores only v's group: a reachable 0-leaf breaks the tree, and the
-    children it closes join the groups if the drop is accepted.  A
-    refused drop discards what it explored, and an accepted one copies
-    only the trees it changed, so rewind can resume any number of
-    greedy runs from the state of the last accepts.  That start state
-    is built at the first drop after accepts, so a check with no drop
-    after it costs the traversals of accepts alone.
+    validation never rests on the bookkeeping that follows.  At the
+    first drop after accepts, each tree the term implies records the
+    children it closes, grouped by variable (DecisionTree.explore); a
+    drop of v explores only v's group, and an accepted one adds the
+    children it closes.  This serves single orders; best_of_orders runs
+    many on masks.
     """
 
     def __init__(self, forest: RandomForest):
@@ -126,46 +124,38 @@ class MajorityOracle(ImplicantOracle):
         self.var_count = forest.var_count
         self.majority = forest.majority
         self._accepted = None  # the last accepted term and the trees it implies
-        # tree index -> closed children by variable, for each tree the term
-        # implies; _start is None until the first drop, _state at the start
-        self._start = self._state = None
+        # tree index -> closed children by variable, for each tree the
+        # current term implies; None until the first drop after accepts
+        self._state = None
 
     def accepts(self, term: Term) -> bool:
         implied = [i for i, t in enumerate(self.forest.trees) if t.implied_by(term)]
         if len(implied) < self.majority:
             return False
-        self._accepted = (term, implied)
-        self._start = self._state = None
+        self._accepted, self._state = (term, implied), None
         return True
-
-    def rewind(self) -> None:
-        """Make the term of the last accepts the last accepted term again."""
-        self._state = None
 
     def accepts_shrunk(self, assign: list[bool | None], var: int) -> bool:
         # dropping a literal never makes a tree implied: only live ones can break
         state, trees = self._state, self.forest.trees
         if state is None:
-            if self._start is None:
-                term, implied = self._accepted
-                start = term.to_array(self.var_count)
-                self._start = {i: trees[i].explore((trees[i].root,), start) for i in implied}
-            state = self._start
+            term, implied = self._accepted
+            start = term.to_array(self.var_count)
+            state = self._state = {i: trees[i].explore((trees[i].root,), start) for i in implied}
         spare = len(state) - self.majority
         opened = {}
         for i in [i for i, closed in state.items() if var in closed]:
             found = opened[i] = trees[i].explore(state[i][var], assign)
             if found is None and (spare := spare - 1) < 0:
                 return False
-        self._state = state = dict(state)
         for i, found in opened.items():
             if found is None:
                 del state[i]
                 continue
-            closed = state[i] = dict(state[i])
+            closed = state[i]
             del closed[var]
             for u, group in found.items():
-                closed[u] = closed[u] + group if u in closed else group
+                closed.setdefault(u, []).extend(group)
         return True
 
 
@@ -459,12 +449,13 @@ def majoritary_reason_multi(
     orders, deterministic for a fixed seed (see best_of_orders)."""
     if permutations < 1:
         raise ValueError("need at least one permutation")
-    term = best_of_orders(oracle_for_instance(forest, x, "majority"), x, permutations, seed)
+    masks = [t.disagreement_masks(x) for t in normalize(forest, x).trees]
+    term = best_of_orders(masks, x, permutations, seed)
     return Reason(term, ReasonKind.MAJORITARY, tuple(x))
 
 
 def best_of_orders(
-    oracle: MajorityOracle,
+    masks: Sequence[Sequence[int]],
     x: Instance,
     permutations: int,
     seed: int,
@@ -472,32 +463,58 @@ def best_of_orders(
     weight: Callable[[int], int] | None = None,
 ) -> Term | None:
     """The lightest greedy majoritary reason over seeded random
-    elimination orders, on the majority oracle of the normalized forest;
-    weight(v) prices a kept literal on v (None: 1 each), and ties go to
-    the earlier order.  The oracle's state for t_x is built once and
-    every order resumes from it (MajorityOracle.rewind).  The deadline
-    is checked before each order: the best order so far stands, and None
-    means it passed before the first one.
+    elimination orders, ties to the earlier order; weight(v) prices a
+    kept literal on v (None: 1 each).  masks holds the normalized trees'
+    disagreement_masks under x.  Dropping v breaks a tree still implied
+    when one of its masks meets the term at v alone; bit sets over all
+    the masks find those trees in a few integer operations per drop.
+    The deadline is checked before each order; None means it passed
+    before the first one.
     """
     rng = random.Random(seed)
-    oracle.accepts(Term.of_instance(x))  # true: the forest classifies x as 1
-    full = Term.of_instance(x).to_array(oracle.var_count)
-    base = list(range(1, oracle.var_count + 1))
+    n, implied = len(x), [tm for tm in masks if 0 not in tm]
+    # the implied trees' masks, numbered: column[v] has the bit of each
+    # one holding v, tree[j] those of mask j's tree, and plane[k] bit k
+    # of each one's count of term variables less one
+    column, tree, plane = [0] * (n + 1), [], [0] * n.bit_length()
+    for tree_masks in implied:
+        bits = ((1 << len(tree_masks)) - 1) << len(tree)
+        for m in tree_masks:
+            for v in mask_variables(m):
+                column[v] |= 1 << len(tree)
+            for k in mask_variables(m.bit_count() - 1):
+                plane[k] |= 1 << len(tree)
+            tree.append(bits)
+    base = list(range(1, n + 1))
     best, best_cost = None, 0
     for _ in range(permutations):
         if deadline is not None and deadline.expired():
             break
         rng.shuffle(base)
-        assign = list(full)
-        oracle.rewind()
-        _eliminate(oracle, assign, base)
-        if weight is None:
-            cost = len(assign) - assign.count(None)
-        else:
-            cost = sum(weight(v) for v, b in enumerate(assign) if b is not None)
+        term, live, counts = (1 << n + 1) - 2, (1 << len(tree)) - 1, list(plane)
+        shared, spare = reduce(or_, plane, 0), len(implied) - len(masks) // 2 - 1
+        for v in base:
+            if alone := column[v] & live & ~shared:  # masks v alone meets break their trees
+                if not spare:
+                    continue
+                dead, breaks = 0, 0
+                while alone and breaks <= spare:
+                    bits = tree[(alone & -alone).bit_length() - 1]
+                    dead, alone, breaks = dead | bits, alone & ~bits, breaks + 1
+                if breaks > spare:
+                    continue
+                live, spare = live & ~dead, spare - breaks
+            term ^= 1 << v
+            borrow = column[v] & live  # the counts of the masks holding v drop by one
+            for k, bits in enumerate(counts):
+                counts[k], borrow = bits ^ borrow, borrow & ~bits
+                if not borrow:
+                    break
+            shared = reduce(or_, counts, 0)  # the masks the term meets twice or more
+        cost = term.bit_count() if weight is None else sum(map(weight, mask_variables(term)))
         if best is None or cost < best_cost:
-            best, best_cost = assign, cost
-    return None if best is None else Term.from_array(best)
+            best, best_cost = term, cost
+    return None if best is None else Term(l for l in Term.of_instance(x) if best >> abs(l) & 1)
 
 
 def delta_probable_reason_dt(

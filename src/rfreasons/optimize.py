@@ -7,7 +7,8 @@ Intersecting the instance term with any model of the hard part yields a
 term implying a strict majority of trees, so even non-optimal
 intermediate models give valid abductive explanations; the optimum gives
 a minimum-size (or minimum-weight) majoritary reason.  The search starts
-from the cost of a greedy majoritary reason, which is usually optimal.
+from the cost of a greedy majoritary reason, which is usually optimal;
+both read each tree's disagreement masks, walked once.
 
 For single trees, a greedy covering over the contradicted 0-paths gives
 a fast approximation of the minimum-size reason.
@@ -19,7 +20,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .core import DecisionTree, Instance, RandomForest, Term, normalize
+from .core import DecisionTree, Instance, RandomForest, Term, mask_variables, normalize
 from .encodings import VarAllocator, WeightedCnf, at_least
 from .explain import DEFAULT_SEED, MajorityOracle, NotAnImplicantError, Reason, ReasonKind
 from .explain import best_of_orders, greedy_reason
@@ -59,21 +60,23 @@ class WeightMap:
 
 
 def majority_wcnf(
-    forest: RandomForest, x: Instance, weights: WeightMap | None = None
+    forest: RandomForest,
+    x: Instance,
+    weights: WeightMap | None = None,
+    masks: Sequence[Sequence[int]] | None = None,
 ) -> WeightedCnf:
     """The Partial MaxSAT instance whose optima are the minimum-weight
     majoritary reasons for x.
 
     Callers must pass a polarity-normalized forest (one that classifies x
-    positively).  Soft clauses negate the instance literals; hard clauses
-    say "selector i implies every clause of tree i restricted to the
-    instance literals" plus the strict-majority count over selectors.
-    Only each tree's subset-minimal restricted clauses are encoded, in
-    their order: a term hitting C hits every clause containing C, so
-    (-y | C) subsumes (-y | C') for C within C', and the hard part keeps
-    its models and every optimum its cost.  A tree with a clause that
-    loses all its literals under the restriction cannot be implied from
-    within t_x, so its selector is forced off by the unit (-y,) alone.
+    positively), and may pass its trees' disagreement_masks under x.
+    Soft clauses negate the instance literals; hard clauses say
+    "selector i implies each mask of tree i, as a clause of instance
+    literals" plus the strict-majority count over selectors.  The masks
+    are the subset-minimal restricted clauses: a term hitting C hits
+    every clause containing C, so the others add nothing.  A tree x
+    sends to a 0-leaf has the empty mask: the unit (-y,) forces its
+    selector off.
     """
     if forest.evaluate(x) != 1:
         raise NotAnImplicantError("forest must classify the instance positively")
@@ -83,13 +86,15 @@ def majority_wcnf(
     total = sum(weights.of(v) for v in range(1, n + 1))
     if total > MAX_TOTAL_WEIGHT:
         raise ValueError("total feature weight overflows the optimizer bound")
+    if masks is None:
+        masks = [t.disagreement_masks(x) for t in forest.trees]
 
     alloc = VarAllocator(n)
     selectors = tuple(alloc.fresh() for _ in forest.trees)
     hard: list[tuple[int, ...]] = []
-    for y, tree in zip(selectors, forest.trees):
-        for clause in _subset_minimal(_restricted_clauses(tree, instance)):
-            hard.append((-y,) + clause)  # an empty one forces -y
+    for y, tree_masks in zip(selectors, masks):
+        for m in tree_masks:  # an empty one forces -y
+            hard.append((-y, *(instance[v - 1] for v in mask_variables(m))))
     hard.extend(at_least(selectors, forest.majority, alloc))
     soft = tuple(((-lit,), weights.of(abs(lit))) for lit in instance)
     return WeightedCnf(CnfInstance(alloc.top, hard), soft)
@@ -99,25 +104,10 @@ def _restricted_clauses(tree: DecisionTree, instance: Sequence[int]) -> list[tup
     """The tree's 0-path clauses cut down to the instance literals, one
     per 0-path and in cnf_clauses order: a term within the instance term
     implies the tree exactly when it hits every one of them.  Every
-    clause is kept, subsumed ones too; majority_wcnf drops those
-    (_subset_minimal), approx_minimal_reason_dt counts them."""
+    clause is kept, subsumed ones too: approx_minimal_reason_dt counts
+    them."""
     keep = set(instance)
     return [tuple(l for l in clause if l in keep) for clause in tree.cnf_clauses()]
-
-
-def _subset_minimal(clauses: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Of clauses that repeat no literal, those that contain no other
-    one, in their order; of equal ones the first.  A term hits them all
-    exactly when it hits every clause, so they are the same hitting-set
-    instance."""
-    kept: list[int] = []
-    sets: list[frozenset[int]] = []  # of the kept clauses
-    for _, i in sorted(zip(map(len, clauses), range(len(clauses)))):
-        s = frozenset(clauses[i])
-        if not any(map(s.issuperset, sets)):
-            kept.append(i)
-            sets.append(s)
-    return [clauses[i] for i in sorted(kept)]
 
 
 def _intersect_with_model(x: Instance, model: Sequence[bool]) -> Term:
@@ -144,9 +134,10 @@ def _optimize(
     start = time.monotonic()
     weights = weights or WeightMap()
     normalized = normalize(forest, x)
-    problem = majority_wcnf(normalized, x, weights)
+    masks = [t.disagreement_masks(x) for t in normalized.trees]
+    problem = majority_wcnf(normalized, x, weights, masks)
     oracle = MajorityOracle(normalized)
-    greedy = best_of_orders(oracle, x, GREEDY_ORDERS, DEFAULT_SEED, deadline, weights.of)
+    greedy = best_of_orders(masks, x, GREEDY_ORDERS, DEFAULT_SEED, deadline, weights.of)
     if greedy is None:
         full = Term.of_instance(x)
         return Reason(

@@ -66,6 +66,21 @@ def dnf_terms(tree: DecisionTree) -> tuple[Term, ...]:
     return tuple(Term(lits) for lits, label in tree.paths() if label == 1)
 
 
+def subset_minimal(clauses: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Of clauses that repeat no literal, those that contain no other
+    one, in their order; of equal ones the first.  A term hits them all
+    exactly when it hits every clause, so they are the same hitting-set
+    instance."""
+    kept: list[int] = []
+    sets: list[frozenset[int]] = []  # of the kept clauses
+    for _, i in sorted(zip(map(len, clauses), range(len(clauses)))):
+        s = frozenset(clauses[i])
+        if not any(map(s.issuperset, sets)):
+            kept.append(i)
+            sets.append(s)
+    return [clauses[i] for i in sorted(kept)]
+
+
 def is_implicant_bruteforce(
     model: DecisionTree | RandomForest, term: Term, var_limit: int = DEFAULT_VAR_LIMIT
 ) -> bool:

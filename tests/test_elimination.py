@@ -193,7 +193,7 @@ def test_refused_drop_leaves_no_trace():
 
 def test_start_state_is_built_on_the_first_drop(monkeypatch):
     # accepts alone traverses each tree once (implied_by); the start state
-    # waits for the first drop and then serves every order
+    # waits for the first drop and then serves every later drop
     x = (1, 0, 1, 1, 0, 0, 1, 0)
     forest = normalize(random_forest(random.Random(11), 8, 5, 5, leaf_chance=0.2), x)
     full = Term.of_instance(x)
@@ -208,12 +208,11 @@ def test_start_state_is_built_on_the_first_drop(monkeypatch):
     oracle = MajorityOracle(forest)
     assert oracle.accepts(full)
     assert from_root.count(True) == forest.tree_count
-    oracle.rewind()
+    assign = full.to_array(8)
     for var in (1, 2, 3):
-        assign = full.to_array(8)
-        assign[var] = None
-        oracle.accepts_shrunk(assign, var)
-        oracle.rewind()
+        value, assign[var] = assign[var], None
+        if not oracle.accepts_shrunk(assign, var):
+            assign[var] = value
     assert from_root.count(True) == forest.tree_count + implied
     assert oracle.accepts(full)  # a check with no drop after it
     assert from_root.count(True) == 2 * forest.tree_count + implied

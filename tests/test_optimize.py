@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfreasons.core import DecisionTree, RandomForest, Term, clause_to_tree, normalize
-from rfreasons.explain import DEFAULT_SEED, MajorityOracle, NotAnImplicantError, best_of_orders
+from rfreasons.explain import (
+    DEFAULT_SEED,
+    MajorityOracle,
+    NotAnImplicantError,
+    ReasonKind,
+    best_of_orders,
+    greedy_reason,
+)
 from rfreasons.solver import Deadline
 from rfreasons.optimize import (
     GREEDY_ORDERS,
@@ -170,8 +177,8 @@ class TestGreedyUpperBound:
 
     @staticmethod
     def greedy(forest, x, weights):
-        oracle = MajorityOracle(normalize(forest, x))
-        return best_of_orders(oracle, x, GREEDY_ORDERS, DEFAULT_SEED, weight=weights.of)
+        masks = [t.disagreement_masks(x) for t in normalize(forest, x).trees]
+        return best_of_orders(masks, x, GREEDY_ORDERS, DEFAULT_SEED, weight=weights.of)
 
     @staticmethod
     def check_log(r, seen, greedy, weights):
@@ -232,8 +239,8 @@ class TestGreedyUpperBound:
         assert MajorityOracle(orchid).accepts(r.term)
 
     def test_greedy_skipped_after_the_deadline(self, orchid):
-        oracle = MajorityOracle(orchid)
-        assert best_of_orders(oracle, X_POS, GREEDY_ORDERS, DEFAULT_SEED, Deadline.after(0)) is None
+        masks = [t.disagreement_masks(X_POS) for t in orchid.trees]
+        assert best_of_orders(masks, X_POS, GREEDY_ORDERS, DEFAULT_SEED, Deadline.after(0)) is None
 
 
 class TestHittingInstance:
@@ -395,3 +402,108 @@ class TestSubsumptionFreeInstance:
                 assert all(any(k <= set(c) for k in sets) for c in full)
                 dropped += len(full) - len(kept)
         assert dropped > 0
+
+
+def mask_clauses(tree: DecisionTree, x) -> list[tuple[int, ...]]:
+    """The tree's disagreement masks under x as clauses of instance literals."""
+    instance = Term.of_instance(x).literals
+    return [tuple(l for l in instance if m >> abs(l) & 1) for m in tree.disagreement_masks(x)]
+
+
+class TestDisagreementMasks:
+    """A tree's disagreement masks under x are its subset-minimal
+    restricted clauses, as a list: in cnf_clauses order."""
+
+    @staticmethod
+    def reference(tree: DecisionTree, x) -> list[tuple[int, ...]]:
+        return brute.subset_minimal(_restricted_clauses(tree, Term.of_instance(x).literals))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 7))
+    def test_random_and_negated_trees(self, seed, n, depth):
+        rng = random.Random(seed)
+        tree = random_tree(rng, n, depth, 0.15)
+        x = random_instance(rng, n)
+        for t in (tree, tree.negated()):
+            assert mask_clauses(t, x) == self.reference(t, x)
+
+    def test_clause_trees(self):
+        rng = random.Random(2101)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            picked = rng.sample(range(1, n + 1), rng.randint(0, n))
+            clause = [v if rng.random() < 0.5 else -v for v in picked]
+            if clause and rng.random() < 0.1:
+                clause.append(-clause[0])  # a tautology: the constant-1 tree
+            tree = clause_to_tree(clause, n)
+            x = random_instance(rng, n)
+            assert mask_clauses(tree, x) == self.reference(tree, x)
+
+    def test_constant_trees(self):
+        x = (1, 0, 1)
+        assert DecisionTree.leaf(1, 3).disagreement_masks(x) == []
+        assert DecisionTree.leaf(0, 3).disagreement_masks(x) == [0]
+        assert self.reference(DecisionTree.leaf(0, 3), x) == [()]
+
+    def test_instance_reaching_a_zero_leaf(self):
+        # x1 x2 reaches a 0-leaf; the masks of the other 0-paths, {1} and
+        # {2}, contain the empty one
+        tree = DecisionTree.from_nested(
+            {
+                "var": 1,
+                "low": {"leaf": 0},
+                "high": {"var": 2, "low": {"leaf": 0}, "high": {"leaf": 0}},
+            },
+            2,
+        )
+        assert tree.disagreement_masks((1, 1)) == [0]
+        assert self.reference(tree, (1, 1)) == [()]
+
+    def test_low_branch_first(self):
+        # x1 ? (x2 ? 1 : 0) : 0 under x = 11: the walk follows x and meets
+        # the 0-leaf under x2 first, but the low branch of x1 comes first
+        tree = DecisionTree.from_nested(
+            {
+                "var": 1,
+                "low": {"leaf": 0},
+                "high": {"var": 2, "low": {"leaf": 0}, "high": {"leaf": 1}},
+            },
+            2,
+        )
+        assert tree.disagreement_masks((1, 1)) == [1 << 1, 1 << 2]
+        assert tree.cnf_clauses() == ((1,), (-1, 2))
+
+
+def reference_best(forest, x, permutations, seed, weights):
+    """The best of greedy_reason's runs on the majority oracle over
+    best_of_orders' seeded orders, ties to the earlier order."""
+    rng = random.Random(seed)
+    model = normalize(forest, x)
+    base = list(range(1, forest.var_count + 1))
+    best = None
+    for _ in range(permutations):
+        rng.shuffle(base)
+        term = greedy_reason(MajorityOracle(model), x, tuple(base), ReasonKind.MAJORITARY).term
+        if best is None or weights.of_term(term) < weights.of_term(best):
+            best = term
+    return best
+
+
+class TestBestOfOrders:
+    """best_of_orders on disagreement masks against the per-order greedy
+    runs on the traversal oracle."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(forest_cases(), st.integers(0, 2**16), st.integers(1, 8), st.booleans())
+    def test_matches_the_best_greedy_order(self, case, seed, permutations, unit):
+        forest, x, weights = case
+        if unit:
+            weights = WeightMap()
+        model = normalize(forest, x)
+        masks = [t.disagreement_masks(x) for t in model.trees]
+        got = best_of_orders(masks, x, permutations, seed, weight=None if unit else weights.of)
+        expected = reference_best(forest, x, permutations, seed, weights)
+        assert got == expected and weights.of_term(got) == weights.of_term(expected)
+        oracle = MajorityOracle(model)
+        assert oracle.accepts(got)
+        assert not any(oracle.accepts(Term(l for l in got if l != lit)) for lit in got)
