@@ -203,7 +203,7 @@ def _majoritary(r: Request) -> Reason:
     s = r.settings
     if s.permutations is None or s.permutations == 1:
         return majoritary_reason(r.forest, r.x, r.values.get("order"))
-    return majoritary_reason_multi(r.forest, r.x, s.permutations, s.seed)
+    return majoritary_reason_multi(r.forest, r.x, s.permutations, s.seed, r.deadline)
 
 
 def _lime(r: Request) -> Reason:

@@ -320,6 +320,35 @@ class DecisionTree:
                 closed.setdefault(var, []).append(lo if fixed else hi)
         return closed
 
+    def reach(self, starts: Iterable[tuple[int, tuple[int, ...]]], assign: Sequence[bool | None]):
+        """explore with paths: walk the subtrees at (node index, literals
+        from the root to it) pairs under a partial assignment in
+        Term.to_array form.  Returns the literals of each path to a
+        1-leaf reached and the children the assignment closes, each with
+        its path, grouped by the fixed variable their parent tests."""
+        nodes = self.nodes
+        stack = list(starts)
+        ones: list[tuple[int, ...]] = []
+        closed: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        while stack:
+            i, path = stack.pop()
+            var, lo, hi = nodes[i]
+            if var == 0:
+                if lo:
+                    ones.append(path)
+                continue
+            fixed = assign[var]
+            if fixed is None:
+                stack.append((hi, path + (var,)))
+                stack.append((lo, path + (-var,)))
+            elif fixed:
+                stack.append((hi, path + (var,)))
+                closed.setdefault(var, []).append((lo, path + (-var,)))
+            else:
+                stack.append((lo, path + (-var,)))
+                closed.setdefault(var, []).append((hi, path + (var,)))
+        return ones, closed
+
     def count_models(self, term: Term = Term()) -> int:
         """Exact number of assignments extending term that reach a 1-leaf:
         each 1-leaf path reachable under term (see paths) weighs 2 to the

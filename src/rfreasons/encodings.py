@@ -92,7 +92,8 @@ class ImplicantCnf:
     majority can spare, so H's models are exactly the counterexamples
     extending t.  owners[i] is the index in forest.trees of the tree
     selectors[i] guards: a tree t implies has none, so the two do not
-    pair by position.
+    pair by position.  Built without its path clauses, H is the frame
+    that ForestSatOracle completes clause by clause.
     """
 
     cnf: CnfInstance
@@ -101,7 +102,15 @@ class ImplicantCnf:
     owners: tuple[int, ...]
 
 
-def implicant_test_cnf(forest: RandomForest, term: Term = Term()) -> ImplicantCnf:
+def path_clause(selector: int, path: Sequence[int]) -> tuple[int, ...]:
+    """The clause that selector's tree does not reach the 1-leaf at the
+    end of path, its literals in ascending variable order."""
+    return (-selector,) + tuple(sorted((-l for l in path), key=abs))
+
+
+def implicant_test_cnf(
+    forest: RandomForest, term: Term = Term(), paths: bool = True
+) -> ImplicantCnf:
     """Build the refutation CNF for exact forest implicant tests on the
     extensions of term (none given: every assignment).
 
@@ -109,10 +118,11 @@ def implicant_test_cnf(forest: RandomForest, term: Term = Term()) -> ImplicantCn
     vote 1, that is when at least m - majority + 1 of its m trees are
     falsified; the bound holds for odd and even m alike.  Under term's
     literals (unit clauses) each tree gets a clause per reachable 1-path
-    over the free variables, and a tree term implies gets no selector:
-    with fewer selectors left than the bound, the bound is the empty
-    clause.  The empty term keeps one on constant trees too, so the
-    search's encoding is the full one.
+    over the free variables (path_clause), and a tree term implies gets
+    no selector: with fewer selectors left than the bound, the bound is
+    the empty clause.  The empty term keeps one on constant trees too,
+    so the search's encoding is the full one.  paths=False leaves out
+    the path clauses and, under the empty term, walks no tree.
     """
     n = forest.var_count
     assign = term.to_array(n)
@@ -120,15 +130,14 @@ def implicant_test_cnf(forest: RandomForest, term: Term = Term()) -> ImplicantCn
     selectors, owners = [], []
     clauses: list[tuple[int, ...]] = [(l,) for l in term]
     for i, tree in enumerate(forest.trees):
-        paths = list(tree.paths(assign))
-        if term and all(label for _, label in paths):
+        reached = list(tree.paths(assign)) if paths or term else []
+        if term and all(label for _, label in reached):
             continue
         y = alloc.fresh()
         selectors.append(y)
         owners.append(i)
-        for lits, label in paths:
-            if label:
-                clauses.append((-y,) + tuple(sorted((-l for l in lits), key=abs)))
+        if paths:
+            clauses.extend(path_clause(y, lits) for lits, label in reached if label)
     clauses.extend(at_least(selectors, forest.tree_count - forest.majority + 1, alloc))
     return ImplicantCnf(CnfInstance(alloc.top, clauses), n, tuple(selectors), tuple(owners))
 

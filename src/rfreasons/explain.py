@@ -22,7 +22,7 @@ from operator import or_
 from typing import Callable, Iterable, Sequence
 
 from .core import DecisionTree, Instance, RandomForest, Term, mask_variables, normalize
-from .encodings import implicant_test_cnf
+from .encodings import ImplicantCnf, implicant_test_cnf, path_clause
 from .solver import Deadline, SatSolver, SolveStatus
 
 DEFAULT_SEED = 42
@@ -178,10 +178,22 @@ class ForestSatOracle(ImplicantOracle):
     it was; they spare the search the work of finding that out, and the
     counter forces the remaining selectors by unit propagation.  A tree
     the last accepted term does not imply is implied by none of its
-    subterms, so a query dropping one literal of that term walks only
-    the trees that term implies, and of these only those whose last
-    walk tested the dropped variable: freeing a variable no reachable
-    node tests leaves the tree implied.
+    subterms, so a query dropping one literal of that term tests for
+    implication only the trees that term implies, and of these only
+    those whose last walk tested the dropped variable: freeing a
+    variable no reachable node tests leaves the tree implied.
+
+    The encoding is built at the first query, whole under a nonempty
+    term, which every query extends.  Under the empty term, the search's,
+    it is lazy (lazy clause generation: Ohrimenko, Stuckey & Codish,
+    Constraints 2009): selectors and counter first (paths=False), then,
+    before each query and each once, the path clauses of the 1-paths its
+    term leaves reachable in the trees it does not imply.  The others
+    are satisfied under the query's assumptions, so every answer and
+    learnt clause is the full encoding's.  A tree open under the last
+    accepted term keeps the children that term closes, with their paths
+    (DecisionTree.reach): a drop of v adds the 1-paths below those closed
+    at nodes testing v.  A tree the drop opens is walked from the root.
 
     Once the deadline has passed it rejects every query, since it never
     accepts a term it has not proved, and sets timed_out.  Built under a
@@ -195,15 +207,17 @@ class ForestSatOracle(ImplicantOracle):
     ):
         self.forest = forest
         self.var_count = forest.var_count
-        self.encoding = implicant_test_cnf(forest, under)
-        self.session = SatSolver(self.encoding.cnf)
+        self.under = under
         self.deadline = deadline
+        self.encoding: ImplicantCnf | None = None  # built at the first query
+        self.session: SatSolver | None = None
         self.necessary: set[int] = set()  # variables the current term must keep
         self.counterexample: tuple[bool, ...] | None = None  # of the last refusal
+        self._loaded: set[tuple[int, ...]] = set()  # the path clauses in the session
         # (selector, tree, closed children by variable, None before a walk)
-        trees, enc = forest.trees, self.encoding
-        self._guarded = [(y, trees[i], None) for y, i in zip(enc.selectors, enc.owners)]
-        self._implied = self._guarded  # those the last accepted term implies
+        # of the trees with a selector and of those the last accepted term
+        # implies; of those it leaves open, closed (child, path) pairs
+        self._guarded = self._implied = self._open = []
 
     def accepts(self, term: Term) -> bool:
         """One SAT call on any term, which starts afresh."""
@@ -215,24 +229,58 @@ class ForestSatOracle(ImplicantOracle):
         whose literal it lacks from the last accepted term, so only the
         trees that term implies can be implied; None: walk every tree
         with a selector."""
+        if self.session is None:
+            under = self.under  # whole under a nonempty term, lazy under the empty one
+            enc = self.encoding = implicant_test_cnf(self.forest, under, paths=bool(under))
+            self.session = SatSolver(enc.cnf)
+            trees = self.forest.trees
+            self._guarded = [(y, trees[i], None) for y, i in zip(enc.selectors, enc.owners)]
+            dropped = None
         # the literals in ascending variable order, as Term.literals has them
         assumed = [v if b else -v for v, b in enumerate(assign) if b is not None]
-        implied = []
+        implied, opened, clauses = [], [], []
         for y, tree, closed in self._guarded if dropped is None else self._implied:
             if closed is None or dropped in closed:
                 closed = tree.explore((tree.root,), assign)
                 if closed is None:
+                    if not self.under:  # the tree opens: all its reachable 1-paths
+                        start = ((tree.root, ()),)
+                        opened.append((y, tree, self._reach(y, tree, start, assign, clauses)))
                     continue
             assumed.append(-y)
             implied.append((y, tree, closed))
+        for y, tree, closed in () if dropped is None else self._open:
+            if dropped in closed:  # the 1-paths below the children the drop opens
+                found = self._reach(y, tree, closed[dropped], assign, clauses)
+                closed = {u: group for u, group in closed.items() if u != dropped}
+                for u, group in found.items():
+                    closed[u] = closed.get(u, []) + group
+            opened.append((y, tree, closed))
+        if clauses:
+            self.session.add_clauses(clauses)
         outcome = self.session.solve(assumptions=assumed, deadline=self.deadline)
         if outcome.status is SolveStatus.TIMEOUT:
             self.timed_out = True
         self.counterexample = outcome.model if outcome.status is SolveStatus.SAT else None
         if outcome.status is SolveStatus.UNSAT:
-            self._implied = implied
+            self._implied, self._open = implied, opened
             return True
         return False
+
+    def _reach(
+        self, y: int, tree: DecisionTree, starts, assign: list[bool | None], clauses: list
+    ) -> dict:
+        """Walk tree from starts under assign (DecisionTree.reach): append
+        to clauses the path clauses the session lacks of the 1-paths
+        reached, and return the closed children with their paths."""
+        ones, closed = tree.reach(starts, assign)
+        loaded = self._loaded
+        for path in ones:
+            clause = path_clause(y, path)
+            if clause not in loaded:
+                loaded.add(clause)
+                clauses.append(clause)
+        return closed
 
     def accepts_shrunk(self, assign: list[bool | None], var: int) -> bool:
         if var in self.necessary:
@@ -444,14 +492,23 @@ def majoritary_reason_multi(
     x: Instance,
     permutations: int = 50,
     seed: int = DEFAULT_SEED,
+    deadline: Deadline | None = None,
 ) -> Reason:
     """Smallest majoritary reason over uniformly random elimination
-    orders, deterministic for a fixed seed (see best_of_orders)."""
+    orders, deterministic for a fixed seed (see best_of_orders).  A
+    deadline that passes before the last order starts leaves the best of
+    the orders run, t_x when none ran, with extras["fallback"] =
+    "timeout"."""
     if permutations < 1:
         raise ValueError("need at least one permutation")
     masks = [t.disagreement_masks(x) for t in normalize(forest, x).trees]
-    term = best_of_orders(masks, x, permutations, seed)
-    return Reason(term, ReasonKind.MAJORITARY, tuple(x))
+    term, complete = best_of_orders(masks, x, permutations, seed, deadline)
+    return Reason(
+        Term.of_instance(x) if term is None else term,
+        ReasonKind.MAJORITARY,
+        tuple(x),
+        extras={} if complete else {"fallback": "timeout"},
+    )
 
 
 def best_of_orders(
@@ -461,15 +518,15 @@ def best_of_orders(
     seed: int,
     deadline: Deadline | None = None,
     weight: Callable[[int], int] | None = None,
-) -> Term | None:
+) -> tuple[Term | None, bool]:
     """The lightest greedy majoritary reason over seeded random
     elimination orders, ties to the earlier order; weight(v) prices a
     kept literal on v (None: 1 each).  masks holds the normalized trees'
     disagreement_masks under x.  Dropping v breaks a tree still implied
     when one of its masks meets the term at v alone; bit sets over all
     the masks find those trees in a few integer operations per drop.
-    The deadline is checked before each order; None means it passed
-    before the first one.
+    The deadline is checked before each order: returns the lightest
+    reason of the orders run (None when none ran) and whether all ran.
     """
     rng = random.Random(seed)
     n, implied = len(x), [tm for tm in masks if 0 not in tm]
@@ -486,9 +543,10 @@ def best_of_orders(
                 plane[k] |= 1 << len(tree)
             tree.append(bits)
     base = list(range(1, n + 1))
-    best, best_cost = None, 0
+    best, best_cost, complete = None, 0, True
     for _ in range(permutations):
         if deadline is not None and deadline.expired():
+            complete = False
             break
         rng.shuffle(base)
         term, live, counts = (1 << n + 1) - 2, (1 << len(tree)) - 1, list(plane)
@@ -514,7 +572,8 @@ def best_of_orders(
         cost = term.bit_count() if weight is None else sum(map(weight, mask_variables(term)))
         if best is None or cost < best_cost:
             best, best_cost = term, cost
-    return None if best is None else Term(l for l in Term.of_instance(x) if best >> abs(l) & 1)
+    term = None if best is None else Term(l for l in Term.of_instance(x) if best >> abs(l) & 1)
+    return term, complete
 
 
 def delta_probable_reason_dt(

@@ -137,7 +137,7 @@ def _optimize(
     masks = [t.disagreement_masks(x) for t in normalized.trees]
     problem = majority_wcnf(normalized, x, weights, masks)
     oracle = MajorityOracle(normalized)
-    greedy = best_of_orders(masks, x, GREEDY_ORDERS, DEFAULT_SEED, deadline, weights.of)
+    greedy, _ = best_of_orders(masks, x, GREEDY_ORDERS, DEFAULT_SEED, deadline, weights.of)
     if greedy is None:
         full = Term.of_instance(x)
         return Reason(

@@ -3,9 +3,10 @@
 A small CDCL engine: two-watched-literal propagation, first-UIP clause
 learning, activity-based branching with a stable index tie-break, phase
 saving, Luby restarts and learnt-clause garbage collection.  A solver
-holds the one CnfInstance it was built from; assumptions are handled as
-forced first decisions, so repeated queries under different assumption
-sets reuse everything learnt so far.
+holds the CnfInstance it was built from and the clauses add_clauses
+attaches between solves; assumptions are handled as forced first
+decisions, so repeated queries under different assumption sets reuse
+everything learnt so far.
 
 Literals are signed integers (DIMACS convention) at the interface:
 clauses, assumptions and models.  The solver is fully deterministic: no
@@ -18,7 +19,7 @@ lists indexed by code, 2n+2 entries over n variables (codes 0 and 1 are
 unused), sized once by the constructor; _val[code] reads a literal's
 value (+1, -1 or 0).  Clauses, the trail and learnt clauses hold codes.
 The codes are non-negative because CPython 3.11 specializes list reads
-at non-negative int indices only.  The constructor codes the instance
+at non-negative int indices only.  The clause intake codes clauses
 through one lookup table, solve codes its assumptions, and a model is
 read back by variable.
 
@@ -161,21 +162,38 @@ class SatSolver:
         self._conflicts = 0
         self._decisions = 0
         self._heap: list[tuple[float, int]] = []
+        self._load(cnf.clauses)
+
+    # -- clause intake ---------------------------------------------------------
+
+    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
+        """Attach clauses over the solver's variables at level 0, between
+        solves.  Each literal is checked as CnfInstance checks it, and a
+        bad one attaches none of the clauses (ValueError).  A clause only
+        removes models, so what was learnt stays valid; one falsified at
+        the root makes every later solve UNSAT."""
+        n = self.var_count
+        self._load([c for c in (_normalize_clause(c, n) for c in clauses) if c is not None])
+
+    def _load(self, clauses: Iterable[tuple[int, ...]]) -> None:
+        """The one intake: attach normalized clauses, in range, at the root.
+        The constructor passes its CnfInstance's, already normalized."""
+        if self._unsat:
+            return
+        n = self.var_count
         # signed literal -> code: k at k and -k at 2n+1-k (negative indexing)
         code = [0, *range(2, 2 * n + 1, 2), *range(2 * n + 1, 2, -2)].__getitem__
-        trail, wl, clauses, value = self._trail, self._wl, self._clauses, self._val.__getitem__
-        for c in cnf.clauses:  # already normalized and in range
+        trail, wl, watched, value = self._trail, self._wl, self._clauses, self._val.__getitem__
+        for c in clauses:
             lits = [*map(code, c)]
             # two or more literals, none assigned at the root: watch it as is
             if len(lits) > 1 and not (trail and any(map(value, lits))):
                 clause = _Clause(lits)
-                clauses.append(clause)
+                watched.append(clause)
                 wl[lits[0]].append(clause)
                 wl[lits[1]].append(clause)
             elif not self._attach(lits):
-                break
-
-    # -- clause intake ---------------------------------------------------------
+                return
 
     def _attach(self, lits: list[int]) -> bool:
         """Attach a clause of codes at the root, simplified by the root

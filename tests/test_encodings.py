@@ -212,6 +212,18 @@ class TestRestrictedImplicantCnf:
         open_trees = [i for i, t in enumerate(forest.trees) if not (term and t.implied_by(term))]
         assert enc.owners == tuple(open_trees) and len(enc.selectors) == len(enc.owners)
 
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(restricted_cases())
+    def test_the_frame_is_the_encoding_less_its_path_clauses(self, case):
+        # a path clause is the one kind that negates a selector
+        forest, term = case
+        full, frame = implicant_test_cnf(forest, term), implicant_test_cnf(forest, term, paths=False)
+        assert (frame.selectors, frame.owners) == (full.selectors, full.owners)
+        negated = {-y for y in full.selectors}
+        assert frame.cnf == CnfInstance(
+            full.cnf.var_count, [c for c in full.cnf.clauses if not negated & set(c)]
+        )
+
     def test_empty_term_gives_the_full_encoding(self, orchid):
         # constant trees keep their selector: the search's encoding is unchanged
         padded = RandomForest([*orchid.trees, DecisionTree.leaf(1, 4)]).negated()

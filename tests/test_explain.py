@@ -28,6 +28,7 @@ from rfreasons.explain import (
     sufficient_reason_rf,
 )
 from rfreasons.cli import parity_fixture
+from rfreasons.encodings import implicant_test_cnf, path_clause
 from rfreasons.solver import Deadline, SatSolver
 
 import brute
@@ -433,7 +434,6 @@ class TestImpliedTreeAssumptions:
         x = random_instance(random.Random(4), 12)
         model = normalize(forest, x)
         oracle = ForestSatOracle(model)
-        enc = oracle.encoding
         assumed = []
         solve = SatSolver.solve
 
@@ -443,7 +443,9 @@ class TestImpliedTreeAssumptions:
 
         monkeypatch.setattr(SatSolver, "solve", recording)
         assign = Term.of_instance(x).to_array(12)
+        assert oracle.encoding is None  # built at the first query
         assert oracle.accepts(Term.of_instance(x))
+        enc = oracle.encoding
         queried = 0
         for var in range(12, 0, -1):
             value, assign[var] = assign[var], None
@@ -456,6 +458,69 @@ class TestImpliedTreeAssumptions:
                 selectors = tuple(-y for y, i in implied if model.trees[i].implied_by(term))
                 assert assumed[-1] == term.literals + selectors
         assert queried >= 3
+
+
+class TestLazyEncoding:
+    """The search's ForestSatOracle loads path clauses as its queries
+    reach them: at each query, those of the 1-paths its term leaves
+    reachable in the trees it does not imply, which includes a tree the
+    query's drop opens and the paths below the children it opens in a
+    tree already open.  Each is loaded once and is a clause of the full
+    encoding; an oracle under a term loads its whole encoding at once."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(oracle_cases(), st.data())
+    def test_each_query_holds_the_clauses_it_needs(self, case, data):
+        model, x, under, start, order = case
+        n = model.var_count
+        values = st.lists(st.sampled_from([None, False, True]), min_size=n, max_size=n)
+        for base in (Term(), under):
+            oracle = ForestSatOracle(model, under=base)
+            full = set(implicant_test_cnf(model, base).cnf.clauses)
+            fixed = base.variables()
+            added: list[tuple[int, ...]] = []
+            add_clauses, solve = SatSolver.add_clauses, SatSolver.solve
+
+            def adding(solver, clauses):
+                clauses = [tuple(c) for c in clauses]
+                added.extend(clauses)
+                add_clauses(solver, clauses)
+
+            def solving(solver, assumptions=(), deadline=None):
+                # the query's term is its assumed feature literals
+                term = Term(l for l in assumptions if abs(l) <= n)
+                assign = term.to_array(n)
+                frame = set(oracle.encoding.cnf.clauses)
+                loaded = frame | set(added)
+                assert loaded <= full
+                assert len(set(added)) == len(added) and not frame & set(added)
+                enc = oracle.encoding
+                for y, i in zip(enc.selectors, enc.owners):
+                    if model.trees[i].implied_by(term):
+                        continue
+                    for lits, label in model.trees[i].paths():
+                        if label and all(assign[abs(l)] in (None, l > 0) for l in lits):
+                            free = [l for l in lits if abs(l) not in fixed]
+                            assert path_clause(y, free) in loaded
+                return solve(solver, assumptions, deadline)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(SatSolver, "add_clauses", adding)
+                mp.setattr(SatSolver, "solve", solving)
+                for _ in range(2):
+                    # a fresh query on an arbitrary term extending base
+                    drawn = Term.from_array([None, *data.draw(values)]).literals
+                    term = Term([*base, *(l for l in drawn if abs(l) not in fixed)])
+                    accepted = oracle.accepts(term)
+                    assert accepted == brute.is_implicant_bruteforce(model, term)
+                    if accepted:
+                        drop_walk(oracle, model, term, order[::-1], keep=base)
+                assert oracle.accepts(Term.of_instance(x))
+                drop_walk(oracle, model, Term.of_instance(x), order, keep=base)
+                if oracle.accepts(start):
+                    drop_walk(oracle, model, start, order, keep=base)
+            if base:
+                assert not added  # whole from the first query
 
 
 @st.composite

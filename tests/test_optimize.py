@@ -178,7 +178,7 @@ class TestGreedyUpperBound:
     @staticmethod
     def greedy(forest, x, weights):
         masks = [t.disagreement_masks(x) for t in normalize(forest, x).trees]
-        return best_of_orders(masks, x, GREEDY_ORDERS, DEFAULT_SEED, weight=weights.of)
+        return best_of_orders(masks, x, GREEDY_ORDERS, DEFAULT_SEED, weight=weights.of)[0]
 
     @staticmethod
     def check_log(r, seen, greedy, weights):
@@ -240,7 +240,8 @@ class TestGreedyUpperBound:
 
     def test_greedy_skipped_after_the_deadline(self, orchid):
         masks = [t.disagreement_masks(X_POS) for t in orchid.trees]
-        assert best_of_orders(masks, X_POS, GREEDY_ORDERS, DEFAULT_SEED, Deadline.after(0)) is None
+        got = best_of_orders(masks, X_POS, GREEDY_ORDERS, DEFAULT_SEED, Deadline.after(0))
+        assert got == (None, False)
 
 
 class TestHittingInstance:
@@ -501,7 +502,8 @@ class TestBestOfOrders:
             weights = WeightMap()
         model = normalize(forest, x)
         masks = [t.disagreement_masks(x) for t in model.trees]
-        got = best_of_orders(masks, x, permutations, seed, weight=None if unit else weights.of)
+        got, complete = best_of_orders(masks, x, permutations, seed, weight=None if unit else weights.of)
+        assert complete
         expected = reference_best(forest, x, permutations, seed, weights)
         assert got == expected and weights.of_term(got) == weights.of_term(expected)
         oracle = MajorityOracle(model)

@@ -26,6 +26,7 @@ from rfreasons import explain
 from rfreasons.core import RandomForest, Term, cnf_to_forest, normalize
 from rfreasons.encodings import implicant_test_cnf
 from rfreasons.explain import ReasonKind
+from rfreasons.solver import Deadline
 
 import brute
 from conftest import X_NEG, X_POS, orchid_trees
@@ -75,23 +76,48 @@ def test_zero_timeout_gives_every_kind_a_valid_reason(x):
             assert (reason.cost is not None) == (kind in MINIMAL_KINDS), kind
 
 
+@pytest.mark.parametrize("seed", [1, 2])  # x of class 1, then 0
+def test_majoritary_permutations_stop_at_the_deadline(seed):
+    # the deadline is checked before each order: a zero budget runs none
+    # and falls back to t_x; without a budget, or with one far off, every
+    # order runs and the reason is the best of them, not flagged
+    forest = random_forest(random.Random(7), 12, 9, 5, 0.1)
+    x = random_instance(random.Random(seed), 12)
+    s = ExplainSettings(kind="majoritary", permutations=50)
+    cut = compute_reason(forest, x, replace(s, timeout=0))
+    validate_reason(forest, cut)
+    assert is_partial(cut) and cut.term == Term.of_instance(x)
+    whole = compute_reason(forest, x, s)
+    masks = [t.disagreement_masks(x) for t in normalize(forest, x).trees]
+    assert whole.term == explain.best_of_orders(masks, x, 50, explain.DEFAULT_SEED)[0]
+    assert not is_partial(whole) and "fallback" not in whole.extras
+    far = compute_reason(forest, x, replace(s, timeout=3600.0))
+    assert far.term == whole.term and not is_partial(far)
+    # cut between orders: the best of those run, a valid reason
+    some = explain.majoritary_reason_multi(forest, x, 10**7, deadline=Deadline.after(0.01))
+    assert some.extras["fallback"] == "timeout"
+    validate_reason(forest, some)
+
+
 @pytest.mark.parametrize("x", [X_POS, X_NEG])
 def test_sufficient_validation_encodes_the_forest_anew(monkeypatch, x):
     # validation shares nothing with the search, its encoding included;
-    # the search encodes every assignment, the validation the reason's extensions
+    # the search encodes every assignment, lazily (its frame alone, which
+    # its queries complete), the validation the reason's extensions, whole
     builds = []
-    monkeypatch.setattr(
-        explain,
-        "implicant_test_cnf",
-        lambda f, *args: builds.append((f, *args)) or implicant_test_cnf(f, *args),
-    )
+
+    def build(f, *args, **kwargs):
+        builds.append((f, args, kwargs))
+        return implicant_test_cnf(f, *args, **kwargs)
+
+    monkeypatch.setattr(explain, "implicant_test_cnf", build)
     forest = RandomForest(orchid_trees())
     reason = compute_reason(forest, x, ExplainSettings(kind="sufficient"))
     assert len(builds) == 1
     validate_reason(forest, reason)
     assert len(builds) == 2 and builds[0][0] == builds[1][0]
-    assert builds[0][1:] == (Term(),)
-    assert builds[1][1:] == (reason.term,)
+    assert builds[0][1:] == ((Term(),), {"paths": False})
+    assert builds[1][1:] == ((reason.term,), {"paths": True})
 
 
 def test_sufficient_validation_refuses_a_reason_of_another_forest():

@@ -148,6 +148,53 @@ class TestSolve:
             SatSolver(CnfInstance(2, [(1, 2)])).solve(assumptions=[bad])
 
 
+class TestAddClauses:
+    """add_clauses attaches clauses between solves: the session answers as
+    a fresh solver on everything it holds, and keeps what it learnt."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_a_split_instance_answers_as_a_fresh_one(self, data):
+        n = data.draw(st.integers(1, 7))
+        literal = st.integers(-n, n).filter(bool)
+        clauses = data.draw(st.lists(st.lists(literal, max_size=4), max_size=20))
+        cut = data.draw(st.integers(0, len(clauses)))
+        session = SatSolver(CnfInstance(n, clauses[:cut]))
+
+        def answers_as_fresh(held):
+            for _ in range(data.draw(st.integers(1, 3))):
+                assumed = data.draw(st.lists(literal, max_size=3))
+                outcome = session.solve(assumptions=assumed)
+                fresh = SatSolver(CnfInstance(n, held)).solve(assumptions=assumed)
+                assert outcome.status is fresh.status
+                if outcome.model is not None:
+                    check_model(CnfInstance(n, held + [[a] for a in assumed]), outcome.model)
+
+        answers_as_fresh(clauses[:cut])
+        session.add_clauses(clauses[cut:])
+        answers_as_fresh(clauses)
+
+    def test_a_clause_falsified_at_the_root_refutes_every_later_solve(self):
+        session = SatSolver(CnfInstance(3, [(1,), (2, 3)]))
+        assert session.solve(assumptions=[-2]).status is SolveStatus.SAT
+        session.add_clauses([(-1, 2), (-2,)])  # 2 at the root, then its negation
+        for assumed in ([], [3], [-3]):
+            assert session.solve(assumptions=assumed).status is SolveStatus.UNSAT
+        session = SatSolver(CnfInstance(2, [(1, 2)]))
+        session.add_clauses([()])
+        assert session.solve().status is SolveStatus.UNSAT
+
+    @pytest.mark.parametrize("bad", [(3,), (-3,), (1.5,), ("2",), (True,), (0,)])
+    def test_bad_literals_rejected(self, bad):
+        session = SatSolver(CnfInstance(2, [(1, 2)]))
+        with pytest.raises(ValueError):
+            session.add_clauses([(-1,), bad])
+        assert session.solve().status is SolveStatus.SAT  # -1 was not attached
+        assert session.solve(assumptions=[1, -2]).status is SolveStatus.SAT
+        with pytest.raises(ValueError):
+            CnfInstance(2, [bad])
+
+
 class TestCnfInstance:
     def test_normalizes_duplicates_and_tautologies(self):
         cnf = CnfInstance(3, [(1, 1, 2), (2, -2), (3,)])
