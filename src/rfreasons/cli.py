@@ -27,6 +27,7 @@ from .core import (
     dnf_to_forest,
     normalize,
 )
+from .encodings import implicant_test_cnf
 from .explain import (
     DEFAULT_SEED,
     DeltaProbableOracle,
@@ -40,7 +41,6 @@ from .explain import (
     lime_linear_reason,
     majoritary_reason,
     majoritary_reason_multi,
-    oracle_for_instance,
     sufficient_reason_rf,
 )
 from .models import InstanceFormatError
@@ -52,7 +52,7 @@ from .optimize import (
     minimal_sufficient_reason_dt,
     minimal_weight_majoritary_reason,
 )
-from .solver import Deadline
+from .solver import Deadline, SatSolver, SolveStatus
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -214,15 +214,22 @@ def _lime(r: Request) -> Reason:
 
 
 def _notion(name: str | None) -> Callable[[RandomForest, Reason], bool]:
-    """Validation by the named implicant notion; None takes the notion
-    the reason records, and its intelligible features when it has any."""
+    """Validation by the named implicant notion, checked on the
+    normalized model itself rather than through a search oracle; None
+    takes the notion the reason records, and its intelligible features
+    when it has any.  A majoritary reason must imply a majority of the
+    trees; a sufficient one must leave its restricted encoding
+    (implicant_test_cnf) unsatisfiable, at any tree count."""
 
     def accepts(forest: RandomForest, reason: Reason) -> bool:
         term = reason.term
-        allowed = reason.extras.get("intelligible", term.variables())
-        notion = name or reason.extras["notion"]
-        oracle = oracle_for_instance(forest, reason.instance, notion, under=term)
-        return term.variables() <= set(allowed) and oracle.accepts(term)
+        if not term.variables() <= set(reason.extras.get("intelligible", term.variables())):
+            return False
+        model = normalize(forest, reason.instance)
+        if (name or reason.extras["notion"]) == "majority":
+            return sum(t.implied_by(term) for t in model.trees) >= model.majority
+        outcome = SatSolver(implicant_test_cnf(model, term).cnf).solve()
+        return outcome.status is SolveStatus.UNSAT
 
     return accepts
 
@@ -379,11 +386,10 @@ def is_partial(reason: Reason) -> bool:
 
 
 def validate_reason(forest: RandomForest, reason: Reason) -> None:
-    """Re-check the output against its defining oracle, on an encoding
-    and solver of its own (for a sufficient reason, the encoding of its
-    extensions alone); a failure here means an encoding bug and is a
-    hard error.  Validation takes no deadline: it is a completion check
-    and always runs to the end (README says why)."""
+    """Re-check the output against the notion that defines it, sharing
+    nothing with the search (see _notion); a failure here means an
+    encoding bug and is a hard error.  Validation takes no deadline: it
+    is a completion check and always runs to the end (README says why)."""
     if not KIND_TABLE[reason.kind.value.replace("_", "-")].oracle(forest, reason):
         raise AssertionError(
             f"validation failed: {reason.kind.value} reason {reason.term} "

@@ -417,6 +417,8 @@ class RandomForest:
                 raise ModelFormatError(
                     f"{len(feature_names)} feature names for {n} variables"
                 )
+            if len(set(feature_names)) < n:
+                raise ModelFormatError("feature names must be distinct")
         object.__setattr__(self, "trees", trees)
         object.__setattr__(self, "feature_names", feature_names)
 

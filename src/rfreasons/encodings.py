@@ -90,16 +90,14 @@ class ImplicantCnf:
     Each selector guards the clausal form of one negated tree, and a
     cardinality constraint demands that more trees be falsified than the
     majority can spare, so H's models are exactly the counterexamples
-    extending t.  owners[i] is the index in forest.trees of the tree
-    selectors[i] guards: a tree t implies has none, so the two do not
-    pair by position.  Built without its path clauses, H is the frame
-    that ForestSatOracle completes clause by clause.
+    extending t.  A tree t implies has no selector; under the empty
+    term, selectors[i] guards forest.trees[i].  Built without its path
+    clauses, H is the frame that ForestSatOracle completes clause by
+    clause.
     """
 
     cnf: CnfInstance
-    feature_count: int
     selectors: tuple[int, ...]
-    owners: tuple[int, ...]
 
 
 def path_clause(selector: int, path: Sequence[int]) -> tuple[int, ...]:
@@ -127,19 +125,18 @@ def implicant_test_cnf(
     n = forest.var_count
     assign = term.to_array(n)
     alloc = VarAllocator(n)
-    selectors, owners = [], []
+    selectors = []
     clauses: list[tuple[int, ...]] = [(l,) for l in term]
-    for i, tree in enumerate(forest.trees):
+    for tree in forest.trees:
         reached = list(tree.paths(assign)) if paths or term else []
         if term and all(label for _, label in reached):
             continue
         y = alloc.fresh()
         selectors.append(y)
-        owners.append(i)
         if paths:
             clauses.extend(path_clause(y, lits) for lits, label in reached if label)
     clauses.extend(at_least(selectors, forest.tree_count - forest.majority + 1, alloc))
-    return ImplicantCnf(CnfInstance(alloc.top, clauses), n, tuple(selectors), tuple(owners))
+    return ImplicantCnf(CnfInstance(alloc.top, clauses), tuple(selectors))
 
 
 @dataclass(frozen=True)

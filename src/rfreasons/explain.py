@@ -110,38 +110,36 @@ class MajorityOracle(ImplicantOracle):
     """Implicant of strictly more than half the trees of a forest; on a
     one-tree forest, the exact implicant test of its tree.
 
-    accepts decides by full traversals (DecisionTree.implied_by), so a
-    validation never rests on the bookkeeping that follows.  At the
-    first drop after accepts, each tree the term implies records the
-    children it closes, grouped by variable (DecisionTree.explore); a
-    drop of v explores only v's group, and an accepted one adds the
-    children it closes.  This serves single orders; best_of_orders runs
-    many on masks.
+    accepts walks each tree once (DecisionTree.explore) and keeps, for
+    each tree the term implies, the children it closes, grouped by
+    variable; a drop of v explores only v's group, and an accepted one
+    adds the children it closes.  This serves single orders;
+    best_of_orders runs many on masks.
     """
 
     def __init__(self, forest: RandomForest):
         self.forest = forest
         self.var_count = forest.var_count
         self.majority = forest.majority
-        self._accepted = None  # the last accepted term and the trees it implies
         # tree index -> closed children by variable, for each tree the
-        # current term implies; None until the first drop after accepts
-        self._state = None
+        # last accepted term implies
+        self._state: dict[int, dict[int, list[int]]] = {}
 
     def accepts(self, term: Term) -> bool:
-        implied = [i for i, t in enumerate(self.forest.trees) if t.implied_by(term)]
-        if len(implied) < self.majority:
+        assign = term.to_array(self.var_count)
+        state = {}
+        for i, tree in enumerate(self.forest.trees):
+            closed = tree.explore((tree.root,), assign)
+            if closed is not None:
+                state[i] = closed
+        if len(state) < self.majority:
             return False
-        self._accepted, self._state = (term, implied), None
+        self._state = state
         return True
 
     def accepts_shrunk(self, assign: list[bool | None], var: int) -> bool:
         # dropping a literal never makes a tree implied: only live ones can break
         state, trees = self._state, self.forest.trees
-        if state is None:
-            term, implied = self._accepted
-            start = term.to_array(self.var_count)
-            state = self._state = {i: trees[i].explore((trees[i].root,), start) for i in implied}
         spare = len(state) - self.majority
         opened = {}
         for i in [i for i, closed in state.items() if var in closed]:
@@ -183,10 +181,9 @@ class ForestSatOracle(ImplicantOracle):
     those whose last walk tested the dropped variable: freeing a
     variable no reachable node tests leaves the tree implied.
 
-    The encoding is built at the first query, whole under a nonempty
-    term, which every query extends.  Under the empty term, the search's,
-    it is lazy (lazy clause generation: Ohrimenko, Stuckey & Codish,
-    Constraints 2009): selectors and counter first (paths=False), then,
+    The encoding is lazy (lazy clause generation: Ohrimenko, Stuckey &
+    Codish, Constraints 2009): the first query loads selectors and
+    counter (paths=False), one selector per tree in forest order; then,
     before each query and each once, the path clauses of the 1-paths its
     term leaves reachable in the trees it does not imply.  The others
     are satisfied under the query's assumptions, so every answer and
@@ -196,18 +193,12 @@ class ForestSatOracle(ImplicantOracle):
     at nodes testing v.  A tree the drop opens is walked from the root.
 
     Once the deadline has passed it rejects every query, since it never
-    accepts a term it has not proved, and sets timed_out.  Built under a
-    term, it encodes and decides only terms extending it (implicant_test_cnf);
-    a tree a nonempty such term implies has no selector, so a query on
-    that term itself, as in validation, assumes its literals alone.
+    accepts a term it has not proved, and sets timed_out.
     """
 
-    def __init__(
-        self, forest: RandomForest, deadline: Deadline | None = None, under: Term = Term()
-    ):
+    def __init__(self, forest: RandomForest, deadline: Deadline | None = None):
         self.forest = forest
         self.var_count = forest.var_count
-        self.under = under
         self.deadline = deadline
         self.encoding: ImplicantCnf | None = None  # built at the first query
         self.session: SatSolver | None = None
@@ -215,8 +206,8 @@ class ForestSatOracle(ImplicantOracle):
         self.counterexample: tuple[bool, ...] | None = None  # of the last refusal
         self._loaded: set[tuple[int, ...]] = set()  # the path clauses in the session
         # (selector, tree, closed children by variable, None before a walk)
-        # of the trees with a selector and of those the last accepted term
-        # implies; of those it leaves open, closed (child, path) pairs
+        # of every tree and of those the last accepted term implies; of
+        # those it leaves open, closed (child, path) pairs
         self._guarded = self._implied = self._open = []
 
     def accepts(self, term: Term) -> bool:
@@ -227,14 +218,11 @@ class ForestSatOracle(ImplicantOracle):
     def _query(self, assign: list[bool | None], dropped: int | None) -> bool:
         """The SAT call on the term assign.  dropped names the variable
         whose literal it lacks from the last accepted term, so only the
-        trees that term implies can be implied; None: walk every tree
-        with a selector."""
+        trees that term implies can be implied; None: walk every tree."""
         if self.session is None:
-            under = self.under  # whole under a nonempty term, lazy under the empty one
-            enc = self.encoding = implicant_test_cnf(self.forest, under, paths=bool(under))
+            enc = self.encoding = implicant_test_cnf(self.forest, Term(), paths=False)
             self.session = SatSolver(enc.cnf)
-            trees = self.forest.trees
-            self._guarded = [(y, trees[i], None) for y, i in zip(enc.selectors, enc.owners)]
+            self._guarded = [(y, tree, None) for y, tree in zip(enc.selectors, self.forest.trees)]
             dropped = None
         # the literals in ascending variable order, as Term.literals has them
         assumed = [v if b else -v for v, b in enumerate(assign) if b is not None]
@@ -242,10 +230,9 @@ class ForestSatOracle(ImplicantOracle):
         for y, tree, closed in self._guarded if dropped is None else self._implied:
             if closed is None or dropped in closed:
                 closed = tree.explore((tree.root,), assign)
-                if closed is None:
-                    if not self.under:  # the tree opens: all its reachable 1-paths
-                        start = ((tree.root, ()),)
-                        opened.append((y, tree, self._reach(y, tree, start, assign, clauses)))
+                if closed is None:  # the tree opens: all its reachable 1-paths
+                    start = ((tree.root, ()),)
+                    opened.append((y, tree, self._reach(y, tree, start, assign, clauses)))
                     continue
             assumed.append(-y)
             implied.append((y, tree, closed))
@@ -346,18 +333,17 @@ def oracle_for_instance(
     x: Instance,
     notion: str = "majority",
     deadline: Deadline | None = None,
-    under: Term = Term(),
 ) -> ImplicantOracle:
-    """The oracle of the implicant notion "majority" or "sufficient"
-    (exact) on the polarity-normalized forest.  A one-tree forest has
-    majority 1, so its exact test is the majority oracle's traversal;
-    otherwise it takes SAT calls, the only ones the deadline reaches,
-    on an encoding restricted to the extensions of under."""
+    """The search oracle of the implicant notion "majority" or
+    "sufficient" (exact) on the polarity-normalized forest.  A one-tree
+    forest has majority 1, so its exact test is the majority oracle's
+    traversal; otherwise it takes SAT calls, the only ones the deadline
+    reaches."""
     if notion not in ("majority", "sufficient"):
         raise ValueError(f"unknown implicant notion {notion!r}")
     forest = normalize(forest, x)
     if notion == "sufficient" and forest.tree_count > 1:
-        return ForestSatOracle(forest, deadline, under)
+        return ForestSatOracle(forest, deadline)
     return MajorityOracle(forest)
 
 

@@ -325,6 +325,19 @@ class TestExplain:
         )
         assert code == 1 and "out of range" in err
 
+    def test_duplicate_feature_names_are_an_error(self, capsys, tmp_path):
+        # a repeated name would resolve to its first feature in every flag
+        path = tmp_path / "twins.json"
+        path.write_text(
+            '{"format": "rfreasons-forest", "format_version": 1, "var_count": 2,'
+            ' "feature_names": ["a", "a"],'
+            ' "trees": [{"var": 2, "low": {"leaf": 0}, "high": {"leaf": 1}}]}'
+        )
+        code, out, err = run(
+            capsys, "explain", str(path), "11", "--kind", "comprehensible", "--intelligible", "a"
+        )
+        assert code == 1 and out == "" and "distinct" in err
+
     def test_sufficient_timeout_zero_gives_partial(self, capsys, model_file):
         code, out, _ = run(
             capsys, "explain", model_file, "1111",

@@ -191,13 +191,12 @@ def test_refused_drop_leaves_no_trace():
 
 
 
-def test_start_state_is_built_on_the_first_drop(monkeypatch):
-    # accepts alone traverses each tree once (implied_by); the start state
-    # waits for the first drop and then serves every later drop
+def test_accepts_walks_each_tree_once_and_drops_never_from_the_root(monkeypatch):
+    # accepts walks each tree once from the root and keeps the groups of
+    # the trees the term implies; the drops after it start from those
     x = (1, 0, 1, 1, 0, 0, 1, 0)
     forest = normalize(random_forest(random.Random(11), 8, 5, 5, leaf_chance=0.2), x)
     full = Term.of_instance(x)
-    implied = sum(t.implied_by(full) for t in forest.trees)
     from_root = []
     explore = DecisionTree.explore
     monkeypatch.setattr(
@@ -207,12 +206,15 @@ def test_start_state_is_built_on_the_first_drop(monkeypatch):
     )
     oracle = MajorityOracle(forest)
     assert oracle.accepts(full)
-    assert from_root.count(True) == forest.tree_count
-    assign = full.to_array(8)
+    assert from_root == [True] * forest.tree_count
+    assign, kept = full.to_array(8), 0
     for var in (1, 2, 3):
         value, assign[var] = assign[var], None
-        if not oracle.accepts_shrunk(assign, var):
+        if oracle.accepts_shrunk(assign, var):
+            kept += 1
+        else:
             assign[var] = value
-    assert from_root.count(True) == forest.tree_count + implied
-    assert oracle.accepts(full)  # a check with no drop after it
-    assert from_root.count(True) == 2 * forest.tree_count + implied
+    assert kept and len(from_root) > forest.tree_count
+    assert from_root.count(True) == forest.tree_count
+    assert oracle.accepts(full)  # a fresh check walks every tree again
+    assert from_root.count(True) == 2 * forest.tree_count

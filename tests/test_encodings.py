@@ -99,8 +99,7 @@ class TestWeightedBound:
 class TestImplicantCnf:
     def test_golden_structure(self, orchid):
         enc = implicant_test_cnf(orchid)
-        assert enc.feature_count == 4
-        assert enc.selectors == (5, 6, 7) and enc.owners == (0, 1, 2)
+        assert enc.selectors == (5, 6, 7)
         assert enc.cnf.var_count > 7  # cardinality registers beyond selectors
 
     def test_golden_queries(self, orchid):
@@ -165,15 +164,15 @@ def restricted_cases(draw):
     return normalize(forest, x), Term.of_instance(x).restrict_to(keep)
 
 
-def counterexamples(enc: ImplicantCnf) -> set[tuple[int, ...]]:
-    """Every model of the encoding, restricted to the features: each
-    model found blocks its features in the next solver's CNF."""
+def counterexamples(forest: RandomForest, enc: ImplicantCnf) -> set[tuple[int, ...]]:
+    """Every model of the forest's encoding, restricted to the features:
+    each model found blocks its features in the next solver's CNF."""
     clauses, found = list(enc.cnf.clauses), set()
     while True:
         outcome = SatSolver(CnfInstance(enc.cnf.var_count, clauses)).solve()
         if outcome.status is not SolveStatus.SAT:
             return found
-        z = tuple(int(b) for b in outcome.model[: enc.feature_count])
+        z = tuple(int(b) for b in outcome.model[: forest.var_count])
         found.add(z)
         clauses.append([-v if b else v for v, b in enumerate(z, 1)])
 
@@ -200,25 +199,17 @@ class TestRestrictedImplicantCnf:
             for z in itertools.product((0, 1), repeat=forest.var_count)
             if term.covers(z) and forest.evaluate(z) == 0
         }
-        assert counterexamples(implicant_test_cnf(forest, term)) == expected
-
-    @settings(max_examples=100, deadline=None, database=None)
-    @given(restricted_cases())
-    def test_owners_name_the_trees_the_term_leaves_open(self, case):
-        # a tree the term implies gets no selector, so selectors and trees
-        # do not pair by position
-        forest, term = case
-        enc = implicant_test_cnf(forest, term)
-        open_trees = [i for i, t in enumerate(forest.trees) if not (term and t.implied_by(term))]
-        assert enc.owners == tuple(open_trees) and len(enc.selectors) == len(enc.owners)
+        assert counterexamples(forest, implicant_test_cnf(forest, term)) == expected
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(restricted_cases())
     def test_the_frame_is_the_encoding_less_its_path_clauses(self, case):
-        # a path clause is the one kind that negates a selector
+        # a path clause is the one kind that negates a selector, and a tree
+        # a nonempty term implies gets none
         forest, term = case
         full, frame = implicant_test_cnf(forest, term), implicant_test_cnf(forest, term, paths=False)
-        assert (frame.selectors, frame.owners) == (full.selectors, full.owners)
+        open_trees = [t for t in forest.trees if not (term and t.implied_by(term))]
+        assert frame.selectors == full.selectors and len(full.selectors) == len(open_trees)
         negated = {-y for y in full.selectors}
         assert frame.cnf == CnfInstance(
             full.cnf.var_count, [c for c in full.cnf.clauses if not negated & set(c)]
@@ -243,7 +234,7 @@ class TestRestrictedImplicantCnf:
         term = Term.of_instance(X_NEG)
         assert orchid.evaluate(X_NEG) == 0
         enc = implicant_test_cnf(orchid, term)
-        assert counterexamples(enc) == {X_NEG}
+        assert counterexamples(orchid, enc) == {X_NEG}
         assert enc.cnf.clause_count < implicant_test_cnf(orchid).cnf.clause_count
 
 

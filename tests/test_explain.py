@@ -27,7 +27,7 @@ from rfreasons.explain import (
     oracle_for_instance,
     sufficient_reason_rf,
 )
-from rfreasons.cli import parity_fixture
+from rfreasons.cli import _EXACT, parity_fixture
 from rfreasons.encodings import implicant_test_cnf, path_clause
 from rfreasons.solver import Deadline, SatSolver
 
@@ -347,27 +347,25 @@ class TestModelRotation:
 
 @st.composite
 def oracle_cases(draw):
-    """(normalized forest, x, under, start, order): 2 to 8 trees over at
-    most 7 variables, x of either class, so an even forest is padded with
-    a constant tree when x is negative; under and start are subterms of
-    t_x, start extending under, and order a permutation of the variables."""
+    """(normalized forest, x, start, order): 2 to 8 trees over at most 7
+    variables, x of either class, so an even forest is padded with a
+    constant tree when x is negative; start is a subterm of t_x, and
+    order a permutation of the variables."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 7))
     forest = random_forest(rng, n, draw(st.integers(2, 8)), draw(st.integers(1, 5)), 0.15)
     x = random_instance(rng, n)
-    full = Term.of_instance(x)
-    under = Term(l for l in full if rng.random() < 0.3)
-    start = Term(l for l in full if l in under.literals or rng.random() < 0.6)
+    start = Term(l for l in Term.of_instance(x) if rng.random() < 0.6)
     order = tuple(draw(st.permutations(range(1, n + 1))))
-    return normalize(forest, x), x, under, start, order
+    return normalize(forest, x), x, start, order
 
 
-def drop_walk(oracle, model, term: Term, order, keep: Term = Term()) -> None:
+def drop_walk(oracle, model, term: Term, order) -> None:
     """Greedy drops from term, an accepted term, in order, each checked
-    against the truth table; the literals of keep stay."""
+    against the truth table."""
     assign = term.to_array(model.var_count)
     for var in order:
-        if assign[var] is None or var in keep.variables():
+        if assign[var] is None:
             continue
         value, assign[var] = assign[var], None
         expected = brute.is_implicant_bruteforce(model, Term.from_array(assign))
@@ -383,7 +381,7 @@ class TestImpliedTreeAssumptions:
     @settings(max_examples=150, deadline=None, database=None)
     @given(oracle_cases())
     def test_accepts_and_shrunk_queries_agree_with_brute_force(self, case):
-        model, x, _, start, order = case
+        model, x, start, order = case
         oracle = ForestSatOracle(model)
         # one session answers the fresh queries, then a greedy walk
         assert oracle.accepts(start) == brute.is_implicant_bruteforce(model, start)
@@ -392,19 +390,9 @@ class TestImpliedTreeAssumptions:
         if oracle.accepts(start):
             drop_walk(oracle, model, start, order[::-1])
 
-    @settings(max_examples=150, deadline=None, database=None)
-    @given(oracle_cases())
-    def test_an_oracle_under_a_term_agrees_on_its_extensions(self, case):
-        model, x, under, start, order = case
-        oracle = ForestSatOracle(model, under=under)
-        assert oracle.accepts(under) == brute.is_implicant_bruteforce(model, under)
-        assert oracle.accepts(start) == brute.is_implicant_bruteforce(model, start)
-        assert oracle.accepts(Term.of_instance(x))
-        drop_walk(oracle, model, Term.of_instance(x), order, keep=under)
-
     def test_validation_assumes_the_term_alone(self, monkeypatch):
-        # under the term itself, every tree with a selector is one the term
-        # leaves open, so the query is the term's literals and nothing else
+        # validation encodes the term's extensions alone, the term as unit
+        # clauses, and solves once without assumptions
         forest = random_forest(random.Random(1), 40, 25, 8, 0.1)
         x = random_instance(random.Random(2), 40)
         model = normalize(forest, x)
@@ -417,13 +405,14 @@ class TestImpliedTreeAssumptions:
             return solve(self, assumptions, deadline)
 
         monkeypatch.setattr(SatSolver, "solve", recording)
-        assert ForestSatOracle(model, under=term).accepts(term)
-        assert assumed == [term.literals]
-        # the search's oracle assumes the trees the term implies besides
+        assert _EXACT(forest, Reason(term, ReasonKind.SUFFICIENT, x))
+        assert assumed == [()]
+        # the search's oracle assumes the term's literals, then the trees
+        # the term implies; a selector per tree, in forest order
         search = ForestSatOracle(model)
         assert search.accepts(term)
         enc = search.encoding
-        implied = [y for y, i in zip(enc.selectors, enc.owners) if model.trees[i].implied_by(term)]
+        implied = [y for y, t in zip(enc.selectors, model.trees) if t.implied_by(term)]
         assert implied and assumed[1] == term.literals + tuple(-y for y in implied)
 
     def test_shrunk_queries_assume_the_term_in_variable_order(self, monkeypatch):
@@ -454,8 +443,8 @@ class TestImpliedTreeAssumptions:
                 assign[var] = value
             if len(assumed) > calls:
                 queried += 1
-                implied = zip(enc.selectors, enc.owners)
-                selectors = tuple(-y for y, i in implied if model.trees[i].implied_by(term))
+                implied = zip(enc.selectors, model.trees)
+                selectors = tuple(-y for y, t in implied if t.implied_by(term))
                 assert assumed[-1] == term.literals + selectors
         assert queried >= 3
 
@@ -466,61 +455,54 @@ class TestLazyEncoding:
     reachable in the trees it does not imply, which includes a tree the
     query's drop opens and the paths below the children it opens in a
     tree already open.  Each is loaded once and is a clause of the full
-    encoding; an oracle under a term loads its whole encoding at once."""
+    encoding."""
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(oracle_cases(), st.data())
     def test_each_query_holds_the_clauses_it_needs(self, case, data):
-        model, x, under, start, order = case
+        model, x, start, order = case
         n = model.var_count
         values = st.lists(st.sampled_from([None, False, True]), min_size=n, max_size=n)
-        for base in (Term(), under):
-            oracle = ForestSatOracle(model, under=base)
-            full = set(implicant_test_cnf(model, base).cnf.clauses)
-            fixed = base.variables()
-            added: list[tuple[int, ...]] = []
-            add_clauses, solve = SatSolver.add_clauses, SatSolver.solve
+        oracle = ForestSatOracle(model)
+        full = set(implicant_test_cnf(model).cnf.clauses)
+        added: list[tuple[int, ...]] = []
+        add_clauses, solve = SatSolver.add_clauses, SatSolver.solve
 
-            def adding(solver, clauses):
-                clauses = [tuple(c) for c in clauses]
-                added.extend(clauses)
-                add_clauses(solver, clauses)
+        def adding(solver, clauses):
+            clauses = [tuple(c) for c in clauses]
+            added.extend(clauses)
+            add_clauses(solver, clauses)
 
-            def solving(solver, assumptions=(), deadline=None):
-                # the query's term is its assumed feature literals
-                term = Term(l for l in assumptions if abs(l) <= n)
-                assign = term.to_array(n)
-                frame = set(oracle.encoding.cnf.clauses)
-                loaded = frame | set(added)
-                assert loaded <= full
-                assert len(set(added)) == len(added) and not frame & set(added)
-                enc = oracle.encoding
-                for y, i in zip(enc.selectors, enc.owners):
-                    if model.trees[i].implied_by(term):
-                        continue
-                    for lits, label in model.trees[i].paths():
-                        if label and all(assign[abs(l)] in (None, l > 0) for l in lits):
-                            free = [l for l in lits if abs(l) not in fixed]
-                            assert path_clause(y, free) in loaded
-                return solve(solver, assumptions, deadline)
+        def solving(solver, assumptions=(), deadline=None):
+            # the query's term is its assumed feature literals
+            term = Term(l for l in assumptions if abs(l) <= n)
+            assign = term.to_array(n)
+            frame = set(oracle.encoding.cnf.clauses)
+            loaded = frame | set(added)
+            assert loaded <= full
+            assert len(set(added)) == len(added) and not frame & set(added)
+            for y, tree in zip(oracle.encoding.selectors, model.trees):
+                if tree.implied_by(term):
+                    continue
+                for lits, label in tree.paths():
+                    if label and all(assign[abs(l)] in (None, l > 0) for l in lits):
+                        assert path_clause(y, lits) in loaded
+            return solve(solver, assumptions, deadline)
 
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(SatSolver, "add_clauses", adding)
-                mp.setattr(SatSolver, "solve", solving)
-                for _ in range(2):
-                    # a fresh query on an arbitrary term extending base
-                    drawn = Term.from_array([None, *data.draw(values)]).literals
-                    term = Term([*base, *(l for l in drawn if abs(l) not in fixed)])
-                    accepted = oracle.accepts(term)
-                    assert accepted == brute.is_implicant_bruteforce(model, term)
-                    if accepted:
-                        drop_walk(oracle, model, term, order[::-1], keep=base)
-                assert oracle.accepts(Term.of_instance(x))
-                drop_walk(oracle, model, Term.of_instance(x), order, keep=base)
-                if oracle.accepts(start):
-                    drop_walk(oracle, model, start, order, keep=base)
-            if base:
-                assert not added  # whole from the first query
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SatSolver, "add_clauses", adding)
+            mp.setattr(SatSolver, "solve", solving)
+            for _ in range(2):
+                # a fresh query on an arbitrary term
+                term = Term.from_array([None, *data.draw(values)])
+                accepted = oracle.accepts(term)
+                assert accepted == brute.is_implicant_bruteforce(model, term)
+                if accepted:
+                    drop_walk(oracle, model, term, order[::-1])
+            assert oracle.accepts(Term.of_instance(x))
+            drop_walk(oracle, model, Term.of_instance(x), order)
+            if oracle.accepts(start):
+                drop_walk(oracle, model, start, order)
 
 
 @st.composite

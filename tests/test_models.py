@@ -94,6 +94,10 @@ class TestModelFiles:
         dump_forest(forest, str(path))
         assert load_forest(str(path)).feature_names == ("fragrant", "sympodial")
 
+    def test_duplicate_feature_names_refused(self):
+        with pytest.raises(ModelFormatError, match="distinct"):
+            RandomForest([DecisionTree.leaf(1, 2)], ["a", "a"])
+
     def test_read_once_enforced_on_load(self):
         doc = {
             "format": "rfreasons-forest",

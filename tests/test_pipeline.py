@@ -22,7 +22,7 @@ from rfreasons.cli import (
     is_partial,
     validate_reason,
 )
-from rfreasons import explain
+from rfreasons import cli, explain
 from rfreasons.core import RandomForest, Term, cnf_to_forest, normalize
 from rfreasons.encodings import implicant_test_cnf
 from rfreasons.explain import ReasonKind
@@ -106,18 +106,22 @@ def test_sufficient_validation_encodes_the_forest_anew(monkeypatch, x):
     # its queries complete), the validation the reason's extensions, whole
     builds = []
 
-    def build(f, *args, **kwargs):
-        builds.append((f, args, kwargs))
-        return implicant_test_cnf(f, *args, **kwargs)
+    def spy(where):
+        def build(f, *args, **kwargs):
+            builds.append((where, f, args, kwargs))
+            return implicant_test_cnf(f, *args, **kwargs)
 
-    monkeypatch.setattr(explain, "implicant_test_cnf", build)
+        return build
+
+    monkeypatch.setattr(explain, "implicant_test_cnf", spy("search"))
+    monkeypatch.setattr(cli, "implicant_test_cnf", spy("validation"))
     forest = RandomForest(orchid_trees())
     reason = compute_reason(forest, x, ExplainSettings(kind="sufficient"))
     assert len(builds) == 1
     validate_reason(forest, reason)
-    assert len(builds) == 2 and builds[0][0] == builds[1][0]
-    assert builds[0][1:] == ((Term(),), {"paths": False})
-    assert builds[1][1:] == ((reason.term,), {"paths": True})
+    assert len(builds) == 2 and builds[0][1] == builds[1][1]
+    assert builds[0][0] == "search" and builds[0][2:] == ((Term(),), {"paths": False})
+    assert builds[1][0] == "validation" and builds[1][2:] == ((reason.term,), {})
 
 
 def test_sufficient_validation_refuses_a_reason_of_another_forest():
@@ -196,3 +200,21 @@ def test_validation_proves_sufficient_reasons_prime(drawn):
         shorter = replace(reason, term=Term(l for l in reason.term if l != lit))
         assert not brute.is_implicant_bruteforce(normalize(forest, x), shorter.term)
         assert not _EXACT(forest, shorter)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_forests())
+def test_validation_decides_every_subterm_of_t_x(drawn):
+    # validation checks the notion itself, one-tree forests included: the
+    # sufficient check is the truth table's verdict, the majoritary one a
+    # count of the trees whose truth tables the term implies
+    forest, x = drawn
+    model = normalize(forest, x)
+    full = Term.of_instance(x)
+    sufficient, majoritary = KIND_TABLE["sufficient"].oracle, KIND_TABLE["majoritary"].oracle
+    for keep in range(1 << len(full)):
+        term = Term(l for i, l in enumerate(full) if keep >> i & 1)
+        reason = explain.Reason(term, ReasonKind.SUFFICIENT, x)
+        assert sufficient(forest, reason) == brute.is_implicant_bruteforce(model, term)
+        implied = sum(brute.is_implicant_bruteforce(t, term) for t in model.trees)
+        assert majoritary(forest, reason) == (implied >= model.majority)
