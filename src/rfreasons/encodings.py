@@ -2,13 +2,16 @@
 
 One sequential weighted counter (Sinz, CP 2005) states every count in
 the engine.  It introduces register variables s[i][j] meaning "the
-weighted prefix sum of the first i inputs reaches j"; an at-least-k
+weighted prefix sum of the first i inputs reaches j", banded like the
+constraint's BDD (Eén & Sörensson, JSAT 2006) to the sums the prefix
+can reach and from which the rest can still overflow; an at-least-k
 bound over selectors is an at-most bound over their negations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .core import RandomForest, Term
@@ -33,42 +36,47 @@ def weighted_at_most(
 
     One-directional sequential weighted counter: enough to refute any
     assignment exceeding the bound while every assignment within the
-    bound extends to the registers.  Each literal is checked like a
+    bound extends to the registers, with the counter's full propagation
+    strength.  Register s[i][j] ("the inputs up to item i weigh at least
+    j") exists only where the weights up to item i can reach j and a
+    clause of the next row reads it: the reachable BDD nodes that can
+    still reach the bound.  An input heavier than the bound gets a unit
+    clause and adds to no register.  Each literal is checked like a
     clause literal, and each weight must be a positive int.
     """
     for lit, w in items:
         check_literal(lit)
         if type(w) is not int or w < 1:
             raise ValueError(f"a weight is a positive int, got {w!r}")
-    clauses: list[tuple[int, ...]] = []
     if bound < 0:
         return [()]
-    total = sum(w for _, w in items)
-    if total <= bound:
-        return []
-    if bound == 0:
-        return [(-l,) for l, _ in items]
+    weights = [w if w <= bound else 0 for _, w in items]
+    prefix = list(accumulate(weights))
+    live = [0] * len(items)  # bit j of live[i]: a clause of row i + 1 reads s[i][j]
+    for i in range(len(items) - 1, 0, -1):
+        w, later = weights[i], live[i]
+        reach = (2 << min(prefix[i - 1], bound)) - 2  # bits 1 .. the sums row i - 1 can reach
+        live[i - 1] = (later | later >> w | 1 << bound + 1 - w) & reach
+    s = [[alloc.fresh() if row >> j & 1 else 0 for j in range(bound + 1)] for row in live]
 
-    n = len(items)
-    s = [[alloc.fresh() for _ in range(bound)] for _ in range(n)]
-
-    for i in range(n):
-        lit, w = items[i]
-        if i > 0:  # prefix sums only grow
-            for j in range(1, bound + 1):
-                clauses.append((-s[i - 1][j - 1], s[i][j - 1]))
+    clauses: list[tuple[int, ...]] = []
+    prev = [0] * (bound + 1)  # 0: no register
+    for (lit, w), row in zip(items, s):
+        for j in range(1, bound + 1):  # prefix sums only grow
+            if prev[j] and row[j]:
+                clauses.append((-prev[j], row[j]))
         if w > bound:
             clauses.append((-lit,))
-            continue
-        for j in range(1, min(w, bound) + 1):
-            clauses.append((-lit, s[i][j - 1]))
-        if i > 0:
-            for j in range(1, bound + 1):
-                if j + w <= bound:
-                    clauses.append((-s[i - 1][j - 1], -lit, s[i][j + w - 1]))
-            overflow = bound + 1 - w
-            if 1 <= overflow <= bound:
-                clauses.append((-s[i - 1][overflow - 1], -lit))
+        else:
+            for j in range(1, w + 1):
+                if row[j]:
+                    clauses.append((-lit, row[j]))
+            for j in range(1, bound + 1 - w):
+                if prev[j] and row[j + w]:
+                    clauses.append((-prev[j], -lit, row[j + w]))
+            if prev[bound + 1 - w]:
+                clauses.append((-prev[bound + 1 - w], -lit))
+        prev = row
     return clauses
 
 

@@ -95,6 +95,70 @@ class TestWeightedBound:
         with pytest.raises(ValueError):
             weighted_at_most(items, bound, VarAllocator(2))
 
+    @staticmethod
+    def _random_case(rng):
+        q = rng.randint(1, 10)
+        items = [((i + 1) * rng.choice((1, -1)), rng.randint(1, 6)) for i in range(q)]
+        return q, items, rng.randint(0, sum(w for _, w in items) + 1)
+
+    def test_every_register_is_both_set_and_read(self):
+        # a register that occurs with one sign only is dead: it can never
+        # be set, or it never leads to an overflow
+        rng = random.Random(303)
+        for _ in range(400):
+            q, items, bound = self._random_case(rng)
+            alloc = VarAllocator(q)
+            clauses = weighted_at_most(items, bound, alloc)
+            signs = {(abs(l), l > 0) for c in clauses for l in c if abs(l) > q}
+            for v in range(q + 1, alloc.top + 1):
+                assert (v, True) in signs and (v, False) in signs, (items, bound, v)
+
+    def test_majority_counter_size(self):
+        # 25 selectors, at least 13 true: of the full counter's 25 x 12
+        # registers, 156 can be set and can still reach the bound
+        alloc = VarAllocator(25)
+        at_least(range(1, 26), 13, alloc)
+        assert alloc.top - 25 == 156
+
+    def test_unit_propagation_refutes_every_input_that_would_overflow(self):
+        rng = random.Random(304)
+        forced = 0
+        for _ in range(400):
+            q, items, bound = self._random_case(rng)
+            alloc = VarAllocator(q)
+            clauses = weighted_at_most(items, bound, alloc)
+            true, weight = [], 0
+            for lit, w in rng.sample(items, rng.randint(0, q)):
+                if weight + w <= bound:
+                    true.append(lit)
+                    weight += w
+            value = unit_propagate(clauses + [(l,) for l in true])
+            assert value is not None, (items, bound, true)
+            for lit, w in items:
+                if lit not in true and w > bound - weight:
+                    assert value.get(abs(lit)) == (lit < 0), (items, bound, true, lit)
+                    forced += 1
+        assert forced > 500  # the premise held often enough to matter
+
+
+def unit_propagate(clauses):
+    """The root assignment that unit propagation derives from clauses,
+    as {var: bool}, or None on a conflict."""
+    value: dict[int, bool] = {}
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            if any(value.get(abs(l)) == (l > 0) for l in clause):
+                continue
+            free = [l for l in clause if abs(l) not in value]
+            if not free:
+                return None
+            if len(free) == 1:
+                value[abs(free[0])] = free[0] > 0
+                changed = True
+    return value
+
 
 class TestImplicantCnf:
     def test_golden_structure(self, orchid):

@@ -44,9 +44,10 @@ def test_table_covers_every_kind_and_label():
 
 
 def test_timeout_bounds_the_whole_request():
-    # about 0.2 s of SAT calls without a deadline; the implicant encoding
-    # alone takes about 0.03 s
-    forest = random_forest(random.Random(1), 100, 31, 6, 0.1)
+    # without a deadline the search takes about 0.3 s, over ten times the
+    # budget, so the deadline and not the search's end must stop it; with
+    # the budget the request takes about 0.03 s
+    forest = random_forest(random.Random(1), 100, 81, 8, 0.1)
     x = random_instance(random.Random(2), 100)
     budget, slack = 0.02, 0.1
     start = time.perf_counter()
