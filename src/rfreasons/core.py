@@ -321,21 +321,25 @@ class DecisionTree:
         return closed
 
     def reach(self, starts: Iterable[tuple[int, tuple[int, ...]]], assign: Sequence[bool | None]):
-        """explore with paths: walk the subtrees at (node index, literals
-        from the root to it) pairs under a partial assignment in
-        Term.to_array form.  Returns the literals of each path to a
-        1-leaf reached and the children the assignment closes, each with
-        its path, grouped by the fixed variable their parent tests."""
+        """explore with paths and no early stop: walk the subtrees at
+        (node index, literals from the root to it) pairs under a partial
+        assignment in Term.to_array form.  Returns the literals of each
+        path to a 1-leaf reached, the children the assignment closes,
+        each with its path, grouped by the fixed variable their parent
+        tests, and whether a 0-leaf is reachable."""
         nodes = self.nodes
         stack = list(starts)
         ones: list[tuple[int, ...]] = []
         closed: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        zero = False
         while stack:
             i, path = stack.pop()
             var, lo, hi = nodes[i]
             if var == 0:
                 if lo:
                     ones.append(path)
+                else:
+                    zero = True
                 continue
             fixed = assign[var]
             if fixed is None:
@@ -347,7 +351,7 @@ class DecisionTree:
             else:
                 stack.append((lo, path + (-var,)))
                 closed.setdefault(var, []).append((hi, path + (var,)))
-        return ones, closed
+        return ones, closed, zero
 
     def count_models(self, term: Term = Term()) -> int:
         """Exact number of assignments extending term that reach a 1-leaf:

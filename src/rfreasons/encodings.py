@@ -40,9 +40,9 @@ def weighted_at_most(
     strength.  Register s[i][j] ("the inputs up to item i weigh at least
     j") exists only where the weights up to item i can reach j and a
     clause of the next row reads it: the reachable BDD nodes that can
-    still reach the bound.  An input heavier than the bound gets a unit
-    clause and adds to no register.  Each literal is checked like a
-    clause literal, and each weight must be a positive int.
+    still reach the bound.  An input heavier than the bound gets only
+    its unit clause, ahead of the counter, and no row.  Each literal is
+    checked like a clause literal, and each weight must be a positive int.
     """
     for lit, w in items:
         check_literal(lit)
@@ -50,7 +50,9 @@ def weighted_at_most(
             raise ValueError(f"a weight is a positive int, got {w!r}")
     if bound < 0:
         return [()]
-    weights = [w if w <= bound else 0 for _, w in items]
+    clauses: list[tuple[int, ...]] = [(-lit,) for lit, w in items if w > bound]
+    items = [(lit, w) for lit, w in items if w <= bound]
+    weights = [w for _, w in items]
     prefix = list(accumulate(weights))
     live = [0] * len(items)  # bit j of live[i]: a clause of row i + 1 reads s[i][j]
     for i in range(len(items) - 1, 0, -1):
@@ -59,23 +61,19 @@ def weighted_at_most(
         live[i - 1] = (later | later >> w | 1 << bound + 1 - w) & reach
     s = [[alloc.fresh() if row >> j & 1 else 0 for j in range(bound + 1)] for row in live]
 
-    clauses: list[tuple[int, ...]] = []
     prev = [0] * (bound + 1)  # 0: no register
     for (lit, w), row in zip(items, s):
         for j in range(1, bound + 1):  # prefix sums only grow
             if prev[j] and row[j]:
                 clauses.append((-prev[j], row[j]))
-        if w > bound:
-            clauses.append((-lit,))
-        else:
-            for j in range(1, w + 1):
-                if row[j]:
-                    clauses.append((-lit, row[j]))
-            for j in range(1, bound + 1 - w):
-                if prev[j] and row[j + w]:
-                    clauses.append((-prev[j], -lit, row[j + w]))
-            if prev[bound + 1 - w]:
-                clauses.append((-prev[bound + 1 - w], -lit))
+        for j in range(1, w + 1):
+            if row[j]:
+                clauses.append((-lit, row[j]))
+        for j in range(1, bound + 1 - w):
+            if prev[j] and row[j + w]:
+                clauses.append((-prev[j], -lit, row[j + w]))
+        if prev[bound + 1 - w]:
+            clauses.append((-prev[bound + 1 - w], -lit))
         prev = row
     return clauses
 

@@ -170,16 +170,11 @@ class ForestSatOracle(ImplicantOracle):
     subterm keeping it, so the answers are those of plain deletion.
 
     Each SAT call assumes the term's literals, then the negated selector
-    of every tree the term implies, found by traversal
-    (DecisionTree.explore).  No extension of the term falsifies such a
-    tree, so these assumptions remove no model and leave every answer as
-    it was; they spare the search the work of finding that out, and the
-    counter forces the remaining selectors by unit propagation.  A tree
-    the last accepted term does not imply is implied by none of its
-    subterms, so a query dropping one literal of that term tests for
-    implication only the trees that term implies, and of these only
-    those whose last walk tested the dropped variable: freeing a
-    variable no reachable node tests leaves the tree implied.
+    of every tree the term implies, found by traversal.  No extension of
+    the term falsifies such a tree, so these assumptions remove no model
+    and leave every answer as it was; they spare the search the work of
+    finding that out, and the counter forces the remaining selectors by
+    unit propagation.
 
     The encoding is lazy (lazy clause generation: Ohrimenko, Stuckey &
     Codish, Constraints 2009): the first query loads selectors and
@@ -187,10 +182,15 @@ class ForestSatOracle(ImplicantOracle):
     before each query and each once, the path clauses of the 1-paths its
     term leaves reachable in the trees it does not imply.  The others
     are satisfied under the query's assumptions, so every answer and
-    learnt clause is the full encoding's.  A tree open under the last
-    accepted term keeps the children that term closes, with their paths
-    (DecisionTree.reach): a drop of v adds the 1-paths below those closed
-    at nodes testing v.  A tree the drop opens is walked from the root.
+    learnt clause is the full encoding's.
+
+    One walk (DecisionTree.reach) per tree serves both: a fresh accepts
+    walks each tree from its root, and the oracle keeps, per tree, the
+    children the last accepted term closes, with their paths, and while
+    that term implies the tree, the 1-paths it reached.  A drop of v
+    walks only the children closed at nodes testing v, since freeing a
+    variable no reachable node tests changes nothing; a tree it opens
+    loads its stored 1-paths and the new ones.
 
     Once the deadline has passed it rejects every query, since it never
     accepts a term it has not proved, and sets timed_out.
@@ -205,10 +205,10 @@ class ForestSatOracle(ImplicantOracle):
         self.necessary: set[int] = set()  # variables the current term must keep
         self.counterexample: tuple[bool, ...] | None = None  # of the last refusal
         self._loaded: set[tuple[int, ...]] = set()  # the path clauses in the session
-        # (selector, tree, closed children by variable, None before a walk)
-        # of every tree and of those the last accepted term implies; of
-        # those it leaves open, closed (child, path) pairs
-        self._guarded = self._implied = self._open = []
+        # per tree under the last accepted term: (selector, tree, closed
+        # (child, path) groups by variable, the 1-paths reached while the
+        # term implies the tree, None once it does not)
+        self._states: list = []
 
     def accepts(self, term: Term) -> bool:
         """One SAT call on any term, which starts afresh."""
@@ -217,32 +217,38 @@ class ForestSatOracle(ImplicantOracle):
 
     def _query(self, assign: list[bool | None], dropped: int | None) -> bool:
         """The SAT call on the term assign.  dropped names the variable
-        whose literal it lacks from the last accepted term, so only the
-        trees that term implies can be implied; None: walk every tree."""
+        whose literal it lacks from the last accepted term; None: walk
+        every tree from its root."""
         if self.session is None:
             enc = self.encoding = implicant_test_cnf(self.forest, Term(), paths=False)
             self.session = SatSolver(enc.cnf)
-            self._guarded = [(y, tree, None) for y, tree in zip(enc.selectors, self.forest.trees)]
+            self._states = [(y, t, {}, None) for y, t in zip(enc.selectors, self.forest.trees)]
             dropped = None
         # the literals in ascending variable order, as Term.literals has them
         assumed = [v if b else -v for v, b in enumerate(assign) if b is not None]
-        implied, opened, clauses = [], [], []
-        for y, tree, closed in self._guarded if dropped is None else self._implied:
-            if closed is None or dropped in closed:
-                closed = tree.explore((tree.root,), assign)
-                if closed is None:  # the tree opens: all its reachable 1-paths
-                    start = ((tree.root, ()),)
-                    opened.append((y, tree, self._reach(y, tree, start, assign, clauses)))
-                    continue
-            assumed.append(-y)
-            implied.append((y, tree, closed))
-        for y, tree, closed in () if dropped is None else self._open:
-            if dropped in closed:  # the 1-paths below the children the drop opens
-                found = self._reach(y, tree, closed[dropped], assign, clauses)
+        states, clauses, loaded = [], [], self._loaded
+        for y, tree, closed, ones in self._states:
+            if dropped is None:
+                starts, closed, ones = ((tree.root, ()),), {}, []
+            else:
+                starts = closed.get(dropped)
+            if starts:
                 closed = {u: group for u, group in closed.items() if u != dropped}
-                for u, group in found.items():
+                found, opened, zero = tree.reach(starts, assign)
+                for u, group in opened.items():
                     closed[u] = closed.get(u, []) + group
-            opened.append((y, tree, closed))
+                if ones is not None and not zero:
+                    ones = ones + found
+                else:  # the tree is open: load its reachable 1-paths
+                    for path in found if ones is None else ones + found:
+                        clause = path_clause(y, path)
+                        if clause not in loaded:
+                            loaded.add(clause)
+                            clauses.append(clause)
+                    ones = None
+            if ones is not None:
+                assumed.append(-y)
+            states.append((y, tree, closed, ones))
         if clauses:
             self.session.add_clauses(clauses)
         outcome = self.session.solve(assumptions=assumed, deadline=self.deadline)
@@ -250,24 +256,9 @@ class ForestSatOracle(ImplicantOracle):
             self.timed_out = True
         self.counterexample = outcome.model if outcome.status is SolveStatus.SAT else None
         if outcome.status is SolveStatus.UNSAT:
-            self._implied, self._open = implied, opened
+            self._states = states
             return True
         return False
-
-    def _reach(
-        self, y: int, tree: DecisionTree, starts, assign: list[bool | None], clauses: list
-    ) -> dict:
-        """Walk tree from starts under assign (DecisionTree.reach): append
-        to clauses the path clauses the session lacks of the 1-paths
-        reached, and return the closed children with their paths."""
-        ones, closed = tree.reach(starts, assign)
-        loaded = self._loaded
-        for path in ones:
-            clause = path_clause(y, path)
-            if clause not in loaded:
-                loaded.add(clause)
-                clauses.append(clause)
-        return closed
 
     def accepts_shrunk(self, assign: list[bool | None], var: int) -> bool:
         if var in self.necessary:

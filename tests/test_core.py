@@ -417,6 +417,34 @@ class TestTreeImplication:
                     u: sorted(g) for u, g in fresh.items()
                 }
 
+    def test_reach_resumes_from_closed_children(self):
+        # the same with paths, past the first reachable 0-leaf: the 1-paths
+        # reached before plus those below v's closed children are a run
+        # from the root's, and so are the merged groups; a 0-leaf reached
+        # so far is the implicant test's negation
+        rng = random.Random(108)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            x = [rng.randint(0, 1) for _ in range(n)]
+            tree = normalize(random_tree(rng, n, 6, leaf_chance=0.1), x)
+            assign = Term.of_instance(x).to_array(n)
+            ones, closed, broken = tree.reach(((tree.root, ()),), assign)
+            assert not broken
+            for v in rng.sample(range(1, n + 1), n):
+                assign[v] = None
+                found, opened, zero = tree.reach(closed.get(v, ()), assign)
+                fresh_ones, fresh, fresh_zero = tree.reach(((tree.root, ()),), assign)
+                broken = broken or zero
+                assert broken == fresh_zero == (not tree.implied_by(Term.from_array(assign)))
+                ones = ones + found
+                assert sorted(ones) == sorted(fresh_ones)
+                closed = {u: g for u, g in closed.items() if u != v}
+                for u, group in opened.items():
+                    closed[u] = closed.get(u, []) + group
+                assert {u: sorted(g) for u, g in closed.items()} == {
+                    u: sorted(g) for u, g in fresh.items()
+                }
+
     def test_agrees_with_bruteforce(self):
         rng = random.Random(105)
         for _ in range(40):

@@ -140,6 +140,25 @@ class TestWeightedBound:
                     forced += 1
         assert forced > 500  # the premise held often enough to matter
 
+    def test_a_heavy_input_gets_its_unit_clause_alone(self):
+        # an input heavier than the bound is fixed false and leaves the
+        # counter of the light inputs as it is without it
+        alloc = VarAllocator(5)
+        clauses = weighted_at_most([(1, 2), (2, 9), (5, 9), (3, 2), (4, 2)], 3, alloc)
+        assert alloc.top - 5 == 2 and len(clauses) == 2 + 5
+        rng = random.Random(305)
+        mixed = 0
+        for _ in range(400):
+            q, items, bound = self._random_case(rng)
+            light = [(l, w) for l, w in items if w <= bound]
+            units = [(-l,) for l, w in items if w > bound]
+            alloc, alone = VarAllocator(q), VarAllocator(q)
+            clauses = weighted_at_most(items, bound, alloc)
+            assert clauses == units + weighted_at_most(light, bound, alone), (items, bound)
+            assert alloc.top == alone.top
+            mixed += bool(units and light)
+        assert mixed > 50  # cases with both kinds of input
+
 
 def unit_propagate(clauses):
     """The root assignment that unit propagation derives from clauses,

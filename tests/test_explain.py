@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -455,7 +456,8 @@ class TestLazyEncoding:
     reachable in the trees it does not imply, which includes a tree the
     query's drop opens and the paths below the children it opens in a
     tree already open.  Each is loaded once and is a clause of the full
-    encoding."""
+    encoding.  A query walks each tree at most once, by
+    DecisionTree.reach, and from the root only in a fresh accepts."""
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(oracle_cases(), st.data())
@@ -467,6 +469,18 @@ class TestLazyEncoding:
         full = set(implicant_test_cnf(model).cnf.clauses)
         added: list[tuple[int, ...]] = []
         add_clauses, solve = SatSolver.add_clauses, SatSolver.solve
+        reach, explore = DecisionTree.reach, DecisionTree.explore
+        walks: list[tuple[int, bool | None]] = []  # (tree id, from the root; None: explore)
+        fresh = [False]  # is this query a fresh accepts
+
+        def reaching(tree, starts, assign):
+            starts = list(starts)
+            walks.append((id(tree), starts == [(tree.root, ())]))
+            return reach(tree, starts, assign)
+
+        def exploring(tree, starts, assign):
+            walks.append((id(tree), None))
+            return explore(tree, starts, assign)
 
         def adding(solver, clauses):
             clauses = [tuple(c) for c in clauses]
@@ -474,6 +488,12 @@ class TestLazyEncoding:
             add_clauses(solver, clauses)
 
         def solving(solver, assumptions=(), deadline=None):
+            walked, trees = Counter(i for i, _ in walks), Counter(map(id, model.trees))
+            assert all(root is not None for _, root in walks)  # no explore
+            if fresh[0]:
+                assert walked == trees and all(root for _, root in walks)
+            else:
+                assert walked <= trees and not any(root for _, root in walks)
             # the query's term is its assumed feature literals
             term = Term(l for l in assumptions if abs(l) <= n)
             assign = term.to_array(n)
@@ -487,21 +507,30 @@ class TestLazyEncoding:
                 for lits, label in tree.paths():
                     if label and all(assign[abs(l)] in (None, l > 0) for l in lits):
                         assert path_clause(y, lits) in loaded
+            walks.clear()  # the checks above walk trees too
             return solve(solver, assumptions, deadline)
+
+        def accepting(term):
+            fresh[0] = True
+            accepted = oracle.accepts(term)
+            fresh[0] = False
+            return accepted
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(SatSolver, "add_clauses", adding)
             mp.setattr(SatSolver, "solve", solving)
+            mp.setattr(DecisionTree, "reach", reaching)
+            mp.setattr(DecisionTree, "explore", exploring)
             for _ in range(2):
                 # a fresh query on an arbitrary term
                 term = Term.from_array([None, *data.draw(values)])
-                accepted = oracle.accepts(term)
+                accepted = accepting(term)
                 assert accepted == brute.is_implicant_bruteforce(model, term)
                 if accepted:
                     drop_walk(oracle, model, term, order[::-1])
-            assert oracle.accepts(Term.of_instance(x))
+            assert accepting(Term.of_instance(x))
             drop_walk(oracle, model, Term.of_instance(x), order)
-            if oracle.accepts(start):
+            if accepting(start):
                 drop_walk(oracle, model, start, order)
 
 
