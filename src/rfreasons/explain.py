@@ -26,6 +26,7 @@ from .encodings import ImplicantCnf, implicant_test_cnf, path_clause
 from .solver import Deadline, SatSolver, SolveStatus
 
 DEFAULT_SEED = 42
+CLIMB_FLIPS = 8  # ForestSatOracle's local search, per drop
 
 
 class NotAnImplicantError(ValueError):
@@ -169,6 +170,21 @@ class ForestSatOracle(ImplicantOracle):
     solver.  A literal necessary in a term stays necessary in every
     subterm keeping it, so the answers are those of plain deletion.
 
+    Before the call, a hill-climb over the term's free variables (local
+    search in the manner of WalkSAT: Selman, Kautz & Cohen, AAAI 1994)
+    looks for the counterexample.  It starts from the last one, restored
+    on its own dropped variable and so an extension of the last accepted
+    term, with the newly dropped variable flipped.  It scores only the
+    trees that can change: those open under the last accepted term and
+    the implied ones with a child closed at a node testing the dropped
+    variable; every other tree votes 1 on any extension.  Each move
+    flips the free variable on the path of a tree voting 1 that most
+    lowers the 1-votes, the lower index on ties; an equal move is
+    allowed, but not on the variable just flipped.  After at most
+    CLIMB_FLIPS flips, a constant, the solver decides.  A refusal needs
+    the certificate forest.evaluate(z) == 0 on a point z that extends
+    the term, so it is exact, and the same input makes the same moves.
+
     Each SAT call assumes the term's literals, then the negated selector
     of every tree the term implies, found by traversal.  No extension of
     the term falsifies such a tree, so these assumptions remove no model
@@ -193,7 +209,8 @@ class ForestSatOracle(ImplicantOracle):
     loads its stored 1-paths and the new ones.
 
     Once the deadline has passed it rejects every query, since it never
-    accepts a term it has not proved, and sets timed_out.
+    accepts a term it has not proved, and sets timed_out; the climb
+    checks it before each flip and then leaves the query to the solver.
     """
 
     def __init__(self, forest: RandomForest, deadline: Deadline | None = None):
@@ -209,11 +226,14 @@ class ForestSatOracle(ImplicantOracle):
         # (child, path) groups by variable, the 1-paths reached while the
         # term implies the tree, None once it does not)
         self._states: list = []
+        self._extension: list[bool] = []  # of the last accepted term
 
     def accepts(self, term: Term) -> bool:
         """One SAT call on any term, which starts afresh."""
         self.necessary.clear()
-        return self._query(term.to_array(self.var_count), None)
+        assign = term.to_array(self.var_count)
+        self._extension = [bool(b) for b in assign[1:]]
+        return self._query(assign, None)
 
     def _query(self, assign: list[bool | None], dropped: int | None) -> bool:
         """The SAT call on the term assign.  dropped names the variable
@@ -263,11 +283,60 @@ class ForestSatOracle(ImplicantOracle):
     def accepts_shrunk(self, assign: list[bool | None], var: int) -> bool:
         if var in self.necessary:
             return False  # proved by an earlier counterexample
-        if self._query(assign, var):
+        z = self._climb(assign, var)
+        if z is not None:
+            self.counterexample = z
+        elif self._query(assign, var):
             return True
         if self.counterexample is not None:
             self._rotate(assign, var, self.counterexample)
         return False
+
+    def _climb(self, assign: list[bool | None], var: int) -> tuple[bool, ...] | None:
+        """An extension of the term assign that the forest rejects, found
+        by at most CLIMB_FLIPS flips of its free variables, or None."""
+        states, deadline = self._states, self.deadline
+        # a tree the last accepted term implies stays implied, and votes 1,
+        # unless a node testing var closes one of its children; margin is
+        # the 1-votes less the majority
+        trees = [tree for _, tree, closed, ones in states if ones is None or var in closed]
+        z = list(self._extension)
+        z[var - 1] = not z[var - 1]
+        unscored = len(states) - len(trees) - self.forest.majority
+        last = 0
+        for flips in range(CLIMB_FLIPS + 1):
+            margin, walked, gain = unscored, [], {}
+            for tree in trees:  # z's path, with the other child of each free node
+                nodes = tree.nodes
+                u, lo, hi = nodes[tree.root]
+                path = []
+                while u:
+                    if z[u - 1]:
+                        lo, hi = hi, lo
+                    if assign[u] is None:
+                        path.append((u, hi))
+                    u, lo, hi = nodes[lo]
+                margin += lo
+                walked.append((nodes, lo, path))
+                if lo:
+                    for u, _ in path:
+                        gain[u] = 0
+            # gain[u]: how flipping u, free on a path to a 1-leaf, moves the 1-votes
+            for nodes, label, path in walked:
+                for u, other in path:
+                    if u in gain:
+                        w, lo, hi = nodes[other]
+                        while w:
+                            w, lo, hi = nodes[hi if z[w - 1] else lo]
+                        gain[u] += lo - label
+            if margin < 0:
+                return tuple(z) if self.forest.evaluate(z) == 0 else None
+            if flips == CLIMB_FLIPS or deadline is not None and deadline.expired():
+                return None
+            g, last = min(((g, u) for u, g in gain.items() if u != last), default=(1, 0))
+            if g > 0:
+                return None  # every move adds a 1-vote
+            z[last - 1] = not z[last - 1]
 
     def _rotate(self, assign: list[bool | None], var: int, model: tuple[bool, ...]) -> None:
         """Mark var necessary in the term assign plus var, and with it every
@@ -275,10 +344,11 @@ class ForestSatOracle(ImplicantOracle):
         on var, the model extends the term, and flipped on u it is again
         a counterexample when the forest votes 0 on it.  Recursing from
         that point would restore u and reach the same point again, so one
-        pass marks all that recursive model rotation would."""
+        pass marks all that recursive model rotation would.  The model
+        restored on var is the next climb's start."""
         evaluate, necessary, deadline = self.forest.evaluate, self.necessary, self.deadline
         necessary.add(var)
-        z = list(model[: self.var_count])
+        z = self._extension = list(model[: self.var_count])
         z[var - 1] = not z[var - 1]
         for u in range(1, len(assign)):
             if assign[u] is None or u in necessary:
@@ -438,8 +508,10 @@ def sufficient_reason_rf(
     with assumptions, which also rule out falsifying the trees the
     candidate implies, a fact the traversals settle and the search
     then need not; recursive model rotation proves most necessary
-    literals without a call (see ForestSatOracle).  Both passes keep the
-    literals of the variables the order leaves out.  The second pass
+    literals without a call, and a capped hill-climb, certified by
+    forest evaluation, refuses most of the other refused drops before
+    the call (see ForestSatOracle).  Both passes keep the literals of
+    the variables the order leaves out.  The second pass
     takes the exact oracle of oracle_for_instance: on a one-tree forest
     that is the traversal test of the seed's own pass, so the seed is
     already prime and every drop is refused.  A deadline that passes

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfreasons.core import DecisionTree, RandomForest, Term, dnf_to_forest, normalize
+from rfreasons.core import (
+    DecisionTree,
+    RandomForest,
+    Term,
+    clause_to_tree,
+    dnf_to_forest,
+    normalize,
+)
 from rfreasons.explain import (
     DeltaProbableOracle,
     ForestSatOracle,
@@ -30,7 +37,7 @@ from rfreasons.explain import (
 )
 from rfreasons.cli import _EXACT, parity_fixture
 from rfreasons.encodings import implicant_test_cnf, path_clause
-from rfreasons.solver import Deadline, SatSolver
+from rfreasons.solver import Deadline, SatSolver, SolveStatus
 
 import brute
 from conftest import X_NEG, X_POS
@@ -326,13 +333,13 @@ class TestModelRotation:
         assert greedy_reason(oracle, (1, 1), (1, 2), kind).term == term_of(2)
 
     def test_spares_most_refused_removals_a_solver_call(self, monkeypatch):
-        calls = 0
+        statuses = Counter()
         solve = SatSolver.solve
 
         def counting(self, *args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return solve(self, *args, **kwargs)
+            outcome = solve(self, *args, **kwargs)
+            statuses[outcome.status] += 1
+            return outcome
 
         monkeypatch.setattr(SatSolver, "solve", counting)
         requests = 0
@@ -343,7 +350,13 @@ class TestModelRotation:
                 sufficient_reason_rf(forest, random_instance(rng, 40))
                 requests += 1
         # plain deletion makes one call per candidate: 24 * 40 = 960
+        calls = sum(statuses.values())
         assert calls - requests <= 640  # one call per request tests the start term
+        # the local search before the call finds most refusals: rotation
+        # alone leaves 215 drops (~9 per request) to a SAT answer, the
+        # search 91
+        assert statuses[SolveStatus.SAT] <= 5 * requests
+        assert statuses[SolveStatus.TIMEOUT] == 0
 
 
 @st.composite
@@ -532,6 +545,80 @@ class TestLazyEncoding:
             drop_walk(oracle, model, Term.of_instance(x), order)
             if accepting(start):
                 drop_walk(oracle, model, start, order)
+
+
+def spy_on_climbs(mp) -> list[tuple[Term, tuple[bool, ...] | None]]:
+    """Record each call of ForestSatOracle._climb: the shrunk term and the
+    point it returns."""
+    climbs = []
+    climb = ForestSatOracle._climb
+
+    def spying(oracle, assign, var):
+        z = climb(oracle, assign, var)
+        climbs.append((Term.from_array(assign), z))
+        return z
+
+    mp.setattr(ForestSatOracle, "_climb", spying)
+    return climbs
+
+
+def assert_certified(model, climbs) -> None:
+    """Every point a climb returns extends its term, and the truth table
+    rejects it."""
+    table = brute.truth_table_forest(model)
+    for term, z in climbs:
+        if z is not None:
+            assert len(z) == model.var_count
+            assert all(z[abs(l) - 1] == (l > 0) for l in term)
+            assert not table[sum(b << i for i, b in enumerate(z))]
+
+
+class TestLocalSearch:
+    """ForestSatOracle refuses a drop before the SAT call only with a
+    certificate: an extension of the shrunk term that the forest rejects,
+    found by a capped hill-climb.  Answers stay those of the solver."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(oracle_cases())
+    def test_every_point_found_is_a_counterexample(self, case):
+        model, x, start, order = case
+        with pytest.MonkeyPatch.context() as mp:
+            climbs = spy_on_climbs(mp)
+            oracle = ForestSatOracle(model)
+            assert oracle.accepts(Term.of_instance(x))
+            drop_walk(oracle, model, Term.of_instance(x), order)
+            if oracle.accepts(start):
+                drop_walk(oracle, model, start, order[::-1])
+        assert_certified(model, climbs)
+
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(rotation_cases())
+    def test_every_point_found_in_a_search_is_a_counterexample(self, case):
+        forest, x, order = case
+        with pytest.MonkeyPatch.context() as mp:
+            climbs = spy_on_climbs(mp)
+            sufficient_reason_rf(forest, x, order)
+        assert_certified(normalize(forest, x), climbs)
+
+    def test_a_flip_finds_the_counterexample(self, monkeypatch):
+        # trees x1, x2 and ¬x3 on x = 110: the seed x1 ∧ x2 implies the
+        # first two.  Dropping x2 starts at 100, which two trees accept;
+        # flipping x3, free on the path of ¬x3, leaves one.  Only the
+        # fresh check of the seed reaches the solver.
+        forest = RandomForest(clause_to_tree(c, 3) for c in ((1,), (2,), (-3,)))
+        statuses = []
+        solve = SatSolver.solve
+
+        def recording(self, *args, **kwargs):
+            outcome = solve(self, *args, **kwargs)
+            statuses.append(outcome.status)
+            return outcome
+
+        monkeypatch.setattr(SatSolver, "solve", recording)
+        climbs = spy_on_climbs(monkeypatch)
+        assert sufficient_reason_rf(forest, (1, 1, 0)).term == term_of(1, 2)
+        assert climbs == [(term_of(1), (True, False, True))]
+        assert statuses == [SolveStatus.UNSAT]
 
 
 @st.composite
