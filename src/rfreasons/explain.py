@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import DecisionTree, Instance, RandomForest, Term, mask_variables, normalize
 from .encodings import ImplicantCnf, implicant_test_cnf, path_clause
@@ -27,6 +27,8 @@ from .solver import Deadline, SatSolver, SolveStatus
 
 DEFAULT_SEED = 42
 CLIMB_FLIPS = 8  # ForestSatOracle's local search, per drop
+ORDERS_KEPT = 64  # seeded_orders, per (n, seed): covers 50 permutations and GREEDY_ORDERS
+ORDER_KEYS_KEPT = 16  # (n, seed) keys seeded_orders keeps at once
 
 
 class NotAnImplicantError(ValueError):
@@ -345,18 +347,35 @@ class ForestSatOracle(ImplicantOracle):
         a counterexample when the forest votes 0 on it.  Recursing from
         that point would restore u and reach the same point again, so one
         pass marks all that recursive model rotation would.  The model
-        restored on var is the next climb's start."""
-        evaluate, necessary, deadline = self.forest.evaluate, self.necessary, self.deadline
+        restored on var is the next climb's start.
+
+        One walk per tree records its vote and the variables its path
+        tests; a flip of u changes only the trees whose path tests u.  u
+        is skipped when those trees hold no more 1-votes than the vote
+        can spare, and otherwise they alone are walked again."""
+        trees, necessary, deadline = self.forest.trees, self.necessary, self.deadline
         necessary.add(var)
         z = self._extension = list(model[: self.var_count])
         z[var - 1] = not z[var - 1]
+        votes, tested = [], {}  # tested[u]: the trees whose path on z tests u
+        for i, tree in enumerate(trees):
+            nodes = tree.nodes
+            u, lo, hi = nodes[tree.root]
+            while u:
+                tested.setdefault(u, []).append(i)
+                u, lo, hi = nodes[hi if z[u - 1] else lo]
+            votes.append(lo)
+        spare = sum(votes) - self.forest.majority  # the 1-votes z can lose
         for u in range(1, len(assign)):
             if assign[u] is None or u in necessary:
                 continue
             if deadline is not None and deadline.expired():
                 return  # a shortcut only: the solver decides the rest
+            at = tested.get(u, ())
+            if sum(votes[i] for i in at) <= spare:
+                continue
             z[u - 1] = not z[u - 1]
-            if evaluate(z) == 0:
+            if sum(votes[i] - trees[i].evaluate(z) for i in at) > spare:
                 necessary.add(u)
             z[u - 1] = not z[u - 1]
 
@@ -560,6 +579,53 @@ def majoritary_reason_multi(
     )
 
 
+# (n, seed) -> (the first orders drawn, the generator state after them);
+# a snapshot is never changed, only replaced, and every snapshot of a key
+# is a prefix of the same draws, so threads racing on one key lose nothing
+_drawn: dict[tuple[int, int], tuple[tuple[tuple[int, ...], ...], tuple]] = {}
+
+
+def seeded_orders(n: int, seed: int) -> Iterator[tuple[int, ...]]:
+    """The seeded elimination orders of the variables 1..n: the list
+    [1, ..., n] shuffled in place again and again by one
+    random.Random(seed), each order as its shuffle leaves it.
+
+    The process draws the first ORDERS_KEPT orders of each (n, seed) once,
+    when an iterator first asks for them, and keeps them with the
+    generator's state after them; an iterator draws the orders past them
+    live, from a private copy of that state.  No order is drawn before
+    it is asked for, and memory stays bounded: at most ORDERS_KEPT
+    orders for each of at most ORDER_KEYS_KEPT keys (a new key past
+    them empties the rest).
+    """
+    key = (n, seed)
+    kept, state, rng = (), None, None
+    for k in range(ORDERS_KEPT):
+        if k == len(kept):
+            shared = _drawn.get(key)
+            if shared is not None and len(shared[0]) > k:
+                (kept, state), rng = shared, None
+            else:  # draw the next order and publish the longer snapshot
+                if rng is None:
+                    rng = random.Random(seed)
+                    if state is not None:
+                        rng.setstate(state)
+                order = list(kept[-1] if kept else range(1, n + 1))
+                rng.shuffle(order)
+                kept, state = kept + (tuple(order),), rng.getstate()
+                if key not in _drawn and len(_drawn) >= ORDER_KEYS_KEPT:
+                    _drawn.clear()
+                _drawn[key] = kept, state
+        yield kept[k]
+    if rng is None:
+        rng = random.Random(seed)
+        rng.setstate(state)
+    order = list(kept[-1])
+    while True:
+        rng.shuffle(order)
+        yield tuple(order)
+
+
 def best_of_orders(
     masks: Sequence[Sequence[int]],
     x: Instance,
@@ -574,10 +640,12 @@ def best_of_orders(
     disagreement_masks under x.  Dropping v breaks a tree still implied
     when one of its masks meets the term at v alone; bit sets over all
     the masks find those trees in a few integer operations per drop.
-    The deadline is checked before each order: returns the lightest
-    reason of the orders run (None when none ran) and whether all ran.
+    The orders are seeded_orders(len(x), seed), kept once per process,
+    so many requests on one feature count share their draws.  The
+    deadline is checked before each order, before it is drawn: returns
+    the lightest reason of the orders run (None when none ran) and
+    whether all ran.
     """
-    rng = random.Random(seed)
     n, implied = len(x), [tm for tm in masks if 0 not in tm]
     # the implied trees' masks, numbered: column[v] has the bit of each
     # one holding v, tree[j] those of mask j's tree, and plane[k] bit k
@@ -591,13 +659,13 @@ def best_of_orders(
             for k in mask_variables(m.bit_count() - 1):
                 plane[k] |= 1 << len(tree)
             tree.append(bits)
-    base = list(range(1, n + 1))
+    orders = seeded_orders(n, seed)
     best, best_cost, complete = None, 0, True
     for _ in range(permutations):
         if deadline is not None and deadline.expired():
             complete = False
             break
-        rng.shuffle(base)
+        base = next(orders)
         term, live, counts = (1 << n + 1) - 2, (1 << len(tree)) - 1, list(plane)
         shared, spare = reduce(or_, plane, 0), len(implied) - len(masks) // 2 - 1
         for v in base:

@@ -15,7 +15,10 @@ from rfreasons.core import (
     dnf_to_forest,
     normalize,
 )
+from rfreasons import explain
 from rfreasons.explain import (
+    ORDER_KEYS_KEPT,
+    ORDERS_KEPT,
     DeltaProbableOracle,
     ForestSatOracle,
     LinearModel,
@@ -33,6 +36,7 @@ from rfreasons.explain import (
     majoritary_reason,
     majoritary_reason_multi,
     oracle_for_instance,
+    seeded_orders,
     sufficient_reason_rf,
 )
 from rfreasons.cli import _EXACT, parity_fixture
@@ -193,6 +197,80 @@ class TestMajoritaryReason:
             target = forest if forest.evaluate(x) == 1 else forest.negated()
             assert brute.is_implicant_bruteforce(target, r.term)
             assert_one_minimal(MajorityOracle(target), r)
+
+
+def shuffled_orders(n: int, seed: int, count: int) -> list[tuple[int, ...]]:
+    """The orders best_of_orders drew before they were kept: one
+    generator shuffling one list in place, count times."""
+    rng, base, orders = random.Random(seed), list(range(1, n + 1)), []
+    for _ in range(count):
+        rng.shuffle(base)
+        orders.append(tuple(base))
+    return orders
+
+
+class TestSeededOrders:
+    """seeded_orders yields the cumulative shuffles of one seeded
+    generator, keeps at most ORDERS_KEPT of them per (n, seed), and draws
+    none before it is asked for one."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        st.integers(1, 50),
+        st.integers(-(2**40), 2**40),
+        st.integers(0, 3 * ORDERS_KEPT),
+        st.integers(0, 3 * ORDERS_KEPT),
+        st.lists(st.booleans(), max_size=6 * ORDERS_KEPT),
+    )
+    def test_interleaved_iterators_yield_the_shuffles(self, n, seed, count, warm, turns):
+        expected = shuffled_orders(n, seed, max(count, warm))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(explain, "_drawn", {})
+            # one iterator draws warm orders, then two over the same key
+            # are advanced in the drawn turns
+            assert list(itertools.islice(seeded_orders(n, seed), warm)) == expected[:warm]
+            its, got = (seeded_orders(n, seed), seeded_orders(n, seed)), ([], [])
+            for turn in turns:
+                if len(got[turn]) < count:
+                    got[turn].append(next(its[turn]))
+            assert got[0] == expected[: len(got[0])] and got[1] == expected[: len(got[1])]
+
+    def test_memory_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(explain, "_drawn", {})
+        orders = list(itertools.islice(seeded_orders(40, 42), 10 * ORDERS_KEPT))
+        assert orders == shuffled_orders(40, 42, 10 * ORDERS_KEPT)
+        kept, _ = explain._drawn[(40, 42)]
+        assert kept == tuple(orders[:ORDERS_KEPT])
+        # a later iterator reads the kept orders, then draws on from their state
+        later = itertools.islice(seeded_orders(40, 42), 2 * ORDERS_KEPT)
+        assert list(later) == orders[: 2 * ORDERS_KEPT]
+        for seed in range(2 * ORDER_KEYS_KEPT):
+            next(seeded_orders(3, seed))
+            assert len(explain._drawn) <= ORDER_KEYS_KEPT
+
+    def test_best_of_orders_draws_only_the_orders_it_runs(self, monkeypatch):
+        monkeypatch.setattr(explain, "_drawn", {})
+        expected = tuple(shuffled_orders(12, 42, 3))
+        shuffles = []
+        shuffle = random.Random.shuffle
+
+        def spying(rng, items):
+            shuffles.append(len(items))
+            return shuffle(rng, items)
+
+        monkeypatch.setattr(random.Random, "shuffle", spying)
+        forest = random_forest(random.Random(7), 12, 9, 5, 0.1)
+        x = random_instance(random.Random(1), 12)
+        masks = [t.disagreement_masks(x) for t in normalize(forest, x).trees]
+        expired = Deadline.after(0)
+        assert explain.best_of_orders(masks, x, 50, 42, expired) == (None, False)
+        assert shuffles == [] and explain._drawn == {}
+        term, complete = explain.best_of_orders(masks, x, 3, 42)
+        assert complete and shuffles == [12] * 3
+        assert explain._drawn[(12, 42)][0] == expected
+        # a second request reuses the kept orders
+        assert explain.best_of_orders(masks, x, 3, 42) == (term, True)
+        assert shuffles == [12] * 3
 
 
 class TestBruteOracles:
@@ -357,6 +435,62 @@ class TestModelRotation:
         # search 91
         assert statuses[SolveStatus.SAT] <= 5 * requests
         assert statuses[SolveStatus.TIMEOUT] == 0
+
+
+def reference_rotate(oracle, assign, var, model) -> tuple[set[int], list[bool]]:
+    """ForestSatOracle._rotate as one full forest evaluation per
+    candidate: the necessary set and the start of the next climb."""
+    evaluate, necessary = oracle.forest.evaluate, set(oracle.necessary)
+    necessary.add(var)
+    z = list(model[: oracle.var_count])
+    z[var - 1] = not z[var - 1]
+    for u in range(1, len(assign)):
+        if assign[u] is None or u in necessary:
+            continue
+        z[u - 1] = not z[u - 1]
+        if evaluate(z) == 0:
+            necessary.add(u)
+        z[u - 1] = not z[u - 1]
+    return necessary, z
+
+
+def check_rotations(mp) -> list[int]:
+    """Compare each ForestSatOracle._rotate with reference_rotate; the
+    list returned counts the rotations."""
+    rotations = []
+    rotate = ForestSatOracle._rotate
+
+    def checking(oracle, assign, var, model):
+        expected = reference_rotate(oracle, assign, var, model)
+        rotate(oracle, assign, var, model)
+        assert (oracle.necessary, oracle._extension) == expected
+        rotations.append(var)
+
+    mp.setattr(ForestSatOracle, "_rotate", checking)
+    return rotations
+
+
+class TestRotationWalks:
+    """_rotate re-walks only the trees whose path tests a flipped
+    variable; its marks and its next start are those of one full forest
+    evaluation per candidate."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(rotation_cases())
+    def test_matches_full_evaluation_in_a_search(self, case):
+        forest, x, order = case  # 2 to 9 trees, odd and even
+        with pytest.MonkeyPatch.context() as mp:
+            check_rotations(mp)
+            sufficient_reason_rf(forest, x, order)
+
+    def test_matches_full_evaluation_on_deep_forests(self, monkeypatch):
+        rotations = check_rotations(monkeypatch)
+        for s, trees in ((1, 25), (2, 24)):
+            forest = random_forest(random.Random(s), 40, trees, 8, 0.1)
+            rng = random.Random(2)
+            for _ in range(3):
+                sufficient_reason_rf(forest, random_instance(rng, 40))
+        assert len(rotations) >= 20
 
 
 @st.composite
