@@ -223,7 +223,8 @@ def _notion(name: str | None) -> Callable[[RandomForest, Reason], bool]:
 
     def accepts(forest: RandomForest, reason: Reason) -> bool:
         term = reason.term
-        if not term.variables() <= set(reason.extras.get("intelligible", term.variables())):
+        intelligible = reason.extras.get("intelligible")
+        if intelligible is not None and not term.variables() <= set(intelligible):
             return False
         model = normalize(forest, reason.instance)
         if (name or reason.extras["notion"]) == "majority":

@@ -57,7 +57,8 @@ class Term:
 
     def to_array(self, var_count: int) -> list[bool | None]:
         """A list indexed by variable, None where free (slot 0 unused)."""
-        array: list[bool | None] = [None] * (max([var_count, *self.variables()]) + 1)
+        top = abs(self.literals[-1]) if self.literals else 0  # sorted by variable
+        array: list[bool | None] = [None] * (max(var_count, top) + 1)
         for l in self.literals:
             array[abs(l)] = l > 0
         return array

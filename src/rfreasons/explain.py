@@ -182,10 +182,15 @@ class ForestSatOracle(ImplicantOracle):
     variable; every other tree votes 1 on any extension.  Each move
     flips the free variable on the path of a tree voting 1 that most
     lowers the 1-votes, the lower index on ties; an equal move is
-    allowed, but not on the variable just flipped.  After at most
-    CLIMB_FLIPS flips, a constant, the solver decides.  A refusal needs
-    the certificate forest.evaluate(z) == 0 on a point z that extends
-    the term, so it is exact, and the same input makes the same moves.
+    allowed, but not on the variable just flipped.  A climb ends at a
+    local minimum or after CLIMB_FLIPS flips, a constant.  One that
+    finds nothing runs once more from the opposite corner, its start
+    complemented on every free variable but the dropped one: a climb
+    stalls on plateaus near the last counterexample, and that corner
+    holds most of what it misses.  Then the solver decides.  A refusal
+    needs the certificate forest.evaluate(z) == 0 on a point z that
+    extends the term, so it is exact, and the same input makes the
+    same moves.
 
     Each SAT call assumes the term's literals, then the negated selector
     of every tree the term implies, found by traversal.  No extension of
@@ -285,7 +290,12 @@ class ForestSatOracle(ImplicantOracle):
     def accepts_shrunk(self, assign: list[bool | None], var: int) -> bool:
         if var in self.necessary:
             return False  # proved by an earlier counterexample
-        z = self._climb(assign, var)
+        # two starts, each an extension of the term: the last counterexample
+        # restored, with var flipped, then with every free variable flipped
+        first = list(self._extension)
+        first[var - 1] = not first[var - 1]
+        second = [not b if assign[u] is None else b for u, b in enumerate(self._extension, 1)]
+        z = self._climb(assign, var, first) or self._climb(assign, var, second)
         if z is not None:
             self.counterexample = z
         elif self._query(assign, var):
@@ -294,16 +304,15 @@ class ForestSatOracle(ImplicantOracle):
             self._rotate(assign, var, self.counterexample)
         return False
 
-    def _climb(self, assign: list[bool | None], var: int) -> tuple[bool, ...] | None:
+    def _climb(self, assign: list[bool | None], var: int, z: list[bool]) -> tuple[bool, ...] | None:
         """An extension of the term assign that the forest rejects, found
-        by at most CLIMB_FLIPS flips of its free variables, or None."""
+        by at most CLIMB_FLIPS flips of the free variables of the start
+        point z, an extension of assign that it flips in place, or None."""
         states, deadline = self._states, self.deadline
         # a tree the last accepted term implies stays implied, and votes 1,
         # unless a node testing var closes one of its children; margin is
         # the 1-votes less the majority
         trees = [tree for _, tree, closed, ones in states if ones is None or var in closed]
-        z = list(self._extension)
-        z[var - 1] = not z[var - 1]
         unscored = len(states) - len(trees) - self.forest.majority
         last = 0
         for flips in range(CLIMB_FLIPS + 1):
@@ -527,10 +536,10 @@ def sufficient_reason_rf(
     with assumptions, which also rule out falsifying the trees the
     candidate implies, a fact the traversals settle and the search
     then need not; recursive model rotation proves most necessary
-    literals without a call, and a capped hill-climb, certified by
-    forest evaluation, refuses most of the other refused drops before
-    the call (see ForestSatOracle).  Both passes keep the literals of
-    the variables the order leaves out.  The second pass
+    literals without a call, and a capped hill-climb from two starts,
+    certified by forest evaluation, refuses most of the other refused
+    drops before the call (see ForestSatOracle).  Both passes keep the
+    literals of the variables the order leaves out.  The second pass
     takes the exact oracle of oracle_for_instance: on a one-tree forest
     that is the traversal test of the seed's own pass, so the seed is
     already prime and every drop is refused.  A deadline that passes

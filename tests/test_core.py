@@ -102,6 +102,20 @@ class TestLiteralsTermsClauses:
             with pytest.raises(InconsistentTermError):
                 Term(listing + [-rng.choice(lits)])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(st.integers(1, 12), st.booleans(), max_size=8),
+        st.integers(0, 12),
+    )
+    def test_to_array_spans_var_count_and_every_literal(self, polarity, var_count):
+        # the empty term, and terms reaching past var_count, included
+        term = Term(v if p else -v for v, p in polarity.items())
+        expected = [None] * (max([var_count, *term.variables()]) + 1)
+        for l in term:
+            expected[abs(l)] = l > 0
+        assert term.to_array(var_count) == expected
+        assert Term.from_array(term.to_array(var_count)) == term
+
     def test_covers_is_false_beyond_the_instance(self):
         assert Term([1, -2]).covers((1, 0))
         assert not Term([5]).covers((1, 1))

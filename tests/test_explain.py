@@ -431,9 +431,9 @@ class TestModelRotation:
         calls = sum(statuses.values())
         assert calls - requests <= 640  # one call per request tests the start term
         # the local search before the call finds most refusals: rotation
-        # alone leaves 215 drops (~9 per request) to a SAT answer, the
-        # search 91
-        assert statuses[SolveStatus.SAT] <= 5 * requests
+        # alone leaves 215 drops (~9 per request) to a SAT answer, one
+        # climb per drop 91, a second from the complement of its start 29
+        assert statuses[SolveStatus.SAT] <= 2 * requests
         assert statuses[SolveStatus.TIMEOUT] == 0
 
 
@@ -682,18 +682,32 @@ class TestLazyEncoding:
 
 
 def spy_on_climbs(mp) -> list[tuple[Term, tuple[bool, ...] | None]]:
-    """Record each call of ForestSatOracle._climb: the shrunk term and the
-    point it returns."""
+    """Record each call of ForestSatOracle._climb, from either start: the
+    shrunk term and the point it returns."""
     climbs = []
     climb = ForestSatOracle._climb
 
-    def spying(oracle, assign, var):
-        z = climb(oracle, assign, var)
+    def spying(oracle, assign, var, start):
+        z = climb(oracle, assign, var, start)
         climbs.append((Term.from_array(assign), z))
         return z
 
     mp.setattr(ForestSatOracle, "_climb", spying)
     return climbs
+
+
+def spy_on_statuses(mp) -> list[SolveStatus]:
+    """Record the status of each SatSolver.solve call."""
+    statuses = []
+    solve = SatSolver.solve
+
+    def recording(self, *args, **kwargs):
+        outcome = solve(self, *args, **kwargs)
+        statuses.append(outcome.status)
+        return outcome
+
+    mp.setattr(SatSolver, "solve", recording)
+    return statuses
 
 
 def assert_certified(model, climbs) -> None:
@@ -740,18 +754,28 @@ class TestLocalSearch:
         # flipping x3, free on the path of ¬x3, leaves one.  Only the
         # fresh check of the seed reaches the solver.
         forest = RandomForest(clause_to_tree(c, 3) for c in ((1,), (2,), (-3,)))
-        statuses = []
-        solve = SatSolver.solve
-
-        def recording(self, *args, **kwargs):
-            outcome = solve(self, *args, **kwargs)
-            statuses.append(outcome.status)
-            return outcome
-
-        monkeypatch.setattr(SatSolver, "solve", recording)
+        statuses = spy_on_statuses(monkeypatch)
         climbs = spy_on_climbs(monkeypatch)
         assert sufficient_reason_rf(forest, (1, 1, 0)).term == term_of(1, 2)
         assert climbs == [(term_of(1), (True, False, True))]
+        assert statuses == [SolveStatus.UNSAT]
+
+    def test_the_complement_start_finds_the_counterexample(self, monkeypatch):
+        # trees x1 ∨ (x2 ⊕ x3), twice, and x1 ∨ ¬x2 ∨ ¬x3, three times,
+        # on x = 100: the seed is x1.  Dropping x1 starts at 000, three
+        # 1-votes where every flip gives five, so that climb ends there;
+        # the second start, 011, flips every free variable of 100 and
+        # gets no vote.  Only the fresh check of the seed reaches the
+        # solver.
+        x3, not_x3 = ({"var": 3, "low": {"leaf": b}, "high": {"leaf": 1 - b}} for b in (0, 1))
+        xor = {"var": 2, "low": x3, "high": not_x3}
+        either = DecisionTree.from_nested({"var": 1, "low": xor, "high": {"leaf": 1}}, 3)
+        nand = clause_to_tree((1, -2, -3), 3)
+        forest = RandomForest([either, either, nand, nand, nand])
+        statuses = spy_on_statuses(monkeypatch)
+        climbs = spy_on_climbs(monkeypatch)
+        assert sufficient_reason_rf(forest, (1, 0, 0)).term == term_of(1)
+        assert climbs == [(Term(), None), (Term(), (False, True, True))]
         assert statuses == [SolveStatus.UNSAT]
 
 
