@@ -26,8 +26,16 @@ from .encodings import ImplicantCnf, implicant_test_cnf, path_clause
 from .solver import Deadline, SatSolver, SolveStatus
 
 DEFAULT_SEED = 42
+# greedy orders tried for the minimal kinds' first upper bound and for the
+# sufficient search's seed: on 256 requests on 20-variable, 15-tree forests
+# of depth 6, the greedy reason missed the optimum 59 times with 5 orders,
+# 4 with 20 and 1 with 50, but 50 orders cost more time than the extra
+# MaxSAT searches they save
+GREEDY_ORDERS = 20
 CLIMB_FLIPS = 8  # ForestSatOracle's local search, per drop
-ORDERS_KEPT = 64  # seeded_orders, per (n, seed): covers 50 permutations and GREEDY_ORDERS
+# seeded_orders, per (n, seed): covers 50 permutations and the GREEDY_ORDERS
+# of the minimal kinds and of sufficient_reason_rf's seed
+ORDERS_KEPT = 64
 ORDER_KEYS_KEPT = 16  # (n, seed) keys seeded_orders keeps at once
 
 
@@ -528,28 +536,34 @@ def sufficient_reason_rf(
 ) -> Reason:
     """A prime implicant of the forest function covering x.
 
-    Deletion (Izza & Marques-Silva, IJCAI 2021) starts from the greedy
-    majoritary reason in the same order, found by traversals alone: it
-    implies a strict majority of the trees, so it fixes the vote and is
-    an implicant, and deletion from any implicant covering x ends in a
-    prime one.  Each candidate removal then costs at most one SAT call
-    with assumptions, which also rule out falsifying the trees the
-    candidate implies, a fact the traversals settle and the search
-    then need not; recursive model rotation proves most necessary
-    literals without a call, and a capped hill-climb from two starts,
-    certified by forest evaluation, refuses most of the other refused
-    drops before the call (see ForestSatOracle).  Both passes keep the
-    literals of the variables the order leaves out.  The second pass
-    takes the exact oracle of oracle_for_instance: on a one-tree forest
-    that is the traversal test of the seed's own pass, so the seed is
-    already prime and every drop is refused.  A deadline that passes
-    first returns the last term the SAT oracle accepted, the seed when
-    it accepted none (see greedy_reason).
+    Deletion (Izza & Marques-Silva, IJCAI 2021) starts from a greedy
+    majoritary reason, found by traversals alone: it implies a strict
+    majority of the trees, so it fixes the vote and is an implicant, and
+    deletion from any implicant covering x ends in a prime one.  With no
+    order, the seed is the smallest over GREEDY_ORDERS seeded orders
+    (best_of_orders, on masks) and deletion runs in default_order; given
+    one, both passes run in it and keep the literals of the variables it
+    leaves out.  The seed search is bounded and takes no deadline.  Each
+    candidate removal then costs at most one SAT call with assumptions,
+    which also rule out falsifying the trees the candidate implies, a
+    fact the traversals settle and the search then need not; recursive
+    model rotation proves most necessary literals without a call, and a
+    capped hill-climb from two starts, certified by forest evaluation,
+    refuses most of the other refused drops before the call (see
+    ForestSatOracle).  The second pass takes the exact oracle of
+    oracle_for_instance: on a one-tree forest that is the majority test
+    the seed is already minimal under, so every drop is refused.  A
+    deadline that passes first returns the last term the SAT oracle
+    accepted, the seed when it accepted none (see greedy_reason).
     """
     forest = normalize(forest, x)
-    seed = greedy_reason(MajorityOracle(forest), x, order, ReasonKind.SUFFICIENT)
+    if order is None:
+        masks = [t.disagreement_masks(x) for t in forest.trees]
+        seed, _ = best_of_orders(masks, x, GREEDY_ORDERS, DEFAULT_SEED)
+    else:
+        seed = greedy_reason(MajorityOracle(forest), x, order, ReasonKind.SUFFICIENT).term
     oracle = oracle_for_instance(forest, x, "sufficient", deadline)
-    return greedy_reason(oracle, x, order, ReasonKind.SUFFICIENT, seed_term=seed.term)
+    return greedy_reason(oracle, x, order, ReasonKind.SUFFICIENT, seed_term=seed)
 
 
 def majoritary_reason(

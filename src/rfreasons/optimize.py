@@ -22,17 +22,12 @@ from typing import Callable, Mapping, Sequence
 
 from .core import DecisionTree, Instance, RandomForest, Term, mask_variables, normalize
 from .encodings import VarAllocator, WeightedCnf, at_least
-from .explain import DEFAULT_SEED, MajorityOracle, NotAnImplicantError, Reason, ReasonKind
-from .explain import best_of_orders, greedy_reason
+from .explain import DEFAULT_SEED, GREEDY_ORDERS, MajorityOracle, NotAnImplicantError, Reason
+from .explain import ReasonKind, best_of_orders, greedy_reason
 from .maxsat import maxsat_anytime
 from .solver import CnfInstance, Deadline
 
 MAX_TOTAL_WEIGHT = 2**31 - 1
-# greedy orders tried for the minimal kinds' first upper bound: on 256
-# requests on 20-variable, 15-tree forests of depth 6, the greedy reason
-# missed the optimum 59 times with 5 orders, 4 with 20 and 1 with 50,
-# but 50 orders cost more time than the extra MaxSAT searches they save
-GREEDY_ORDERS = 20
 
 # Nothing raises this: a deadline ends in a fallback reason.  The name
 # stays for callers that still catch it.

@@ -1,6 +1,7 @@
 import pytest
 
-from rfreasons.core import DecisionTree, RandomForest
+from rfreasons.core import DecisionTree, RandomForest, Term, normalize
+from rfreasons.explain import DEFAULT_SEED, GREEDY_ORDERS, best_of_orders
 
 # ---------------------------------------------------------------------------
 # The running-example forest: three trees over four features
@@ -61,6 +62,14 @@ def orchid_trees() -> tuple[DecisionTree, DecisionTree, DecisionTree]:
 
 X_POS = (1, 1, 1, 1)
 X_NEG = (0, 1, 0, 0)
+
+
+def sufficient_seed(forest: RandomForest, x) -> Term:
+    """The majoritary reason sufficient_reason_rf starts from with no
+    order: the best of GREEDY_ORDERS seeded orders on the normalized
+    trees' masks."""
+    masks = [t.disagreement_masks(x) for t in normalize(forest, x).trees]
+    return best_of_orders(masks, x, GREEDY_ORDERS, DEFAULT_SEED)[0]
 
 
 @pytest.fixture(scope="session")

@@ -22,11 +22,10 @@ from rfreasons.cli import (
     parity_tree,
 )
 from rfreasons.core import RandomForest
-from rfreasons.explain import majoritary_reason
 from rfreasons.models import dump_forest, load_forest, parse_instances
 
 import brute
-from conftest import X_NEG, X_POS, orchid_trees
+from conftest import X_NEG, X_POS, orchid_trees, sufficient_seed
 from generators import random_forest, random_instance
 
 
@@ -346,7 +345,7 @@ class TestExplain:
         assert code == EXIT_PARTIAL
         record = json.loads(out)
         # the fallback is the majoritary seed, proved by traversal alone
-        seed = majoritary_reason(load_forest(model_file), (1, 1, 1, 1)).term
+        seed = sufficient_seed(load_forest(model_file), (1, 1, 1, 1))
         assert record["literals"] == list(seed) and record["fallback"] == "timeout"
 
     def test_inclusion_preferred_sufficient_notion_honours_timeout(self, capsys, model_file):
@@ -710,7 +709,7 @@ class TestStats:
         for row, x in zip(rows, instances):
             cells = row.split(",")
             # the majoritary seed, the last verified term
-            seed = majoritary_reason(forest, x).term
+            seed = sufficient_seed(forest, x)
             assert cells[2] == str(len(seed)) and cells[7] == seed.render()
             assert cells[-1] == ""  # no error recorded
 

@@ -28,6 +28,7 @@ from rfreasons.explain import (
     Reason,
     ReasonKind,
     comprehensible_reason,
+    default_order,
     delta_probable_reason_dt,
     direct_reason,
     greedy_reason,
@@ -44,7 +45,7 @@ from rfreasons.encodings import implicant_test_cnf, path_clause
 from rfreasons.solver import Deadline, SatSolver, SolveStatus
 
 import brute
-from conftest import X_NEG, X_POS
+from conftest import X_NEG, X_POS, sufficient_seed
 from generators import random_forest, random_instance, random_tree
 
 
@@ -296,7 +297,7 @@ class TestForestImplicantHelper:
         r = sufficient_reason_rf(orchid, X_POS, deadline=Deadline.after(0))
         # the returned term is the last accepted implicant: here the
         # majoritary seed, proved by traversal before any SAT call
-        assert r.term == majoritary_reason(orchid, X_POS).term
+        assert r.term == sufficient_seed(orchid, X_POS)
         assert r.extras["fallback"] == "timeout" and not r.optimal
 
 
@@ -346,15 +347,29 @@ def seed_cases(draw):
     return forest, random_instance(rng, n), order
 
 
+def parent_default_reason(forest, x) -> Term:
+    """The reference two-pass search with a single-order seed: the
+    greedy majoritary reason, then deletion, both in default_order."""
+    forest = normalize(forest, x)
+    seed = greedy_reason(MajorityOracle(forest), x, None, ReasonKind.SUFFICIENT)
+    oracle = oracle_for_instance(forest, x, "sufficient")
+    return greedy_reason(oracle, x, None, ReasonKind.SUFFICIENT, seed_term=seed.term).term
+
+
 class TestMajoritarySeed:
-    """Deletion starts from the greedy majoritary reason in the same order."""
+    """Deletion starts from a greedy majoritary reason: the best of
+    GREEDY_ORDERS seeded orders with no order, else the one of the
+    order."""
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(seed_cases())
     def test_against_the_exhaustive_oracles(self, case):
         forest, x, order = case
         n = forest.var_count
-        seed = majoritary_reason(forest, x, order).term
+        if order is None:
+            seed = sufficient_seed(forest, x)
+        else:
+            seed = majoritary_reason(forest, x, order).term
         term = sufficient_reason_rf(forest, x, order).term
         assert set(term) <= set(seed)
         visited = set(range(1, n + 1) if order is None else order)
@@ -367,6 +382,22 @@ class TestMajoritarySeed:
                 assert not brute.is_implicant_bruteforce(model, Term(l for l in term if l != lit))
         if len(visited) == n:
             assert term in brute.enumerate_sufficient_reasons(forest, x)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(seed_cases())
+    def test_the_default_order_given_keeps_the_single_order_seed(self, case):
+        forest, x, _ = case
+        order = default_order(forest.var_count)
+        assert sufficient_reason_rf(forest, x, order).term == parent_default_reason(forest, x)
+
+    def test_the_default_order_given_on_deep_forests(self):
+        for s in (1, 2):
+            forest = random_forest(random.Random(s), 40, 25, 8, 0.1)
+            rng = random.Random(2)
+            for _ in range(3):
+                x = random_instance(rng, 40)
+                expected = parent_default_reason(forest, x)
+                assert sufficient_reason_rf(forest, x, default_order(40)).term == expected
 
 
 @st.composite
@@ -749,24 +780,24 @@ class TestLocalSearch:
         assert_certified(normalize(forest, x), climbs)
 
     def test_a_flip_finds_the_counterexample(self, monkeypatch):
-        # trees x1, x2 and ¬x3 on x = 110: the seed x1 ∧ x2 implies the
-        # first two.  Dropping x2 starts at 100, which two trees accept;
-        # flipping x3, free on the path of ¬x3, leaves one.  Only the
-        # fresh check of the seed reaches the solver.
+        # trees x1, x2 and ¬x3 on x = 110: the seed x1 ∧ x2 of the order
+        # 3, 2, 1 implies the first two.  Dropping x2 starts at 100, which
+        # two trees accept; flipping x3, free on the path of ¬x3, leaves
+        # one.  Only the fresh check of the seed reaches the solver.
         forest = RandomForest(clause_to_tree(c, 3) for c in ((1,), (2,), (-3,)))
         statuses = spy_on_statuses(monkeypatch)
         climbs = spy_on_climbs(monkeypatch)
-        assert sufficient_reason_rf(forest, (1, 1, 0)).term == term_of(1, 2)
+        assert sufficient_reason_rf(forest, (1, 1, 0), (3, 2, 1)).term == term_of(1, 2)
         assert climbs == [(term_of(1), (True, False, True))]
         assert statuses == [SolveStatus.UNSAT]
 
     def test_the_complement_start_finds_the_counterexample(self, monkeypatch):
         # trees x1 ∨ (x2 ⊕ x3), twice, and x1 ∨ ¬x2 ∨ ¬x3, three times,
-        # on x = 100: the seed is x1.  Dropping x1 starts at 000, three
-        # 1-votes where every flip gives five, so that climb ends there;
-        # the second start, 011, flips every free variable of 100 and
-        # gets no vote.  Only the fresh check of the seed reaches the
-        # solver.
+        # on x = 100: the seed of the order 3, 2, 1 is x1.  Dropping x1
+        # starts at 000, three 1-votes where every flip gives five, so
+        # that climb ends there; the second start, 011, flips every free
+        # variable of 100 and gets no vote.  Only the fresh check of the
+        # seed reaches the solver.
         x3, not_x3 = ({"var": 3, "low": {"leaf": b}, "high": {"leaf": 1 - b}} for b in (0, 1))
         xor = {"var": 2, "low": x3, "high": not_x3}
         either = DecisionTree.from_nested({"var": 1, "low": xor, "high": {"leaf": 1}}, 3)
@@ -774,7 +805,7 @@ class TestLocalSearch:
         forest = RandomForest([either, either, nand, nand, nand])
         statuses = spy_on_statuses(monkeypatch)
         climbs = spy_on_climbs(monkeypatch)
-        assert sufficient_reason_rf(forest, (1, 0, 0)).term == term_of(1)
+        assert sufficient_reason_rf(forest, (1, 0, 0), (3, 2, 1)).term == term_of(1)
         assert climbs == [(Term(), None), (Term(), (False, True, True))]
         assert statuses == [SolveStatus.UNSAT]
 

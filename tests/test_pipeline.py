@@ -5,6 +5,7 @@ compute_reason + validate_reason on small random forests and checks the
 sufficient and majoritary kinds against the exhaustive brute oracles.
 """
 
+import gc
 import random
 import time
 from dataclasses import replace
@@ -50,6 +51,9 @@ def test_timeout_bounds_the_whole_request():
     forest = random_forest(random.Random(1), 100, 81, 8, 0.1)
     x = random_instance(random.Random(2), 100)
     budget, slack = 0.02, 0.1
+    # a full collection of what the earlier tests left behind takes about
+    # 0.12 s in a whole-suite run and is no part of the request
+    gc.collect()
     start = time.perf_counter()
     reason = compute_reason(forest, x, ExplainSettings(kind="sufficient", timeout=budget))
     wall = time.perf_counter() - start
