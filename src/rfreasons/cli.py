@@ -30,6 +30,7 @@ from .core import (
 from .encodings import implicant_test_cnf
 from .explain import (
     DEFAULT_SEED,
+    MAJORITARY_ORDERS,
     DeltaProbableOracle,
     LinearModel,
     Prioritization,
@@ -610,7 +611,7 @@ def cmd_stats(args) -> int:
     for k in kinds:
         s = replace(settings, kind=k)
         if k == "majoritary" and s.permutations is None:
-            s.permutations = 50
+            s.permutations = MAJORITARY_ORDERS
         check_request(forest, s)  # a mistake that holds for every instance ends the run here
         requests.append(s)
     payloads = [(forest, i, x, requests) for i, x in enumerate(instances, 1)]

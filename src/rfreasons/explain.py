@@ -17,8 +17,9 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
+from threading import Lock
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import DecisionTree, Instance, RandomForest, Term, mask_variables, normalize
@@ -32,9 +33,10 @@ DEFAULT_SEED = 42
 # 4 with 20 and 1 with 50, but 50 orders cost more time than the extra
 # MaxSAT searches they save
 GREEDY_ORDERS = 20
+MAJORITARY_ORDERS = 50  # majoritary_reason_multi's, and stats' for majoritary
 CLIMB_FLIPS = 8  # ForestSatOracle's local search, per drop
-# seeded_orders, per (n, seed): covers 50 permutations and the GREEDY_ORDERS
-# of the minimal kinds and of sufficient_reason_rf's seed
+# seeded_orders, per (n, seed): covers MAJORITARY_ORDERS and the
+# GREEDY_ORDERS of the minimal kinds and of sufficient_reason_rf's seed
 ORDERS_KEPT = 64
 ORDER_KEYS_KEPT = 16  # (n, seed) keys seeded_orders keeps at once
 
@@ -581,7 +583,7 @@ def majoritary_reason(
 def majoritary_reason_multi(
     forest: RandomForest,
     x: Instance,
-    permutations: int = 50,
+    permutations: int = MAJORITARY_ORDERS,
     seed: int = DEFAULT_SEED,
     deadline: Deadline | None = None,
 ) -> Reason:
@@ -602,10 +604,11 @@ def majoritary_reason_multi(
     )
 
 
-# (n, seed) -> (the first orders drawn, the generator state after them);
-# a snapshot is never changed, only replaced, and every snapshot of a key
-# is a prefix of the same draws, so threads racing on one key lose nothing
-_drawn: dict[tuple[int, int], tuple[tuple[tuple[int, ...], ...], tuple]] = {}
+@lru_cache(maxsize=ORDER_KEYS_KEPT)
+def _kept(n: int, seed: int) -> tuple[list[tuple[int, ...]], random.Random, Lock]:
+    """The orders of (n, seed) drawn so far, the generator that drew
+    them, and the lock held to draw the next (see seeded_orders)."""
+    return [], random.Random(seed), Lock()
 
 
 def seeded_orders(n: int, seed: int) -> Iterator[tuple[int, ...]]:
@@ -613,39 +616,27 @@ def seeded_orders(n: int, seed: int) -> Iterator[tuple[int, ...]]:
     [1, ..., n] shuffled in place again and again by one
     random.Random(seed), each order as its shuffle leaves it.
 
-    The process draws the first ORDERS_KEPT orders of each (n, seed) once,
-    when an iterator first asks for them, and keeps them with the
-    generator's state after them; an iterator draws the orders past them
-    live, from a private copy of that state.  No order is drawn before
-    it is asked for, and memory stays bounded: at most ORDERS_KEPT
-    orders for each of at most ORDER_KEYS_KEPT keys (a new key past
-    them empties the rest).
+    The process keeps the first ORDERS_KEPT orders of each (n, seed) in
+    _kept, an LRU cache of ORDER_KEYS_KEPT keys, and draws each of them
+    once, under the key's lock, when an iterator first asks for it; an
+    iterator draws the orders past them live, from a private copy of the
+    generator's state after them.  No order is drawn before it is asked
+    for.
     """
-    key = (n, seed)
-    kept, state, rng = (), None, None
+    kept, rng, lock = _kept(n, seed)
     for k in range(ORDERS_KEPT):
-        if k == len(kept):
-            shared = _drawn.get(key)
-            if shared is not None and len(shared[0]) > k:
-                (kept, state), rng = shared, None
-            else:  # draw the next order and publish the longer snapshot
-                if rng is None:
-                    rng = random.Random(seed)
-                    if state is not None:
-                        rng.setstate(state)
+        with lock:
+            if k == len(kept):
                 order = list(kept[-1] if kept else range(1, n + 1))
                 rng.shuffle(order)
-                kept, state = kept + (tuple(order),), rng.getstate()
-                if key not in _drawn and len(_drawn) >= ORDER_KEYS_KEPT:
-                    _drawn.clear()
-                _drawn[key] = kept, state
+                kept.append(tuple(order))
         yield kept[k]
-    if rng is None:
-        rng = random.Random(seed)
-        rng.setstate(state)
+    live = random.Random()
+    with lock:
+        live.setstate(rng.getstate())
     order = list(kept[-1])
     while True:
-        rng.shuffle(order)
+        live.shuffle(order)
         yield tuple(order)
 
 

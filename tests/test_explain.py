@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -225,33 +227,55 @@ class TestSeededOrders:
     )
     def test_interleaved_iterators_yield_the_shuffles(self, n, seed, count, warm, turns):
         expected = shuffled_orders(n, seed, max(count, warm))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(explain, "_drawn", {})
-            # one iterator draws warm orders, then two over the same key
-            # are advanced in the drawn turns
-            assert list(itertools.islice(seeded_orders(n, seed), warm)) == expected[:warm]
-            its, got = (seeded_orders(n, seed), seeded_orders(n, seed)), ([], [])
-            for turn in turns:
-                if len(got[turn]) < count:
-                    got[turn].append(next(its[turn]))
-            assert got[0] == expected[: len(got[0])] and got[1] == expected[: len(got[1])]
+        explain._kept.cache_clear()
+        # one iterator draws warm orders, then two over the same key are
+        # advanced in the drawn turns
+        assert list(itertools.islice(seeded_orders(n, seed), warm)) == expected[:warm]
+        its, got = (seeded_orders(n, seed), seeded_orders(n, seed)), ([], [])
+        for turn in turns:
+            if len(got[turn]) < count:
+                got[turn].append(next(its[turn]))
+        assert got[0] == expected[: len(got[0])] and got[1] == expected[: len(got[1])]
 
-    def test_memory_stays_bounded(self, monkeypatch):
-        monkeypatch.setattr(explain, "_drawn", {})
+    def test_memory_stays_bounded(self):
+        explain._kept.cache_clear()
         orders = list(itertools.islice(seeded_orders(40, 42), 10 * ORDERS_KEPT))
         assert orders == shuffled_orders(40, 42, 10 * ORDERS_KEPT)
-        kept, _ = explain._drawn[(40, 42)]
-        assert kept == tuple(orders[:ORDERS_KEPT])
+        assert explain._kept(40, 42)[0] == orders[:ORDERS_KEPT]
         # a later iterator reads the kept orders, then draws on from their state
         later = itertools.islice(seeded_orders(40, 42), 2 * ORDERS_KEPT)
         assert list(later) == orders[: 2 * ORDERS_KEPT]
         for seed in range(2 * ORDER_KEYS_KEPT):
             next(seeded_orders(3, seed))
-            assert len(explain._drawn) <= ORDER_KEYS_KEPT
+            assert explain._kept.cache_info().currsize <= ORDER_KEYS_KEPT
+
+    def test_threads_racing_on_a_fresh_key_get_the_shuffles(self):
+        # the threads start together and switch often, so that they race
+        # on the cache miss and on each draw; each reads past the kept
+        # orders, from its own copy of the generator's state
+        barrier, interval = threading.Barrier(4), sys.getswitchinterval()
+
+        def read(n, seed, out):
+            barrier.wait()
+            out.append(list(itertools.islice(seeded_orders(n, seed), 100)))
+
+        explain._kept.cache_clear()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(1000, 1040):
+                got = []
+                threads = [threading.Thread(target=read, args=(30, seed, got)) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                assert got == [shuffled_orders(30, seed, 100)] * 4
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_best_of_orders_draws_only_the_orders_it_runs(self, monkeypatch):
-        monkeypatch.setattr(explain, "_drawn", {})
-        expected = tuple(shuffled_orders(12, 42, 3))
+        explain._kept.cache_clear()
+        expected = shuffled_orders(12, 42, 3)
         shuffles = []
         shuffle = random.Random.shuffle
 
@@ -265,10 +289,10 @@ class TestSeededOrders:
         masks = [t.disagreement_masks(x) for t in normalize(forest, x).trees]
         expired = Deadline.after(0)
         assert explain.best_of_orders(masks, x, 50, 42, expired) == (None, False)
-        assert shuffles == [] and explain._drawn == {}
+        assert shuffles == [] and explain._kept.cache_info().currsize == 0
         term, complete = explain.best_of_orders(masks, x, 3, 42)
         assert complete and shuffles == [12] * 3
-        assert explain._drawn[(12, 42)][0] == expected
+        assert explain._kept(12, 42)[0] == expected
         # a second request reuses the kept orders
         assert explain.best_of_orders(masks, x, 3, 42) == (term, True)
         assert shuffles == [12] * 3
