@@ -177,10 +177,11 @@ class ForestSatOracle(ImplicantOracle):
 
     A removal costs at most one SAT call.  A refused one yields a
     counterexample that recursive model rotation (Belov & Marques-Silva,
-    FMCAD 2011) turns into more necessary literals with forest
-    evaluations alone: their removals are then refused without the
-    solver.  A literal necessary in a term stays necessary in every
-    subterm keeping it, so the answers are those of plain deletion.
+    FMCAD 2011) turns into more necessary literals with one walk of the
+    forest, _flip_gains, the walk that scores the climb's flips below:
+    their removals are then refused without the solver.  A literal
+    necessary in a term stays necessary in every subterm keeping it, so
+    the answers are those of plain deletion.
 
     Before the call, a hill-climb over the term's free variables (local
     search in the manner of WalkSAT: Selman, Kautz & Cohen, AAAI 1994)
@@ -320,37 +321,15 @@ class ForestSatOracle(ImplicantOracle):
         point z, an extension of assign that it flips in place, or None."""
         states, deadline = self._states, self.deadline
         # a tree the last accepted term implies stays implied, and votes 1,
-        # unless a node testing var closes one of its children; margin is
-        # the 1-votes less the majority
+        # unless a node testing var closes one of its children; unscored is
+        # the 1-votes of the trees left out less the majority
         trees = [tree for _, tree, closed, ones in states if ones is None or var in closed]
         unscored = len(states) - len(trees) - self.forest.majority
+        free = [b is None for b in assign]
         last = 0
         for flips in range(CLIMB_FLIPS + 1):
-            margin, walked, gain = unscored, [], {}
-            for tree in trees:  # z's path, with the other child of each free node
-                nodes = tree.nodes
-                u, lo, hi = nodes[tree.root]
-                path = []
-                while u:
-                    if z[u - 1]:
-                        lo, hi = hi, lo
-                    if assign[u] is None:
-                        path.append((u, hi))
-                    u, lo, hi = nodes[lo]
-                margin += lo
-                walked.append((nodes, lo, path))
-                if lo:
-                    for u, _ in path:
-                        gain[u] = 0
-            # gain[u]: how flipping u, free on a path to a 1-leaf, moves the 1-votes
-            for nodes, label, path in walked:
-                for u, other in path:
-                    if u in gain:
-                        w, lo, hi = nodes[other]
-                        while w:
-                            w, lo, hi = nodes[hi if z[w - 1] else lo]
-                        gain[u] += lo - label
-            if margin < 0:
+            votes, gain = _flip_gains(trees, z, free)
+            if votes + unscored < 0:
                 return tuple(z) if self.forest.evaluate(z) == 0 else None
             if flips == CLIMB_FLIPS or deadline is not None and deadline.expired():
                 return None
@@ -366,37 +345,50 @@ class ForestSatOracle(ImplicantOracle):
         a counterexample when the forest votes 0 on it.  Recursing from
         that point would restore u and reach the same point again, so one
         pass marks all that recursive model rotation would.  The model
-        restored on var is the next climb's start.
-
-        One walk per tree records its vote and the variables its path
-        tests; a flip of u changes only the trees whose path tests u.  u
-        is skipped when those trees hold no more 1-votes than the vote
-        can spare, and otherwise they alone are walked again."""
-        trees, necessary, deadline = self.forest.trees, self.necessary, self.deadline
-        necessary.add(var)
+        restored on var is the next climb's start.  _flip_gains, the
+        climb's walk, scores every flip at once."""
+        self.necessary.add(var)
         z = self._extension = list(model[: self.var_count])
         z[var - 1] = not z[var - 1]
-        votes, tested = [], {}  # tested[u]: the trees whose path on z tests u
-        for i, tree in enumerate(trees):
-            nodes = tree.nodes
-            u, lo, hi = nodes[tree.root]
-            while u:
-                tested.setdefault(u, []).append(i)
-                u, lo, hi = nodes[hi if z[u - 1] else lo]
-            votes.append(lo)
-        spare = sum(votes) - self.forest.majority  # the 1-votes z can lose
-        for u in range(1, len(assign)):
-            if assign[u] is None or u in necessary:
-                continue
-            if deadline is not None and deadline.expired():
-                return  # a shortcut only: the solver decides the rest
-            at = tested.get(u, ())
-            if sum(votes[i] for i in at) <= spare:
-                continue
-            z[u - 1] = not z[u - 1]
-            if sum(votes[i] - trees[i].evaluate(z) for i in at) > spare:
-                necessary.add(u)
-            z[u - 1] = not z[u - 1]
+        kept = [b is not None and u not in self.necessary for u, b in enumerate(assign)]
+        votes, gain = _flip_gains(self.forest.trees, z, kept)
+        spare = votes - self.forest.majority  # the 1-votes z can lose
+        self.necessary.update(u for u, g in gain.items() if -g > spare)
+
+
+def _flip_gains(
+    trees: Sequence[DecisionTree], z: list[bool], flippable: list[bool]
+) -> tuple[int, dict[int, int]]:
+    """The 1-votes of trees on the point z, and gain[u], how a flip of u
+    changes them, for each u with flippable[u] true on z's path in a tree
+    voting 1; a flip of any other variable loses no 1-vote.  flippable
+    is indexed by variable, as Term.to_array is.  A tree is read-once,
+    so a flip of u changes its vote only below the node on z's path that
+    tests u: a walk from that node's other child gives the new vote."""
+    votes, walked, gain = 0, [], {}
+    for tree in trees:  # z's path, with the other child of each flippable node
+        nodes = tree.nodes
+        u, lo, hi = nodes[tree.root]
+        path = []
+        while u:
+            if z[u - 1]:
+                lo, hi = hi, lo
+            if flippable[u]:
+                path.append((u, hi))
+            u, lo, hi = nodes[lo]
+        votes += lo
+        walked.append((nodes, lo, path))
+        if lo:
+            for u, _ in path:
+                gain[u] = 0
+    for nodes, label, path in walked:
+        for u, other in path:
+            if u in gain:
+                w, lo, hi = nodes[other]
+                while w:
+                    w, lo, hi = nodes[hi if z[w - 1] else lo]
+                gain[u] += lo - label
+    return votes, gain
 
 
 class DeltaProbableOracle(ImplicantOracle):

@@ -526,9 +526,9 @@ def check_rotations(mp) -> list[int]:
 
 
 class TestRotationWalks:
-    """_rotate re-walks only the trees whose path tests a flipped
-    variable; its marks and its next start are those of one full forest
-    evaluation per candidate."""
+    """_rotate scores every flip with one walk, _flip_gains, which it
+    shares with the climb; its marks and its next start are those of one
+    full forest evaluation per candidate."""
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(rotation_cases())
@@ -546,6 +546,40 @@ class TestRotationWalks:
             for _ in range(3):
                 sufficient_reason_rf(forest, random_instance(rng, 40))
         assert len(rotations) >= 20
+
+
+@st.composite
+def flip_cases(draw):
+    """(trees, z, flippable): 1 to 9 random trees over at most 8
+    variables, one of them constant when drawn so, a point z and a
+    random flag per variable, indexed by variable."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    depth, count = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    trees = [random_tree(rng, n, depth, 0.15) for _ in range(count)]
+    if draw(st.booleans()):
+        trees[rng.randrange(len(trees))] = DecisionTree.leaf(rng.randint(0, 1), n)
+    z = [bool(b) for b in random_instance(rng, n)]
+    return trees, z, [False] + [rng.random() < 0.6 for _ in range(n)]
+
+
+class TestFlipGains:
+    """_flip_gains, the walk that scores the flips of the climb and of
+    the rotation, gives what a full evaluation of each flip gives."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(flip_cases())
+    def test_matches_full_evaluation(self, case):
+        trees, z, flippable = case
+        votes, gain = explain._flip_gains(trees, z, flippable)
+        assert votes == sum(t.evaluate(z) for t in trees)
+        # the keys: the flippable variables on z's path in a tree voting 1
+        on_paths = {abs(l) for t in trees if t.evaluate(z) for l in t.path_term(z)}
+        assert gain.keys() == {u for u in on_paths if flippable[u]}
+        for u, g in gain.items():
+            flipped = list(z)
+            flipped[u - 1] = not flipped[u - 1]
+            assert g == sum(t.evaluate(flipped) for t in trees) - votes
 
 
 @st.composite
