@@ -22,6 +22,7 @@ from rfreasons.optimize import (
     _restricted_clauses,
     approx_minimal_reason_dt,
     majority_wcnf,
+    mask_bound_reaches,
     minimal_majoritary_reason,
     minimal_sufficient_reason_dt,
     minimal_weight_majoritary_reason,
@@ -509,3 +510,62 @@ class TestBestOfOrders:
         oracle = MajorityOracle(model)
         assert oracle.accepts(got)
         assert not any(oracle.accepts(Term(l for l in got if l != lit)) for lit in got)
+
+
+class TestMaskBound:
+    """mask_bound_reaches never certifies a cost above the optimum, and
+    when it certifies the greedy cost, the search ends without MaxSAT."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 7), st.integers(1, 6))
+    def test_never_above_the_brute_force_optimum(self, seed, n, trees, depth):
+        rng = random.Random(seed)
+        forest = random_forest(rng, n, trees, depth, 0.15)
+        x = random_instance(rng, n)
+        model = normalize(forest, x)
+        masks = [t.disagreement_masks(x) for t in model.trees]
+        candidates = brute.enumerate_majoritary_reasons(forest, x)
+        random_weights = WeightMap({v: rng.randint(1, 9) for v in range(1, n + 1)})
+        for weights in (WeightMap(), random_weights):
+            optimum = min(map(weights.of_term, candidates))
+            for cost in range(optimum + 3):
+                if mask_bound_reaches(masks, model.majority, weights.of, cost):
+                    assert cost <= optimum
+
+    def test_bound_closes_the_golden_search(self, orchid, monkeypatch):
+        monkeypatch.setattr("rfreasons.optimize.mask_bound_reaches", lambda *args: False)
+        proved = minimal_majoritary_reason(orchid, X_POS)
+        assert proved.optimal and proved.extras["proof"] == "maxsat"
+        monkeypatch.undo()
+
+        def no_maxsat(*args, **kwargs):
+            raise AssertionError("MaxSAT ran")
+
+        monkeypatch.setattr("rfreasons.optimize.maxsat_anytime", no_maxsat)
+        r = minimal_majoritary_reason(orchid, X_POS)
+        assert r.optimal and r.extras["proof"] == "bound"
+        assert (r.term, r.cost) == (proved.term, proved.cost)
+
+    def test_maxsat_proves_where_the_bound_falls_short(self):
+        # at least two of x1, x2, x3: its masks {2, 3}, {1, 3} and {1, 2}
+        # pairwise meet, so the packing takes one and bounds the size by
+        # 1, and the optimum is 2
+        x3 = {"var": 3, "low": {"leaf": 0}, "high": {"leaf": 1}}
+        low = {"var": 2, "low": {"leaf": 0}, "high": x3}
+        high = {"var": 2, "low": x3, "high": {"leaf": 1}}
+        tree = DecisionTree.from_nested({"var": 1, "low": low, "high": high}, 3)
+        x = (1, 1, 1)
+        masks = [tree.disagreement_masks(x)]
+        assert sorted(masks[0]) == [0b0110, 0b1010, 0b1100]
+        assert mask_bound_reaches(masks, 1, WeightMap().of, 1)
+        assert not mask_bound_reaches(masks, 1, WeightMap().of, 2)
+        r = minimal_sufficient_reason_dt(tree, x)
+        assert r.optimal and r.size == 2 and r.extras["proof"] == "maxsat"
+
+    def test_too_many_tree_sets_skip_the_bound(self):
+        # nine copies of the tree x1 vote 1 and need five: 126 sets
+        tree = DecisionTree.from_nested({"var": 1, "low": {"leaf": 0}, "high": {"leaf": 1}}, 1)
+        masks = [tree.disagreement_masks((1,))] * 9
+        assert masks[0] == [0b10]
+        assert mask_bound_reaches(masks[:7], 4, WeightMap().of, 1)  # 35 sets
+        assert not mask_bound_reaches(masks, 5, WeightMap().of, 1)
